@@ -1,13 +1,13 @@
 """Shared helpers for the benchmark harness.
 
-Every paper table/figure has one bench module (see DESIGN.md §4).  Bench
+Every paper table/figure has one bench module (see docs/architecture.md).  Bench
 functions regenerate the artifact once (``benchmark.pedantic`` with a
 single round — the artifact generation itself is the thing being timed)
 and print the same rows/series the paper reports, so ``pytest benchmarks/
 --benchmark-only -s`` doubles as the reproduction harness.
 
-Training-based benches run the ``tiny`` preset to stay CI-fast; the
-recorded ``small``-preset results live in EXPERIMENTS.md.
+Training-based benches run the ``tiny`` preset to stay CI-fast; pass
+``--scale small`` to ``python -m repro.experiments`` for the full-size runs.
 """
 
 from __future__ import annotations

@@ -55,7 +55,6 @@ def main() -> None:
     print(f"loss decreased: {losses[0]:.4f} -> {losses[-1]:.4f}")
 
     # re-run one rank locally to inspect the live preconditioner state
-    from repro.core.distributed import LocalDriver
     from repro.core.preconditioner import KFAC
     from repro.experiments.transformer_exp import make_token_task
     from repro.nn import MarginSoftmaxLoss, TinyTransformer
@@ -69,7 +68,6 @@ def main() -> None:
         model, damping=0.01, kfac_update_freq=2, fac_update_freq=1, lr=0.1,
         scheduler="graph", comm_dtype="fp16", diag_blocks=4, diag_warmup=1,
     )
-    driver = LocalDriver(kfac)
     opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
     loss_fn = MarginSoftmaxLoss()
     x, y = make_token_task(24, args.seq_len, args.vocab, 4)
@@ -77,7 +75,7 @@ def main() -> None:
         opt.zero_grad()
         loss_fn(model(x), y)
         model.backward(loss_fn.backward())
-        driver.step()
+        kfac.step()
         opt.step()
 
     emb = next(l for l in kfac.layers if l.name == "tok_embed")

@@ -1,9 +1,8 @@
-"""Legacy setup shim.
+"""Package metadata (the repo has no ``pyproject.toml``; this is canonical).
 
-The canonical metadata lives in ``pyproject.toml``.  This file exists so the
-package can be installed editable in offline environments that lack the
-``wheel`` package (``pip install -e . --no-build-isolation`` falls back to
-``setup.py develop``).
+A plain ``setup.py`` keeps the package installable editable in offline
+environments that lack the ``wheel`` package (``pip install -e .
+--no-build-isolation`` falls back to ``setup.py develop``).
 """
 
 from setuptools import find_packages, setup

@@ -16,8 +16,8 @@ Layout:
 - :mod:`repro.core.schedule` — damping decay and update-frequency decay;
 - :mod:`repro.core.preconditioner` — the :class:`KFAC` preconditioner
   implementing Algorithm 1 as a driver-agnostic generator;
-- :mod:`repro.core.distributed` — drivers: local, phase-style lockstep
-  controller, and threaded SPMD adapter.
+- :mod:`repro.core.distributed` — the two transports: phase-style lockstep
+  controller and threaded SPMD adapter.
 """
 
 from repro.core.assignment import (
@@ -56,11 +56,7 @@ from repro.core.preconditioner import (
     KFAC,
     KFACHyperParams,
 )
-from repro.core.distributed import (
-    LocalDriver,
-    PhaseController,
-    SPMDDriver,
-)
+from repro.core.distributed import PhaseController, SPMDDriver
 from repro.core.schedule import KFACParamScheduler
 
 __all__ = [
@@ -69,7 +65,6 @@ __all__ = [
     "COMM_OPT",
     "LAYER_WISE",
     "HYBRID",
-    "LocalDriver",
     "PhaseController",
     "SPMDDriver",
     "KFACParamScheduler",

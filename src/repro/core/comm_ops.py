@@ -2,33 +2,26 @@
 
 Algorithm 1 is implemented exactly once, as a generator that *yields*
 communication requests and receives their results (see
-:mod:`repro.core.preconditioner`).  Drivers in
+:mod:`repro.core.preconditioner`).  The two transports in
 :mod:`repro.core.distributed` execute those requests:
 
-- locally (world of one — requests are satisfied with the local data),
 - phase-style (a lockstep controller matching requests across simulated
   workers and executing fused :class:`repro.comm.World` collectives), or
 - SPMD-style (each rank's thread resolves requests through matched
   Horovod-like collectives).
 
-This mirrors how the real implementation separates the K-FAC math from
-Horovod communication handles (§V-A).
+A world of one needs no transport: its generator yields nothing
+(``KFAC.step()``).  This mirrors how the real implementation separates
+the K-FAC math from Horovod communication handles (§V-A).
 
-Synchronous protocol
---------------------
-``yield AllReduceRequest(tensors, op, phase)`` → receives the reduced
-tensors; ``yield AllGatherRequest(tensor, phase)`` → receives the list of
-every rank's contribution.  The driver blocks on the collective before
-resuming the generator.
-
-Asynchronous (pipelined) protocol
----------------------------------
-The SPD-KFAC-style pipeline splits every collective into a *launch* and a
-*wait* so the generator can interleave local compute with in-flight
-communication:
+The launch/wait protocol
+------------------------
+Every collective is a *launch* followed by a *wait* (SPD-KFAC style), so
+the generator can interleave local compute with in-flight communication:
 
 1. ``yield AllReduceLaunch(tensors, op, phase, tag)`` (or
-   :class:`AllGatherLaunch`) — the driver starts the collective and
+   :class:`AllGatherLaunch`, :class:`GroupAllGatherLaunch`,
+   :class:`GroupBroadcastLaunch`) — the driver starts the collective and
    resumes the generator immediately with ``None``.  ``tag`` must be
    unique within the step and identical across ranks (lockstep drivers
    match launches by position *and* tag).
@@ -37,24 +30,24 @@ communication:
    *deterministic* estimate of the simulated seconds spent (see
    :func:`repro.comm.engine.estimate_second_order_seconds`).
 3. ``yield WaitRequest(tag, compute_seconds)`` — the driver resolves the
-   matching launch and responds with the collective's result (same shape
-   as the synchronous response).  ``compute_seconds`` is the local
-   compute performed since the previous wait; the world credits
-   ``min(compute_seconds across ranks)`` of the op's cost as *hidden*
-   (overlapped) rather than exposed time.
+   matching launch and responds with the collective's result: the list
+   of reduced tensors for an allreduce, ``[contribution_rank0, ...]`` for
+   an allgather.  ``compute_seconds`` is the local compute performed
+   since the previous wait; the world credits ``min(compute_seconds
+   across ranks)`` of the op's cost as *hidden* (overlapped) rather than
+   exposed time.
 
 Every rank must wait every tag it launched, in the same order — drivers
-may deadlock-check but do not reorder.  A generator that never launches
-asynchronously is a valid degenerate case (the synchronous protocol).
+may deadlock-check but do not reorder.  The synchronous schedule
+(``scheduler="sync"``) is the degenerate case of the same protocol: each
+launch is followed at once by ``WaitRequest(tag, 0.0)``, so the whole
+cost is exposed.
 
-Group collectives participate in the same protocol:
-:class:`GroupAllGatherLaunch`/:class:`GroupBroadcastLaunch` start the
-group op and a later :class:`WaitRequest` on the same ``tag`` resolves
-it, so the gradient-worker-fraction share steps can overlap with other
+For the group collectives *every* rank yields the launch and the wait in
+lockstep — non-members simply pass ``tensor=None`` and receive ``None`` —
+so the gradient-worker-fraction share steps can overlap with other
 in-flight work (the task-graph scheduler in :mod:`repro.sched` relies on
-this).  Like their blocking counterparts, *every* rank yields the launch
-and the wait in lockstep — non-members simply pass ``tensor=None`` and
-receive ``None``.
+this).
 
 Packing
 -------
@@ -65,8 +58,7 @@ back float64 — the historical hard-coded ``float32`` downcast silently
 degraded multi-worker precision relative to single-worker runs.
 
 :func:`pack_symmetric`/:func:`unpack_symmetric` are the symmetry-aware
-variant used by the factor allreduce (both the synchronous request and the
-pipelined bucket path): each ``d x d`` factor travels as its
+variant used by the factor allreduce: each ``d x d`` factor travels as its
 ``d*(d+1)/2``-element upper triangle and is mirrored back on arrival —
 lossless for the exactly-symmetric factors the syrk Gram kernel produces,
 and a ~2x reduction in factor-stage bytes.
@@ -74,7 +66,7 @@ and a ~2x reduction in factor-stage bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -82,12 +74,8 @@ import numpy as np
 from repro.comm.fusion import tri_pack, tri_unpack
 
 __all__ = [
-    "AllReduceRequest",
-    "AllGatherRequest",
     "AllReduceLaunch",
     "AllGatherLaunch",
-    "GroupAllGatherRequest",
-    "GroupBroadcastRequest",
     "GroupAllGatherLaunch",
     "GroupBroadcastLaunch",
     "WaitRequest",
@@ -99,41 +87,14 @@ __all__ = [
 
 
 @dataclass
-class AllReduceRequest:
-    """Average (or sum) each tensor across all workers.
-
-    ``tensors`` is this rank's contribution; the response is the list of
-    reduced tensors in the same order/shapes.  Drivers fuse the list into
-    one flat buffer (Horovod fusion-buffer behaviour).
-    """
-
-    tensors: list[np.ndarray]
-    op: str = "average"
-    phase: str = "allreduce"
-    #: wire compression name ("fp16"/"bf16"); None = dtype-preserving
-    comm_dtype: str | None = None
-
-
-@dataclass
-class AllGatherRequest:
-    """Gather one flat per-rank contribution from every worker.
-
-    The response is ``[contribution_rank0, ..., contribution_rank{P-1}]``.
-    Contributions may have different lengths (factor shards differ per
-    worker).
-    """
-
-    tensor: np.ndarray
-    phase: str = "allgather"
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
 class AllReduceLaunch:
-    """Start an allreduce without blocking; resolved by a later WaitRequest.
+    """Start averaging (or summing) each tensor across all workers.
 
-    The driver responds ``None`` immediately.  ``tag`` identifies the op
-    within the step and must match across ranks.
+    ``tensors`` is this rank's contribution; the driver responds ``None``
+    immediately and the matching :class:`WaitRequest` receives the list of
+    reduced tensors in the same order/shapes.  Drivers fuse the list into
+    one flat buffer (Horovod fusion-buffer behaviour).  ``tag`` identifies
+    the op within the step and must match across ranks.
     """
 
     tensors: list[np.ndarray]
@@ -146,58 +107,28 @@ class AllReduceLaunch:
 
 @dataclass
 class AllGatherLaunch:
-    """Start an allgather without blocking; resolved by a later WaitRequest."""
+    """Start gathering one flat per-rank contribution from every worker.
+
+    The matching wait receives ``[contribution_rank0, ...,
+    contribution_rank{P-1}]``.  Contributions may have different lengths
+    (factor shards differ per worker).
+    """
 
     tensor: np.ndarray
     phase: str = "allgather"
     tag: str = ""
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class GroupAllGatherRequest:
-    """Allgather restricted to a rank subset (a gradient-worker group).
-
-    Every rank yields this request in lockstep, but only ranks listed in
-    ``ranks`` contribute a tensor (others pass ``None``) and only they
-    receive the response: the list of members' contributions ordered as
-    ``ranks``.  Non-members are resumed with ``None``.  The rank order in
-    ``ranks`` is the group's ring order (root first) and must be
-    identical on every rank.
-    """
-
-    tensor: np.ndarray | None
-    ranks: tuple[int, ...]
-    phase: str = "allgather"
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class GroupBroadcastRequest:
-    """Broadcast from ``root`` to a rank subset.
-
-    Used by the gradient-worker-fraction strategy's second stage: the
-    group root ships the final preconditioned gradients to the ranks
-    *outside* the gradient-worker group, so ``ranks`` is
-    ``(root, *non_members)``.  Only ``root`` provides ``tensor``; every
-    listed rank is resumed with the broadcast value, everyone else with
-    ``None``.
-    """
-
-    tensor: np.ndarray | None
-    root: int
-    ranks: tuple[int, ...]
-    phase: str = "broadcast"
 
 
 @dataclass
 class GroupAllGatherLaunch:
-    """Start a group allgather without blocking; resolved by a WaitRequest.
+    """Start an allgather restricted to a rank subset (a gradient-worker group).
 
-    The asynchronous twin of :class:`GroupAllGatherRequest`: every rank
-    yields the launch in lockstep (non-members with ``tensor=None``) and
-    later yields ``WaitRequest(tag)``; members receive the list of member
-    contributions ordered as ``ranks``, non-members ``None``.  Lets the
+    Every rank yields the launch (and later ``WaitRequest(tag)``) in
+    lockstep, but only ranks listed in ``ranks`` contribute a tensor
+    (others pass ``None``) and only they receive the result: the list of
+    members' contributions ordered as ``ranks``.  Non-members are resumed
+    with ``None``.  The rank order in ``ranks`` is the group's ring order
+    (root first) and must be identical on every rank.  Lets the
     gradient-worker eigenbasis share overlap with in-flight factor
     buckets instead of running synchronously after them.
     """
@@ -206,16 +137,18 @@ class GroupAllGatherLaunch:
     ranks: tuple[int, ...]
     phase: str = "allgather"
     tag: str = ""
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
 class GroupBroadcastLaunch:
-    """Start a group broadcast without blocking; resolved by a WaitRequest.
+    """Start a broadcast from ``root`` to a rank subset.
 
-    Asynchronous twin of :class:`GroupBroadcastRequest`: only ``root``
-    provides ``tensor``; at the matching wait every rank listed in
-    ``ranks`` receives the broadcast value, everyone else ``None``.
+    Used by the gradient-worker-fraction strategy's second stage: the
+    group root ships the final preconditioned gradients to the ranks
+    *outside* the gradient-worker group, so ``ranks`` is
+    ``(root, *non_members)``.  Only ``root`` provides ``tensor``; at the
+    matching wait every listed rank receives the broadcast value,
+    everyone else ``None``.
     """
 
     tensor: np.ndarray | None

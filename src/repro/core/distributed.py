@@ -1,28 +1,33 @@
 """Drivers binding the K-FAC step generator to a communication substrate.
 
-Three drivers, one algorithm:
+Two transports, one protocol, one algorithm:
 
-- :class:`LocalDriver` — world of one; requests are satisfied locally.
 - :class:`PhaseController` — lockstep execution of P replicas' step
   generators against a :class:`repro.comm.World` (deterministic; used by
-  the data-parallel trainer and all experiments).  AllReduce requests are
-  fused into a single flat ring-allreduce per matched request, reproducing
+  the data-parallel trainer and all experiments).  Each matched allreduce
+  launch is fused into a single flat ring-allreduce, reproducing
   Horovod's fusion-buffer behaviour for factor communication.
 - :class:`SPMDDriver` — executes a single rank's generator inside a
   threaded SPMD program via matched named collectives (what the
   Listing 1-style quickstart uses).
 
-All three understand both step-generator protocols from
-:mod:`repro.core.comm_ops`: the blocking request/response protocol and the
-pipelined launch/wait protocol (``scheduler="graph"``), where factor
-allreduces run asynchronously while the generator eigendecomposes
-already-reduced factors and the driver credits that compute as hidden
-communication time.
+Both speak the launch/wait protocol of :mod:`repro.core.comm_ops` and
+nothing else: a launch starts the collective, the matching wait settles
+it with the compute-overlap budget the generator reports.  Under
+``scheduler="graph"`` factor allreduces stay in flight while the
+generator eigendecomposes already-reduced factors and the driver credits
+that compute as hidden communication time; under ``scheduler="sync"``
+every wait follows its launch with a zero budget.  A world of one needs
+no driver (``KFAC.step()``).
+
+Failed collectives go through one retry policy, :func:`_retry`, shared by
+both transports.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Sequence
+from functools import partial
+from typing import Any, Callable, Generator, Sequence
 
 import numpy as np
 
@@ -32,13 +37,9 @@ from repro.comm.handles import Handle, LaunchedHandle
 from repro.comm.horovod import HorovodContext
 from repro.core.comm_ops import (
     AllGatherLaunch,
-    AllGatherRequest,
     AllReduceLaunch,
-    AllReduceRequest,
     GroupAllGatherLaunch,
-    GroupAllGatherRequest,
     GroupBroadcastLaunch,
-    GroupBroadcastRequest,
     WaitRequest,
     pack_arrays,
     unpack_arrays,
@@ -46,36 +47,9 @@ from repro.core.comm_ops import (
 from repro.core.preconditioner import KFAC
 from repro.utils.logging import NULL_LOGGER, Logger
 
-__all__ = ["LocalDriver", "PhaseController", "SPMDDriver"]
+__all__ = ["PhaseController", "SPMDDriver"]
 
-
-class LocalDriver:
-    """Drive one KFAC instance with no communication (world of one).
-
-    Example
-    -------
-    >>> import numpy as np
-    >>> from repro.core.distributed import LocalDriver
-    >>> from repro.core.preconditioner import KFAC
-    >>> from repro.nn import Linear, Sequential
-    >>> from repro.nn.loss import CrossEntropyLoss
-    >>> model = Sequential(Linear(4, 3))
-    >>> driver = LocalDriver(KFAC(model, kfac_update_freq=1))
-    >>> loss_fn = CrossEntropyLoss()
-    >>> _ = loss_fn(model(np.ones((4, 4), dtype=np.float32)), np.arange(4) % 3)
-    >>> _ = model.backward(loss_fn.backward())
-    >>> driver.step()
-    >>> driver.kfac.steps
-    1
-    """
-
-    def __init__(self, kfac: KFAC) -> None:
-        if kfac.world_size != 1:
-            raise ValueError("LocalDriver requires world_size == 1")
-        self.kfac = kfac
-
-    def step(self) -> None:
-        self.kfac.step()
+_LAUNCHES = (AllReduceLaunch, AllGatherLaunch, GroupAllGatherLaunch, GroupBroadcastLaunch)
 
 
 def _advance(gen: Generator, value: Any = None, first: bool = False) -> Any | None:
@@ -84,6 +58,81 @@ def _advance(gen: Generator, value: Any = None, first: bool = False) -> Any | No
         return next(gen) if first else gen.send(value)
     except StopIteration:
         return None
+
+
+def _retry(
+    driver: "PhaseController | SPMDDriver",
+    world: World,
+    ranks: Sequence[int],
+    phase: str,
+    attempt_fn: Callable[[], Any],
+) -> Any:
+    """Run a collective with bounded retry-with-backoff.
+
+    Returns the collective's result, or a :class:`CollectiveFailed`
+    sentinel when ``driver.retry_policy``'s budget is exhausted on a
+    degradable phase (the step generator then falls back to stale state);
+    re-raises on any other phase.  Each retry/fallback is counted on
+    ``driver``, warned through ``driver.logger`` and marked on the trace
+    track of every rank in ``ranks`` — the ranks the driver speaks for:
+    all of them for the lockstep controller, its own for an SPMD rank
+    (the world hands an injected failure to *every* posting rank, so all
+    members retry the same number of times and their matched-op
+    generation counters stay aligned).  Backoff seconds are charged to
+    the ``retry_backoff`` timer phase so degraded steps are visible in
+    the simulated time ledger; the world ledger is shared, so only the
+    driver speaking for rank 0 charges it.
+    """
+    policy = driver.retry_policy
+    tracer = world.tracer
+    charges = 0 in ranks
+    attempt = 0
+    while True:
+        try:
+            return attempt_fn()
+        except CollectiveError as exc:
+            if policy is None:
+                raise
+            if attempt < policy.max_retries:
+                backoff = policy.backoff(attempt)
+                if charges:
+                    world.timers.charge("retry_backoff", backoff)
+                    world.overlap.record("retry_backoff", backoff, 0.0)
+                driver.comm_retries += 1
+                attempt += 1
+                driver.logger.warn(
+                    f"{phase}: collective failed ({exc}); retry "
+                    f"{attempt}/{policy.max_retries} after {backoff:.4g}s"
+                )
+                if tracer.enabled:
+                    for r in ranks:
+                        tracer.instant(
+                            f"retry:{phase}", "fault", r,
+                            attrs={"attempt": attempt},
+                        )
+                        if charges:
+                            tracer.span(
+                                "retry_backoff", "comm", r, backoff,
+                                attrs={
+                                    "exposed": backoff,
+                                    "hidden": 0.0,
+                                    "bytes": 0.0,
+                                    "retry_of": phase,
+                                    "owner": r == 0,
+                                },
+                            )
+                continue
+            if phase in policy.fallback_phases:
+                driver.comm_fallbacks += 1
+                driver.logger.warn(
+                    f"{phase}: retries exhausted ({exc}); falling back "
+                    "to stale state"
+                )
+                if tracer.enabled:
+                    for r in ranks:
+                        tracer.instant(f"fallback:{phase}", "fault", r)
+                return CollectiveFailed(phase=phase, error=exc)
+            raise
 
 
 class PhaseController:
@@ -143,74 +192,14 @@ class PhaseController:
         self.comm_retries = 0
         self.comm_fallbacks = 0
 
-    def _with_retry(self, phase: str, attempt_fn: Any) -> Any:
-        """Run a collective with bounded retry-with-backoff.
-
-        Returns the collective's result, or a :class:`CollectiveFailed`
-        sentinel when the retry budget is exhausted on a degradable phase
-        (the step generator then falls back to stale state); re-raises on
-        any other phase.  Backoff seconds are charged to the
-        ``retry_backoff`` timer phase so degraded steps are visible in the
-        simulated time ledger; each retry/fallback is warned through
-        ``self.logger`` and marked on the trace.
-        """
-        policy = self.retry_policy
-        tracer = self.world.tracer
-        attempt = 0
-        while True:
-            try:
-                return attempt_fn()
-            except CollectiveError as exc:
-                if policy is None:
-                    raise
-                if attempt < policy.max_retries:
-                    backoff = policy.backoff(attempt)
-                    self.world.timers.charge("retry_backoff", backoff)
-                    self.world.overlap.record("retry_backoff", backoff, 0.0)
-                    self.comm_retries += 1
-                    attempt += 1
-                    self.logger.warn(
-                        f"{phase}: collective failed ({exc}); retry "
-                        f"{attempt}/{policy.max_retries} after {backoff:.4g}s"
-                    )
-                    if tracer.enabled:
-                        for r in range(self.world.size):
-                            tracer.instant(
-                                f"retry:{phase}", "fault", r,
-                                attrs={"attempt": attempt},
-                            )
-                            tracer.span(
-                                "retry_backoff", "comm", r, backoff,
-                                attrs={
-                                    "exposed": backoff,
-                                    "hidden": 0.0,
-                                    "bytes": 0.0,
-                                    "retry_of": phase,
-                                    "owner": r == 0,
-                                },
-                            )
-                    continue
-                if phase in policy.fallback_phases:
-                    self.comm_fallbacks += 1
-                    self.logger.warn(
-                        f"{phase}: retries exhausted ({exc}); falling back "
-                        "to stale state"
-                    )
-                    if tracer.enabled:
-                        for r in range(self.world.size):
-                            tracer.instant(f"fallback:{phase}", "fault", r)
-                    return CollectiveFailed(phase=phase, error=exc)
-                raise
-
     def step(self) -> None:
         """Execute one K-FAC step on every replica, in lockstep.
 
-        Handles both the synchronous protocol (AllReduce/AllGather
-        requests, resolved immediately) and the pipelined protocol
-        (Launch requests answered with ``None`` while the collective runs
-        asynchronously; the matching WaitRequest settles it with the
-        minimum compute-overlap budget across replicas — the
-        least-overlapped rank sets the barrier).
+        A launch starts the matched collective (the data moves eagerly —
+        the phase-style world is deterministic) and answers every replica
+        with ``None``; the matching :class:`WaitRequest` settles its
+        simulated cost with the minimum compute-overlap budget across
+        replicas — the least-overlapped rank sets the barrier.
         """
         gens = [k.step_generator() for k in self.kfacs]
         requests = [_advance(g, first=True) for g in gens]
@@ -224,18 +213,7 @@ class PhaseController:
                     f"replicas diverged: mixed requests {[type(r).__name__ for r in requests]}"
                 )
             first = requests[0]
-            if isinstance(first, AllReduceRequest):
-                responses = self._run_allreduce(requests)  # type: ignore[arg-type]
-            elif isinstance(first, AllGatherRequest):
-                responses = self._run_allgather(requests)  # type: ignore[arg-type]
-            elif isinstance(first, GroupAllGatherRequest):
-                responses = self._run_group_allgather(requests)  # type: ignore[arg-type]
-            elif isinstance(first, GroupBroadcastRequest):
-                responses = self._run_group_broadcast(requests)  # type: ignore[arg-type]
-            elif isinstance(
-                first,
-                (AllReduceLaunch, AllGatherLaunch, GroupAllGatherLaunch, GroupBroadcastLaunch),
-            ):
+            if isinstance(first, _LAUNCHES):
                 responses = self._launch(requests, pending)  # type: ignore[arg-type]
             elif isinstance(first, WaitRequest):
                 responses = self._wait(requests, pending)  # type: ignore[arg-type]
@@ -245,80 +223,6 @@ class PhaseController:
         if pending:  # pragma: no cover - defensive
             raise RuntimeError(f"step ended with unawaited collectives: {sorted(pending)}")
 
-    def _run_allreduce(self, reqs: list[AllReduceRequest]) -> list[list[np.ndarray]]:
-        shapes = [t.shape for t in reqs[0].tensors]
-        for r, req in enumerate(reqs):
-            if [t.shape for t in req.tensors] != shapes:
-                raise RuntimeError(f"rank {r} allreduce shapes diverged")
-        fused = [pack_arrays(req.tensors) for req in reqs]
-        reduced = self._with_retry(
-            reqs[0].phase,
-            lambda: self.world.allreduce(
-                fused, op=reqs[0].op, phase=reqs[0].phase, codec=reqs[0].comm_dtype
-            ),
-        )
-        if isinstance(reduced, CollectiveFailed):
-            return [reduced] * len(reqs)
-        return [unpack_arrays(flat, shapes) for flat in reduced]
-
-    def _run_allgather(self, reqs: list[AllGatherRequest]) -> list[list[np.ndarray]]:
-        contributions = [req.tensor for req in reqs]
-        gathered = self._with_retry(
-            reqs[0].phase,
-            lambda: self.world.allgather(contributions, phase=reqs[0].phase),
-        )
-        if isinstance(gathered, CollectiveFailed):
-            return [gathered] * len(reqs)
-        return gathered
-
-    def _run_group_allgather(
-        self, reqs: list[GroupAllGatherRequest]
-    ) -> list[list[np.ndarray] | None]:
-        """Group allgather: members contribute/receive, others get None."""
-        groups = {req.ranks for req in reqs}
-        if len(groups) != 1:
-            raise RuntimeError(f"replicas diverged: mixed groups {sorted(groups)}")
-        ranks = reqs[0].ranks
-        for r, req in enumerate(reqs):
-            if (req.tensor is None) != (r not in ranks):
-                raise RuntimeError(
-                    f"rank {r}: group-allgather contribution does not match "
-                    f"membership of group {ranks}"
-                )
-        gathered = self._with_retry(
-            reqs[0].phase,
-            lambda: self.world.group_allgather(
-                [reqs[r].tensor for r in ranks], ranks, phase=reqs[0].phase
-            ),
-        )
-        if isinstance(gathered, CollectiveFailed):
-            # every replica (members and non-members) observes the failure
-            # so the stale-state ledgers stay in lockstep
-            return [gathered] * len(reqs)
-        by_rank = dict(zip(ranks, gathered))
-        return [by_rank.get(r) for r in range(len(reqs))]
-
-    def _run_group_broadcast(
-        self, reqs: list[GroupBroadcastRequest]
-    ) -> list[np.ndarray | None]:
-        """Group-rooted broadcast: listed ranks receive, others get None."""
-        keys = {(req.root, req.ranks) for req in reqs}
-        if len(keys) != 1:
-            raise RuntimeError(f"replicas diverged: mixed broadcast groups {sorted(keys)}")
-        root, ranks = reqs[0].root, reqs[0].ranks
-        if reqs[root].tensor is None:
-            raise RuntimeError(f"broadcast root {root} provided no tensor")
-        out = self._with_retry(
-            reqs[0].phase,
-            lambda: self.world.group_broadcast(
-                reqs[root].tensor, root, ranks, phase=reqs[0].phase
-            ),
-        )
-        if isinstance(out, CollectiveFailed):
-            return [out] * len(reqs)
-        by_rank = dict(zip(ranks, out))
-        return [by_rank.get(r) for r in range(len(reqs))]
-
     def _launch(
         self,
         reqs: Sequence[AllReduceLaunch | AllGatherLaunch | GroupAllGatherLaunch | GroupBroadcastLaunch],
@@ -327,73 +231,68 @@ class PhaseController:
         tags = {req.tag for req in reqs}
         if len(tags) != 1:
             raise RuntimeError(f"replicas diverged: mixed launch tags {sorted(tags)}")
-        tag = reqs[0].tag
+        first = reqs[0]
+        n = len(reqs)
+        tag = first.tag
+        phase = first.phase
         if tag in pending:
             raise RuntimeError(f"duplicate launch tag {tag!r} within one step")
-        if isinstance(reqs[0], AllReduceLaunch):
-            shapes = [t.shape for t in reqs[0].tensors]
+
+        def scatter(result: Sequence[Any], ranks: tuple[int, ...]) -> list[Any]:
+            # group ops answer the listed ranks only; everyone else gets None
+            by_rank = dict(zip(ranks, result))
+            return [by_rank.get(r) for r in range(n)]
+
+        members: tuple[int, ...] | None = None
+        if isinstance(first, AllReduceLaunch):
+            shapes = [t.shape for t in first.tensors]
             for r, req in enumerate(reqs):
                 if [t.shape for t in req.tensors] != shapes:
                     raise RuntimeError(f"rank {r} launch {tag!r} shapes diverged")
             fused = [pack_arrays(req.tensors) for req in reqs]
-            handle = self._with_retry(
-                reqs[0].phase,
-                lambda: self.world.allreduce_async(
-                    fused, op=reqs[0].op, phase=reqs[0].phase, codec=reqs[0].comm_dtype
-                ),
+            start = partial(
+                self.world.allreduce_async,
+                fused, op=first.op, phase=phase, codec=first.comm_dtype,
             )
             finalize = lambda result: [unpack_arrays(flat, shapes) for flat in result]  # noqa: E731
-            pending[tag] = (handle, finalize, None)
-        elif isinstance(reqs[0], AllGatherLaunch):
+        elif isinstance(first, AllGatherLaunch):
             contributions = [req.tensor for req in reqs]
-            handle = self._with_retry(
-                reqs[0].phase,
-                lambda: self.world.allgather_async(contributions, phase=reqs[0].phase),
-            )
-            pending[tag] = (handle, lambda result: result, None)
-        elif isinstance(reqs[0], GroupAllGatherLaunch):
+            start = partial(self.world.allgather_async, contributions, phase=phase)
+            finalize = lambda result: result  # noqa: E731
+        elif isinstance(first, GroupAllGatherLaunch):
             groups = {req.ranks for req in reqs}
             if len(groups) != 1:
                 raise RuntimeError(f"replicas diverged: mixed groups {sorted(groups)}")
-            ranks = reqs[0].ranks
+            members = first.ranks
             for r, req in enumerate(reqs):
-                if (req.tensor is None) != (r not in ranks):
+                if (req.tensor is None) != (r not in members):
                     raise RuntimeError(
                         f"rank {r}: group-allgather launch {tag!r} contribution "
-                        f"does not match membership of group {ranks}"
+                        f"does not match membership of group {members}"
                     )
-            handle = self._with_retry(
-                reqs[0].phase,
-                lambda: self.world.group_allgather_async(
-                    [reqs[r].tensor for r in ranks], ranks, phase=reqs[0].phase
-                ),
+            start = partial(
+                self.world.group_allgather_async,
+                [reqs[r].tensor for r in members], members, phase=phase,
             )
-
-            def finalize(result, ranks=ranks, n=len(reqs)):
-                by_rank = dict(zip(ranks, result))
-                return [by_rank.get(r) for r in range(n)]
-
-            pending[tag] = (handle, finalize, ranks)
+            finalize = partial(scatter, ranks=members)
         else:
             keys = {(req.root, req.ranks) for req in reqs}
             if len(keys) != 1:
                 raise RuntimeError(f"replicas diverged: mixed broadcast groups {sorted(keys)}")
-            root, ranks = reqs[0].root, reqs[0].ranks
+            root = first.root
+            members = first.ranks
             if reqs[root].tensor is None:
                 raise RuntimeError(f"broadcast root {root} provided no tensor")
-            handle = self._with_retry(
-                reqs[0].phase,
-                lambda: self.world.group_broadcast_async(
-                    reqs[root].tensor, root, ranks, phase=reqs[0].phase
-                ),
+            start = partial(
+                self.world.group_broadcast_async,
+                reqs[root].tensor, root, members, phase=phase,
             )
-
-            def finalize(result, ranks=ranks, n=len(reqs)):
-                by_rank = dict(zip(ranks, result))
-                return [by_rank.get(r) for r in range(n)]
-
-            pending[tag] = (handle, finalize, ranks)
-        return [None] * len(reqs)
+            finalize = partial(scatter, ranks=members)
+        # the phase-style world consults the fault plan when the op starts,
+        # so the launch (not the wait) is what gets retried
+        handle = _retry(self, self.world, range(n), phase, start)
+        pending[tag] = (handle, finalize, members)
+        return [None] * n
 
     def _wait(
         self,
@@ -408,8 +307,9 @@ class PhaseController:
             raise RuntimeError(f"wait on unknown tag {tag!r} (never launched?)")
         handle, finalize, member_ranks = pending.pop(tag)
         if isinstance(handle, CollectiveFailed):
-            # the launch failed past the retry budget: every replica gets
-            # the sentinel so the stale-state ledgers stay in lockstep
+            # the launch failed past the retry budget: every replica
+            # (group members and non-members alike) gets the sentinel so
+            # the stale-state ledgers stay in lockstep
             return [handle] * len(reqs)
         # only participating ranks' compute can hide a group op's cost
         budgets = (
@@ -467,200 +367,34 @@ class SPMDDriver:
         self.comm_retries = 0
         self.comm_fallbacks = 0
 
-    def _with_retry(self, phase: str, attempt_fn: Any) -> Any:
-        """Per-rank bounded retry (see :meth:`PhaseController._with_retry`).
-
-        The world distributes an injected failure to *every* posting rank
-        in lockstep, so all members retry the same number of times and
-        their matched-op generation counters stay aligned.  Backoff time
-        is charged by rank 0 only (the world ledger is shared); each rank
-        warns through its own ``logger`` and marks its own trace track.
-        """
-        policy = self.retry_policy
-        tracer = self.hvd._view.world.tracer
-        attempt = 0
-        while True:
-            try:
-                return attempt_fn()
-            except CollectiveError as exc:
-                if policy is None:
-                    raise
-                ph = phase if phase is not None else (exc.phase or "")
-                if attempt < policy.max_retries:
-                    backoff = policy.backoff(attempt)
-                    if self.kfac.rank == 0:
-                        world = self.hvd._view.world
-                        world.timers.charge("retry_backoff", backoff)
-                        world.overlap.record("retry_backoff", backoff, 0.0)
-                        if tracer.enabled:
-                            tracer.span(
-                                "retry_backoff", "comm", 0, backoff,
-                                attrs={
-                                    "exposed": backoff,
-                                    "hidden": 0.0,
-                                    "bytes": 0.0,
-                                    "retry_of": ph,
-                                    "owner": True,
-                                },
-                            )
-                    self.comm_retries += 1
-                    attempt += 1
-                    self.logger.warn(
-                        f"{ph}: collective failed ({exc}); retry "
-                        f"{attempt}/{policy.max_retries} after {backoff:.4g}s"
-                    )
-                    if tracer.enabled:
-                        tracer.instant(
-                            f"retry:{ph}", "fault", self.kfac.rank,
-                            attrs={"attempt": attempt},
-                        )
-                    continue
-                if ph in policy.fallback_phases:
-                    self.comm_fallbacks += 1
-                    self.logger.warn(
-                        f"{ph}: retries exhausted ({exc}); falling back "
-                        "to stale state"
-                    )
-                    if tracer.enabled:
-                        tracer.instant(f"fallback:{ph}", "fault", self.kfac.rank)
-                    return CollectiveFailed(phase=ph, error=exc)
-                raise
-
     def step(self) -> None:
+        """Execute one K-FAC step on this rank.
+
+        A launch defers its blocking matched post to the wait, which
+        forwards this rank's compute-overlap budget to the world.  A
+        failed collective therefore raises at wait time, and the wait is
+        what gets retried: the handle re-posts on each attempt (its
+        result is not cached until a wait succeeds), keeping the ranks'
+        matched-op generations aligned.
+        """
         gen = self.kfac.step_generator()
         req = _advance(gen, first=True)
-        seq = 0
-        pending: dict[str, tuple[Handle, list[tuple[int, ...]] | None]] = {}
+        world = self.hvd._view.world
+        # tag -> (handle, phase, allreduce tensor shapes or None)
+        pending: dict[str, tuple[Handle, str, list[tuple[int, ...]] | None]] = {}
         while req is not None:
-            if isinstance(req, AllReduceRequest):
-                name = f"kfac:{req.phase}:{seq}"
-                seq += 1
-                shapes = [t.shape for t in req.tensors]
-                flat = pack_arrays(req.tensors)
-                reduced = self._with_retry(
-                    req.phase,
-                    lambda: self.hvd.allreduce(
-                        flat, name=name, op=req.op, phase=req.phase, codec=req.comm_dtype
-                    ),
-                )
-                if not isinstance(reduced, CollectiveFailed):
-                    reduced = unpack_arrays(reduced, shapes)
-                req = _advance(gen, reduced)
-            elif isinstance(req, AllGatherRequest):
-                name = f"kfac:{req.phase}:{seq}"
-                seq += 1
-                gathered = self._with_retry(
-                    req.phase,
-                    lambda: self.hvd.allgather(req.tensor, name=name, phase=req.phase),
-                )
-                req = _advance(gen, gathered)
-            elif isinstance(req, GroupAllGatherRequest):
-                # only group members post; the name must be stable per
-                # *logical group* (not per yield position) because the
-                # world's op-generation counters advance per posting rank —
-                # a seq-based name would desync ranks whose membership
-                # differs between steps.  Contiguous groups have distinct
-                # leading ranks, so the leader identifies the group.
-                name = f"kfac:{req.phase}:grp{req.ranks[0]}"
-                if self.kfac.rank in req.ranks:
-                    assert req.tensor is not None
-                    gathered = self._with_retry(
-                        req.phase,
-                        lambda: self.hvd.group_allgather(
-                            req.tensor, name=name, ranks=req.ranks, phase=req.phase
-                        ),
-                    )
-                    req = _advance(gen, gathered)
-                else:
-                    # non-members never post, so they cannot observe a
-                    # member-side failure: degradation is member-local
-                    req = _advance(gen, None)
-            elif isinstance(req, GroupBroadcastRequest):
-                name = f"kfac:{req.phase}:root{req.root}"
-                if self.kfac.rank in req.ranks:
-                    payload = (
-                        req.tensor
-                        if self.kfac.rank == req.root
-                        else np.zeros(0, dtype=np.float32)
-                    )
-                    assert payload is not None
-                    got = self._with_retry(
-                        req.phase,
-                        lambda: self.hvd.group_broadcast(
-                            payload, name=name, root=req.root, ranks=req.ranks,
-                            phase=req.phase,
-                        ),
-                    )
-                    req = _advance(gen, got)
-                else:
-                    req = _advance(gen, None)
-            elif isinstance(req, AllReduceLaunch):
-                # matched op names must be identical across ranks, so key
-                # launches by tag (deterministic) rather than sequence
+            if isinstance(req, _LAUNCHES):
                 if req.tag in pending:
                     raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
-                shapes = [t.shape for t in req.tensors]
-                flat = pack_arrays(req.tensors)
-                handle = self.hvd.allreduce_async(
-                    flat,
-                    name=f"kfac:{req.phase}:{req.tag}",
-                    op=req.op,
-                    phase=req.phase,
-                    codec=req.comm_dtype,
-                )
-                pending[req.tag] = (handle, shapes)
-                req = _advance(gen, None)
-            elif isinstance(req, AllGatherLaunch):
-                if req.tag in pending:
-                    raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
-                handle = self.hvd.allgather_async(
-                    req.tensor, name=f"kfac:{req.phase}:{req.tag}", phase=req.phase
-                )
-                pending[req.tag] = (handle, None)
-                req = _advance(gen, None)
-            elif isinstance(req, GroupAllGatherLaunch):
-                if req.tag in pending:
-                    raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
-                # stable per-logical-group name, same reasoning as the
-                # blocking GroupAllGatherRequest above
-                name = f"kfac:{req.phase}:grp{req.ranks[0]}"
-                if self.kfac.rank in req.ranks:
-                    assert req.tensor is not None
-                    handle = self.hvd.group_allgather_async(
-                        req.tensor, name=name, ranks=req.ranks, phase=req.phase
-                    )
-                else:
-                    handle = LaunchedHandle(lambda ov: None)
-                pending[req.tag] = (handle, None)
-                req = _advance(gen, None)
-            elif isinstance(req, GroupBroadcastLaunch):
-                if req.tag in pending:
-                    raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
-                name = f"kfac:{req.phase}:root{req.root}"
-                if self.kfac.rank in req.ranks:
-                    payload = (
-                        req.tensor
-                        if self.kfac.rank == req.root
-                        else np.zeros(0, dtype=np.float32)
-                    )
-                    assert payload is not None
-                    handle = self.hvd.group_broadcast_async(
-                        payload, name=name, root=req.root, ranks=req.ranks,
-                        phase=req.phase,
-                    )
-                else:
-                    handle = LaunchedHandle(lambda ov: None)
-                pending[req.tag] = (handle, None)
+                pending[req.tag] = self._launch(req)
                 req = _advance(gen, None)
             elif isinstance(req, WaitRequest):
                 if req.tag not in pending:
                     raise RuntimeError(f"wait on unknown tag {req.tag!r} (never launched?)")
-                handle, shapes = pending.pop(req.tag)
-                # a failed launched collective raises at wait time; the
-                # handle re-posts on each retry (its result is not cached
-                # until a wait succeeds), keeping generations aligned
-                result = self._with_retry(
-                    None, lambda: handle.wait(req.compute_seconds)
+                handle, phase, shapes = pending.pop(req.tag)
+                result = _retry(
+                    self, world, (self.kfac.rank,), phase,
+                    lambda: handle.wait(req.compute_seconds),
                 )
                 if shapes is not None and not isinstance(result, CollectiveFailed):
                     result = unpack_arrays(result, shapes)
@@ -669,3 +403,51 @@ class SPMDDriver:
                 raise TypeError(f"unknown request type {type(req)}")
         if pending:  # pragma: no cover - defensive
             raise RuntimeError(f"step ended with unawaited collectives: {sorted(pending)}")
+
+    def _launch(
+        self,
+        req: AllReduceLaunch | AllGatherLaunch | GroupAllGatherLaunch | GroupBroadcastLaunch,
+    ) -> tuple[Handle, str, list[tuple[int, ...]] | None]:
+        """Start this rank's side of one collective (nothing blocks yet)."""
+        hvd = self.hvd
+        rank = self.kfac.rank
+        phase = req.phase
+        shapes = None
+        if isinstance(req, AllReduceLaunch):
+            # matched op names must be identical across ranks, so key
+            # world ops by tag (deterministic)
+            shapes = [t.shape for t in req.tensors]
+            handle = hvd.allreduce_async(
+                pack_arrays(req.tensors),
+                name=f"kfac:{phase}:{req.tag}",
+                op=req.op,
+                phase=phase,
+                codec=req.comm_dtype,
+            )
+        elif isinstance(req, AllGatherLaunch):
+            handle = hvd.allgather_async(
+                req.tensor, name=f"kfac:{phase}:{req.tag}", phase=phase
+            )
+        elif rank not in req.ranks:
+            # only group members post.  Non-members never observe a
+            # member-side failure either: degradation is member-local
+            handle = LaunchedHandle(lambda ov: None)
+        elif isinstance(req, GroupAllGatherLaunch):
+            # the name must be stable per *logical group* (not per step
+            # position) because the world's op-generation counters advance
+            # per posting rank — a position-based name would desync ranks
+            # whose membership differs between steps.  Contiguous groups
+            # have distinct leading ranks, so the leader identifies the group.
+            assert req.tensor is not None
+            handle = hvd.group_allgather_async(
+                req.tensor, name=f"kfac:{phase}:grp{req.ranks[0]}",
+                ranks=req.ranks, phase=phase,
+            )
+        else:
+            payload = req.tensor if rank == req.root else np.zeros(0, dtype=np.float32)
+            assert payload is not None
+            handle = hvd.group_broadcast_async(
+                payload, name=f"kfac:{phase}:root{req.root}",
+                root=req.root, ranks=req.ranks, phase=phase,
+            )
+        return handle, phase, shapes

@@ -19,9 +19,8 @@ Two distribution strategies (§VI-C3) are implemented behind one code path:
   gradients are then allgathered — on **every** iteration, since only the
   owner holds the layer's second-order state.
 
-The step logic is a generator yielding
-:class:`repro.core.comm_ops.AllReduceRequest` /
-:class:`AllGatherRequest`; drivers in :mod:`repro.core.distributed` bind it
+The step logic is a generator yielding the launch/wait requests of
+:mod:`repro.core.comm_ops`; drivers in :mod:`repro.core.distributed` bind it
 to a world.  Counters (``steps``, update frequencies, captures) follow the
 reference implementation: factors are captured/updated every
 ``fac_update_freq`` steps and second-order state every
@@ -32,8 +31,8 @@ Every strategy executes through one dependency-graph scheduler
 (:mod:`repro.sched`): the step is planned as per-layer tasks
 (``FactorComm -> Eig -> EigShare -> Precondition -> GradShare``) and a
 single :class:`repro.sched.executor.GraphExecutor` walks the schedule.
-``scheduler="sync"`` (default) emits the classic blocking request stream;
-``scheduler="graph"`` pipelines it SPD-KFAC style — bucketed asynchronous
+``scheduler="sync"`` (default) waits for each collective as it is launched;
+``scheduler="graph"`` pipelines them SPD-KFAC style — bucketed asynchronous
 factor allreduces, eigenbasis shares and gradient broadcasts all
 overlapping local second-order compute.
 """
@@ -41,7 +40,6 @@ overlapping local second-order compute.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Generator, Sequence
 
@@ -62,11 +60,7 @@ from repro.core.assignment import (
     plan_block_metas,
     round_robin_assignment,
 )
-from repro.core.comm_ops import (
-    AllGatherRequest,
-    AllReduceRequest,
-    unpack_arrays,
-)
+from repro.core.comm_ops import unpack_arrays
 from repro.core.inverse import FactorEig
 from repro.core.layers import KFACLayer, make_kfac_layer
 from repro.nn.module import Module
@@ -131,16 +125,13 @@ class KFACHyperParams:
         must be non-empty (an empty string is a substring of *every* name
         and would silently skip the whole model).
     scheduler:
-        ``"sync"`` (default) — the task-graph executor emits the classic
-        blocking request stream; ``"graph"`` — SPD-KFAC-style pipelined
-        execution: bucketed asynchronous factor allreduces overlapped with
-        local eigendecompositions, and eigenbasis shares / gradient
+        ``"sync"`` (default) — the task-graph executor waits for every
+        collective as soon as it is launched; ``"graph"`` — SPD-KFAC-style
+        pipelined execution: bucketed asynchronous factor allreduces
+        overlapped with local eigendecompositions, and eigenbasis shares / gradient
         broadcasts scheduled as ordinary graph nodes that overlap the
         remaining factor buckets.  Numerically equivalent; only the
         exposed-communication accounting changes.
-    async_comm:
-        Deprecated alias for ``scheduler``: ``True`` selects
-        ``scheduler="graph"``.  Emits a :class:`DeprecationWarning`.
     bucket_bytes:
         Pipeline chunk size (per-bucket payload cap) for
         ``scheduler="graph"``.  ``None`` (default) lets the planner pick
@@ -216,7 +207,6 @@ class KFACHyperParams:
     assignment: str = "round_robin"
     skip_layers: tuple[str, ...] = ()
     scheduler: str = "sync"
-    async_comm: bool | None = None
     bucket_bytes: int | None = None
     symmetric_comm: bool = True
     comm_dtype: str | None = None
@@ -268,17 +258,6 @@ class KFACHyperParams:
             raise ValueError(
                 f"scheduler must be 'sync' or 'graph', got {self.scheduler!r}"
             )
-        if self.async_comm is not None:
-            warnings.warn(
-                "KFAC(async_comm=...) is deprecated; use "
-                "scheduler='graph' (pipelined) or scheduler='sync'",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.async_comm and self.scheduler == "sync":
-                self.scheduler = "graph"
-            # normalize so dataclass round trips don't re-warn
-            self.async_comm = None
         if self.bucket_bytes is not None and self.bucket_bytes <= 0:
             raise ValueError(f"bucket_bytes must be positive, got {self.bucket_bytes}")
         if not isinstance(self.diag_blocks, int) or self.diag_blocks < 1:
@@ -690,7 +669,7 @@ class KFAC:
         The step is planned as a task graph (:mod:`repro.sched`) and run
         by one :class:`repro.sched.executor.GraphExecutor` for every
         strategy; ``scheduler="graph"`` pipelines the collectives,
-        ``"sync"`` yields the classic blocking request stream.
+        ``"sync"`` waits for each one as it is launched.
         """
         # imported here, not at module top: repro.sched.executor imports
         # repro.core submodules, whose package __init__ imports this module
@@ -795,7 +774,7 @@ class KFAC:
         graph, schedule and bucket partition depend only on static
         placement metadata.  ``scheduler="graph"`` plans pipelined
         launch/wait execution for the COMM_OPT and HYBRID strategies;
-        ``"sync"`` plans the blocking request stream.  With
+        ``"sync"`` plans an immediate wait after every launch.  With
         ``bucket_bytes=None`` the pipeline chunk size comes from the
         cost-model rates (:func:`repro.sched.planner.choose_bucket_bytes`).
         Factors must exist when a factor exchange is planned (the wire
@@ -1115,15 +1094,9 @@ class KFAC:
                 "step() is the single-worker entry point; use a driver from "
                 "repro.core.distributed for multi-worker execution"
             )
-        gen = self.step_generator()
-        try:
-            req = next(gen)
-            while True:
-                if isinstance(req, AllReduceRequest):
-                    req = gen.send(list(req.tensors))
-                elif isinstance(req, AllGatherRequest):
-                    req = gen.send([req.tensor])
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unknown comm request {type(req)}")
-        except StopIteration:
-            pass
+        # a world of one plans no collective, so the generator runs to
+        # completion without yielding
+        for req in self.step_generator():
+            raise RuntimeError(
+                f"single-worker step yielded a comm request ({type(req).__name__})"
+            )

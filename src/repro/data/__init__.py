@@ -1,9 +1,10 @@
 """Synthetic image-classification datasets (CIFAR-10 / ImageNet stand-ins).
 
-The real datasets are unavailable offline; per DESIGN.md these generators
-produce deterministic, learnable, *ill-conditioned* classification tasks
-that exercise the same code paths and preserve the qualitative comparisons
-the paper makes (K-FAC vs SGD convergence, inverse vs eigen stability,
+The real datasets are unavailable offline; these generators (see
+``docs/architecture.md``, "Experiments and benchmarks") produce
+deterministic, learnable, *ill-conditioned* classification tasks that
+exercise the same code paths and preserve the qualitative comparisons the
+paper makes (K-FAC vs SGD convergence, inverse vs eigen stability,
 update-frequency sensitivity).
 """
 

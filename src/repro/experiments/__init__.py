@@ -3,11 +3,12 @@
 Every runner returns an :class:`repro.experiments.common.ExperimentResult`
 whose ``render()`` prints the same rows/series the paper reports.  Runners
 accept a ``scale`` preset (``"tiny"`` for CI-speed smoke runs, ``"small"``
-for the recorded EXPERIMENTS.md results); the performance-model experiments
+for the recorded results); the performance-model experiments
 (Figs. 7–10, Tables IV–VI) always run at paper scale because they are
 analytic.
 
-See DESIGN.md §4 for the experiment-id -> module -> bench mapping.
+See ``docs/architecture.md`` ("Experiments and benchmarks") for the
+experiment-id -> module -> bench mapping.
 """
 
 from repro.experiments.common import (

@@ -1,6 +1,7 @@
 """Shared experiment infrastructure.
 
-Scaled-down convergence experiments substitute (per DESIGN.md):
+Scaled-down convergence experiments substitute (summarised in
+``docs/architecture.md``, "Experiments and benchmarks"):
 
 - CIFAR-10 + ResNet-32  ->  paired-class synthetic task + width-scaled
   CIFAR ResNet-20 (identical architecture family, CPU-trainable);

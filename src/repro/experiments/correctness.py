@@ -1,7 +1,8 @@
 """Correctness experiments (paper §VI-C1): Tables I & II, Figures 4 & 5.
 
 All use the scaled-down paired-class synthetic task in place of
-CIFAR-10/ImageNet (DESIGN.md substitution table).  Shape criteria:
+CIFAR-10/ImageNet (substitutions: :mod:`repro.experiments.common`,
+``docs/architecture.md``).  Shape criteria:
 
 - **Table I**: eigendecomposition K-FAC holds accuracy as global batch
   grows, explicit-inverse K-FAC degrades (and plain SGD degrades at the

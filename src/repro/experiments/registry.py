@@ -1,4 +1,4 @@
-"""Experiment registry: id -> runner (see DESIGN.md §4 for the index)."""
+"""Experiment registry: id -> runner (index: ``docs/architecture.md``)."""
 
 from __future__ import annotations
 

@@ -1,9 +1,10 @@
 """Update-frequency experiments (paper §VI-C2): Table III and Fig. 6.
 
-Hybrid mode (DESIGN.md): validation accuracy across K-FAC update intervals
-comes from scaled-down training on the synthetic task; the training-time
-column comes from the calibrated performance model at the paper's scale
-(ResNet-50/101/152 @ 64 GPUs, intervals {100, 500, 1000}).
+Hybrid mode (``docs/architecture.md``, "Experiments and benchmarks"):
+validation accuracy across K-FAC update intervals comes from scaled-down
+training on the synthetic task; the training-time column comes from the
+calibrated performance model at the paper's scale (ResNet-50/101/152 @ 64
+GPUs, intervals {100, 500, 1000}).
 
 Shape criteria: accuracy stays near the no-staleness value for moderate
 intervals and degrades at the most extreme one, while modeled training

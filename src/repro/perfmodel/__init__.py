@@ -13,9 +13,9 @@ GPUs.  This package projects those quantities from first principles:
   (:mod:`iteration`) and time-to-solution / efficiency projection
   (:mod:`scaling`).
 
-Absolute times are model outputs, not measurements; EXPERIMENTS.md reports
-them side-by-side with the paper's numbers and judges *shape* (ordering,
-crossover, trends).
+Absolute times are model outputs, not measurements; the experiments print
+them side-by-side with the paper's numbers and judge *shape* (ordering,
+crossover, trends) — see ``docs/perfmodel.md``.
 """
 
 from repro.perfmodel.specs import (

@@ -28,7 +28,8 @@ FP32, local batch 32 — §VI-A).  Anchors and the corresponding constants:
   floor.
 
 All constants absorb framework overheads the paper's measured times
-include; EXPERIMENTS.md reports model-vs-paper numbers side by side.
+include; the ``table4``/``table5`` experiments print model-vs-paper
+numbers side by side (``docs/perfmodel.md``).
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ preconditioner used to carry (synchronous, pipelined COMM_OPT, pipelined
 HYBRID).  It walks the plan's schedule and turns each task into the
 launch/wait step-generator protocol of :mod:`repro.core.comm_ops`:
 
-- synchronous plans yield blocking requests in exactly the order the
-  retired pipelines did (bit-identical request stream);
+- synchronous plans wait for every collective the moment it is launched,
+  in exactly the order the retired pipelines blocked on theirs, and
+  credit no compute as overlap;
 - pipelined plans launch collectives and defer their waits until a
   dependent task needs the data, crediting the *deterministic* simulated
   compute performed in between as overlap — so factor buckets, the
@@ -35,13 +36,9 @@ from repro.comm.fusion import tri_pack, tri_unpack
 from repro.core.clipping import kl_clip_factor
 from repro.core.comm_ops import (
     AllGatherLaunch,
-    AllGatherRequest,
     AllReduceLaunch,
-    AllReduceRequest,
     GroupAllGatherLaunch,
-    GroupAllGatherRequest,
     GroupBroadcastLaunch,
-    GroupBroadcastRequest,
     WaitRequest,
     pack_arrays,
     pack_symmetric,
@@ -147,6 +144,30 @@ class GraphExecutor:
                 },
             )
 
+    def _collective(
+        self, task: Any, launch: Any, install: Any, trace_attrs: dict
+    ) -> Generator[Any, Any, None]:
+        """Launch one collective; ``install`` receives its result at the wait.
+
+        A pipelined plan leaves the wait to the first dependent task (or
+        the epilogue).  A synchronous plan is the degenerate schedule:
+        it waits at once, and since nothing ran between launch and wait
+        the compute accumulated *before* the launch (the Eig work that
+        produced an EigShare payload, the preconditioning ahead of a
+        gradient broadcast) must not be credited as overlap.
+        """
+        tag = launch.tag
+        if self.tracer.enabled:
+            self.tracer.launch(
+                self.kfac.rank, tag, attrs={"task": task.kind, **trace_attrs}
+            )
+        yield launch
+        self._task_tag[task.name] = tag
+        self._pending[tag] = install
+        if not self.plan.pipelined:
+            self._pending_compute = 0.0
+            yield from self._wait_tag(tag)
+
     def _dispatch(self, task: Any) -> Generator[Any, Any, None]:
         kind = task.kind
         if kind == "FactorComm":
@@ -200,35 +221,18 @@ class GraphExecutor:
         idxs = tuple(self.plan.buckets[b])
         assert self._wire is not None
         tensors = [self._wire[i] for i in idxs]
-        if self.plan.pipelined:
-            tag = f"fac:{b}"
-            if self.tracer.enabled:
-                self.tracer.launch(
-                    kfac.rank,
-                    tag,
-                    attrs={
-                        "task": "FactorComm",
-                        "bucket": b,
-                        "bytes": float(sum(t.nbytes for t in tensors)),
-                    },
-                )
-            yield AllReduceLaunch(
+        yield from self._collective(
+            task,
+            AllReduceLaunch(
                 tensors=tensors,
                 op="average",
                 phase="factor_comm",
-                tag=tag,
+                tag=f"fac:{b}",
                 comm_dtype=kfac.hp.comm_dtype,
-            )
-            self._task_tag[task.name] = tag
-            self._pending[tag] = lambda reduced: self._install_factors(idxs, reduced)
-        else:
-            reduced = yield AllReduceRequest(
-                tensors=tensors,
-                op="average",
-                phase="factor_comm",
-                comm_dtype=kfac.hp.comm_dtype,
-            )
-            self._install_factors(idxs, reduced)
+            ),
+            lambda reduced: self._install_factors(idxs, reduced),
+            {"bucket": b, "bytes": float(sum(t.nbytes for t in tensors))},
+        )
 
     def _install_factors(self, idxs: Sequence[int], reduced: Sequence[np.ndarray]) -> None:
         kfac = self.kfac
@@ -357,24 +361,14 @@ class GraphExecutor:
 
         if kfac.world_size == 1:
             install([flat])
-        elif self.plan.pipelined:
-            tag = f"eig:{task.payload['bucket']}"
-            if self.tracer.enabled:
-                self.tracer.launch(
-                    kfac.rank,
-                    tag,
-                    attrs={
-                        "task": "EigShare",
-                        "bucket": task.payload["bucket"],
-                        "bytes": float(flat.nbytes),
-                    },
-                )
-            yield AllGatherLaunch(tensor=flat, phase="eig_comm", tag=tag)
-            self._task_tag[task.name] = tag
-            self._pending[tag] = install
-        else:
-            gathered = yield AllGatherRequest(tensor=flat, phase="eig_comm")
-            install(gathered)
+            return
+        b = task.payload["bucket"]
+        yield from self._collective(
+            task,
+            AllGatherLaunch(tensor=flat, phase="eig_comm", tag=f"eig:{b}"),
+            install,
+            {"bucket": b, "bytes": float(flat.nbytes)},
+        )
 
     def _run_group_share(self, task: Any) -> Generator[Any, Any, None]:
         """HYBRID: allgather decompositions inside one gradient-worker group.
@@ -423,29 +417,18 @@ class GraphExecutor:
                 for j, meta in enumerate(member_metas[r]):
                     kfac._install_factor_state(meta, arrays[j * step : (j + 1) * step])
 
-        if self.plan.pipelined:
-            tag = f"share:grp{ranks[0]}"
-            if self.tracer.enabled:
-                self.tracer.launch(
-                    kfac.rank,
-                    tag,
-                    attrs={
-                        "task": "EigShare",
-                        "group": list(ranks),
-                        "member": in_group,
-                        "bytes": float(flat.nbytes) if flat is not None else 0.0,
-                    },
-                )
-            yield GroupAllGatherLaunch(
-                tensor=flat, ranks=ranks, phase="eig_comm", tag=tag
-            )
-            self._task_tag[task.name] = tag
-            self._pending[tag] = install
-        else:
-            gathered = yield GroupAllGatherRequest(
-                tensor=flat, ranks=ranks, phase="eig_comm"
-            )
-            install(gathered if in_group else None)
+        yield from self._collective(
+            task,
+            GroupAllGatherLaunch(
+                tensor=flat, ranks=ranks, phase="eig_comm", tag=f"share:grp{ranks[0]}"
+            ),
+            install,
+            {
+                "group": list(ranks),
+                "member": in_group,
+                "bytes": float(flat.nbytes) if flat is not None else 0.0,
+            },
+        )
 
     # ------------------------------------------------------------------
     # Precondition
@@ -499,28 +482,18 @@ class GraphExecutor:
             for l, arr in zip(layers_r, unpack_arrays(got, shapes)):
                 self._pre[l.name] = arr
 
-        if self.plan.pipelined:
-            tag = f"grad:root{root}"
-            if self.tracer.enabled:
-                self.tracer.launch(
-                    kfac.rank,
-                    tag,
-                    attrs={
-                        "task": "GradShare",
-                        "root": root,
-                        "bytes": float(flat.nbytes) if flat is not None else 0.0,
-                    },
-                )
-            yield GroupBroadcastLaunch(
-                tensor=flat, root=root, ranks=participants, phase="precond_comm", tag=tag
-            )
-            self._task_tag[task.name] = tag
-            self._pending[tag] = install
-        else:
-            got = yield GroupBroadcastRequest(
-                tensor=flat, root=root, ranks=participants, phase="precond_comm"
-            )
-            install(got)
+        yield from self._collective(
+            task,
+            GroupBroadcastLaunch(
+                tensor=flat,
+                root=root,
+                ranks=participants,
+                phase="precond_comm",
+                tag=f"grad:root{root}",
+            ),
+            install,
+            {"root": root, "bytes": float(flat.nbytes) if flat is not None else 0.0},
+        )
 
     def _run_grad_allgather(self, task: Any) -> Generator[Any, Any, None]:
         """LAYER_WISE: allgather every owner's preconditioned grads."""
@@ -531,15 +504,23 @@ class GraphExecutor:
             if kfac._layer_assignment[l.name] == kfac.rank
         ]
         flat = pack_arrays(mine)
-        gathered = yield AllGatherRequest(tensor=flat, phase="precond_comm")
-        for worker in range(kfac.world_size):
-            owned = [
-                l for l in kfac.layers if kfac._layer_assignment[l.name] == worker
-            ]
-            shapes = [(l.g_dim, l.a_dim) for l in owned]
-            arrays = unpack_arrays(gathered[worker], shapes)
-            for l, arr in zip(owned, arrays):
-                self._pre[l.name] = arr
+
+        def install(gathered: Sequence[np.ndarray]) -> None:
+            for worker in range(kfac.world_size):
+                owned = [
+                    l for l in kfac.layers if kfac._layer_assignment[l.name] == worker
+                ]
+                shapes = [(l.g_dim, l.a_dim) for l in owned]
+                arrays = unpack_arrays(gathered[worker], shapes)
+                for l, arr in zip(owned, arrays):
+                    self._pre[l.name] = arr
+
+        yield from self._collective(
+            task,
+            AllGatherLaunch(tensor=flat, phase="precond_comm", tag="grad:all"),
+            install,
+            {"bytes": float(flat.nbytes)},
+        )
 
     # ------------------------------------------------------------------
     # epilogue

@@ -101,8 +101,9 @@ class StepPlan:
 
     ``buckets`` holds factor-meta *indices* per pipeline chunk (a single
     all-inclusive bucket for synchronous plans); ``schedule`` is the
-    deterministic linearisation the executor walks; ``pipelined`` selects
-    launch/wait execution over blocking requests.
+    deterministic linearisation the executor walks; ``pipelined`` defers
+    each collective's wait to its first dependent task instead of waiting
+    the moment it is launched.
 
     Example
     -------

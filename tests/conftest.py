@@ -11,6 +11,12 @@ from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
 from repro.nn.module import Module
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: end-to-end runs (training experiments, example scripts)"
+    )
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.approx.blockeig import BlockFactorEig
-from repro.core.distributed import LocalDriver
 from repro.core.preconditioner import COMM_OPT, HYBRID, LAYER_WISE, KFAC
 from repro.nn.loss import CrossEntropyLoss
 from repro.optim.sgd import SGD
@@ -68,7 +67,6 @@ def _train_local(steps: int, **kfac_kw):
     kfac = KFAC(
         model, damping=0.01, kfac_update_freq=1, fac_update_freq=1, lr=0.1, **kfac_kw
     )
-    driver = LocalDriver(kfac)
     opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
     loss_fn = CrossEntropyLoss()
     loss = np.inf
@@ -77,7 +75,7 @@ def _train_local(steps: int, **kfac_kw):
         out = model(x)
         loss = loss_fn(out, y)
         model.backward(loss_fn.backward())
-        driver.step()
+        kfac.step()
         opt.step()
     return float(loss), kfac
 

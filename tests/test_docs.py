@@ -139,6 +139,8 @@ class TestDoctests:
 FENCE_RE = re.compile(r"```python\n(.*?)```", re.S)
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 PATH_RE = re.compile(r"`([\w.-]+(?:/[\w.-]+)+\.(?:py|md|yml))`")
+#: a root-level document name (README.md, CHANGES.md, ...) not part of a path
+ROOT_MD_RE = re.compile(r"(?<![\w/.-])([A-Z][A-Z0-9_]+\.md)\b")
 
 DOC_PAGES = sorted(DOCS.glob("*.md")) if DOCS.is_dir() else []
 
@@ -196,6 +198,22 @@ class TestDocsTree:
             if not ((page.parent / path).exists() or (REPO / path).exists()):
                 missing.append(path)
         assert not missing, f"{page.name} references missing files: {missing}"
+
+    def test_root_markdown_names_in_source_exist(self):
+        """An ``UPPERCASE.md`` cited from ``src/`` must be a repo-root file.
+
+        Root-level documents get renamed or folded into ``docs/`` pages;
+        a docstring still citing the old name sends the reader nowhere.
+        """
+        missing = sorted(
+            {
+                f"{path.relative_to(REPO)}: {name}"
+                for path in (REPO / "src").rglob("*.py")
+                for name in ROOT_MD_RE.findall(path.read_text())
+                if not (REPO / name).is_file()
+            }
+        )
+        assert not missing, f"source cites missing root documents: {missing}"
 
     def test_readme_links_into_docs(self):
         text = (REPO / "README.md").read_text()

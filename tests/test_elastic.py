@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from repro.comm.backend import World
 from repro.comm.faults import CollectiveError
 from repro.comm.horovod import HorovodContext
-from repro.core.distributed import SPMDDriver
+from repro.core.distributed import PhaseController, SPMDDriver
 from repro.core.preconditioner import COMM_OPT, HYBRID, KFAC, KFACHyperParams, LAYER_WISE
 from repro.elastic import (
     Checkpoint,
@@ -280,34 +280,99 @@ class TestRetryAndDegradation:
         assert history.kfac_stale_fallbacks >= 1
         assert np.isfinite(history.epochs[0].train_loss)
 
-    def test_spmd_driver_retries_transient_failure(self):
-        def program(view):
-            hvd = HorovodContext(view)
+    @staticmethod
+    def _run_kfac_steps(driver: str, failures: tuple, steps: int = 1, p: int = 2):
+        """``steps`` COMM_OPT K-FAC steps at P=``p`` under ``failures``.
+
+        World collectives only, so every rank observes every failure.
+        Returns the world plus, per rank, the driver's
+        ``(comm_retries, comm_fallbacks)``, the staleness ledger and the
+        replica state: every layer's eigenbasis (identical on all ranks
+        under COMM_OPT) followed by the preconditioned gradients (per-rank:
+        each rank captured its own batch).
+        """
+        world = World(p)
+        world.fault_plan = FaultPlan(failures=failures)
+
+        def build(rank):
             rng = np.random.default_rng(0)
             model = Sequential(Linear(6, 4, rng=rng), Linear(4, 2, rng=rng))
             kfac = KFAC(
-                model, rank=view.rank, world_size=view.world.size,
+                model, rank=rank, world_size=p,
                 kfac_update_freq=1, fac_update_freq=1, damping=0.01,
             )
-            driver = SPMDDriver(kfac, hvd)
-            loss = CrossEntropyLoss()
-            view.world.fault_plan = FaultPlan(
-                failures=(CollectiveFailure(phase="factor_comm", step=0, count=1),)
-            )
-            view.begin_step(0)
-            x = np.random.default_rng(1).normal(size=(8, 6)).astype(np.float32)
-            loss(model(x), np.arange(8) % 2)
-            model.backward(loss.backward())
-            driver.step()
-            return driver.comm_retries, float(
-                sum(abs(p.grad).sum() for p in model.parameters())
-            )
+            return model, kfac
 
-        results = World(2).run_spmd(program)
-        retries = [r for r, _ in results]
-        checks = [c for _, c in results]
-        assert all(r >= 1 for r in retries)
-        assert checks[0] == checks[1]  # replicas stayed in lockstep
+        def capture(model, rank, step):
+            x = np.random.default_rng(10 * step + rank).normal(size=(8, 6))
+            loss = CrossEntropyLoss()
+            model.zero_grad()
+            loss(model(x.astype(np.float32)), np.arange(8) % 2)
+            model.backward(loss.backward())
+
+        def outcome(model, kfac, drv):
+            basis = [
+                a.reshape(-1)
+                for l in kfac.layers
+                for a in (l.eig_A.Q, l.eig_A.lam, l.eig_G.Q, l.eig_G.lam)
+            ]
+            grads = [q.grad.reshape(-1) for q in model.parameters()]
+            state = np.concatenate(basis), np.concatenate(grads)
+            return (drv.comm_retries, drv.comm_fallbacks), dict(kfac.staleness), state
+
+        if driver == "spmd":
+
+            def program(view):
+                model, kfac = build(view.rank)
+                drv = SPMDDriver(kfac, HorovodContext(view))
+                for step in range(steps):
+                    view.begin_step(step)
+                    capture(model, view.rank, step)
+                    drv.step()
+                return outcome(model, kfac, drv)
+
+            return world, world.run_spmd(program)
+        replicas = [build(r) for r in range(p)]
+        controller = PhaseController([k for _, k in replicas], world)
+        for step in range(steps):
+            world.begin_step(step)
+            for r, (model, _) in enumerate(replicas):
+                capture(model, r, step)
+            controller.step()
+        return world, [outcome(m, k, controller) for m, k in replicas]
+
+    def test_spmd_driver_retries_transient_failure(self):
+        _, results = self._run_kfac_steps(
+            "spmd", (CollectiveFailure(phase="factor_comm", step=0, count=1),)
+        )
+        assert all(retries >= 1 for (retries, _), _, _ in results)
+        # replicas stayed in lockstep
+        assert np.array_equal(results[0][2][0], results[1][2][0])
+
+    def test_drivers_agree_on_retry_and_fallback(self):
+        """Both transports apply the one retry policy identically: a clean
+        step establishes the eigenbasis, then step 1 loses its eigenbasis
+        share for good (retries burn, stale fallback) and its factor
+        exchange once (one retry, then clean)."""
+        failures = (
+            CollectiveFailure(phase="eig_comm", step=1, count=None),
+            CollectiveFailure(phase="factor_comm", step=1, count=1),
+        )
+        w_phase, phase = self._run_kfac_steps("phase", failures, steps=2)
+        w_spmd, spmd = self._run_kfac_steps("spmd", failures, steps=2)
+        policy = RetryPolicy()
+        for (counts, staleness, state), (s_counts, s_staleness, s_state) in zip(phase, spmd):
+            # factor_comm: one retry; eig_comm: the full budget, then fallback
+            assert counts == s_counts == (1 + policy.max_retries, 1)
+            assert staleness == s_staleness and set(staleness.values()) == {1}
+            for mine, theirs in zip(state, s_state):
+                assert np.array_equal(mine, theirs)
+        backoff = policy.backoff(0) + sum(
+            policy.backoff(a) for a in range(policy.max_retries)
+        )
+        assert w_phase.timers.total("retry_backoff") == pytest.approx(backoff)
+        assert w_spmd.timers.total("retry_backoff") == w_phase.timers.total("retry_backoff")
+        assert w_spmd.overlap.as_dict() == w_phase.overlap.as_dict()
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ from repro.experiments.update_freq import modeled_training_minutes
 
 class TestRegistry:
     def test_all_paper_artifacts_covered(self):
-        """DESIGN.md's experiment index must all be runnable."""
+        """docs/architecture.md's experiment index must all be runnable."""
         expected = {
             "table1", "table2+fig4", "fig5", "table3+fig6", "fig7", "fig8",
             "fig9", "table4", "table5", "table6", "fig10",

@@ -254,11 +254,6 @@ class RecordingController(PhaseController):
         super().__init__(kfacs, world)
         self.factor_shapes: list[tuple[int, ...]] = []
 
-    def _run_allreduce(self, reqs):
-        if reqs[0].phase == "factor_comm":
-            self.factor_shapes.extend(t.shape for t in reqs[0].tensors)
-        return super()._run_allreduce(reqs)
-
     def _launch(self, reqs, pending):
         if isinstance(reqs[0], AllReduceLaunch) and reqs[0].phase == "factor_comm":
             self.factor_shapes.extend(t.shape for t in reqs[0].tensors)

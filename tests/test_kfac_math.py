@@ -1,6 +1,6 @@
 """K-FAC factor and inverse math against dense references.
 
-These are the correctness anchors listed in DESIGN.md §4:
+These are the correctness anchors docs/architecture.md points at:
 
 - single-sample Kronecker identity: ``vec(g a^T) vec(g a^T)^T == G (x) A``;
 - the eigendecomposition path equals the *exact* dense Tikhonov-damped

@@ -58,23 +58,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="skip_layers"):
             KFACHyperParams(skip_layers=(3,))  # type: ignore[arg-type]
 
-    def test_unknown_override_raises_named_typeerror(self, tiny_cnn):
-        with pytest.raises(TypeError, match="kfac_update_frequency"):
-            KFAC(tiny_cnn, kfac_update_frequency=10)  # typo'd key is named
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"kfac_update_frequency": 10},  # typo'd key is named
+            {"async_comm": True},  # removed alias of scheduler="graph"
+        ],
+    )
+    def test_unknown_override_raises_named_typeerror(self, tiny_cnn, override):
+        with pytest.raises(TypeError, match=next(iter(override))):
+            KFAC(tiny_cnn, **override)
 
     def test_valid_overrides_still_accepted(self, tiny_cnn):
         kfac = KFAC(tiny_cnn, kfac_update_freq=7, scheduler="graph")
         assert kfac.hp.kfac_update_freq == 7
         assert kfac.hp.scheduler == "graph"
-
-    def test_async_comm_alias_deprecated(self, tiny_cnn):
-        with pytest.warns(DeprecationWarning, match="async_comm"):
-            kfac = KFAC(tiny_cnn, async_comm=True)
-        assert kfac.hp.scheduler == "graph"
-        assert kfac.hp.async_comm is None  # normalized: alias resolved
-        with pytest.warns(DeprecationWarning, match="async_comm"):
-            kfac = KFAC(tiny_cnn, async_comm=False)
-        assert kfac.hp.scheduler == "sync"
 
     def test_factor_metas_order(self, tiny_cnn):
         kfac = KFAC(tiny_cnn)

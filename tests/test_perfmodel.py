@@ -146,7 +146,7 @@ class TestIterationModel:
 
 
 class TestPaperShape:
-    """The qualitative reproduction criteria from DESIGN.md."""
+    """The qualitative reproduction criteria from docs/perfmodel.md."""
 
     def test_interval_schedule(self):
         assert [scale_interval_schedule(g) for g in PAPER_GPU_SCALES] == [

@@ -24,7 +24,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.backend import World
+from repro.core.distributed import PhaseController
 from repro.core.preconditioner import COMM_OPT, HYBRID, LAYER_WISE, KFAC, KFACHyperParams
+from repro.nn.loss import CrossEntropyLoss
+from repro.obs.tracer import Tracer
 from repro.parallel.trainer import DataParallelTrainer, TrainerConfig
 from repro.optim.lr_scheduler import ConstantSchedule
 from repro.sched import (
@@ -66,12 +70,21 @@ class TestEquivalenceMatrix:
         """Same start, same data: the graph executor's trajectory equals the
         synchronous request stream's within reassociation noise."""
         kw = _strategy_kw(config, world_size)
-        sync = run_hybrid(world_size, steps=2, scheduler="sync", **kw)
+        sync, w_sync = run_hybrid(
+            world_size, steps=2, scheduler="sync", return_world=True, **kw
+        )
         graph = run_hybrid(world_size, steps=2, scheduler="graph", **kw)
         for key in sync:
             np.testing.assert_allclose(
                 graph[key], sync[key], atol=1e-6, rtol=1e-6, err_msg=f"{config}:{key}"
             )
+        # a sync plan waits at once: no compute may be credited as overlap
+        ledger = w_sync.overlap
+        assert "factor_comm" in ledger.exposed_by_phase
+        for phase in ledger.exposed_by_phase:
+            assert ledger.hidden(phase) == 0.0, phase
+            assert ledger.exposed(phase) == ledger.total(phase) > 0.0, phase
+            assert w_sync.timers.total(phase) == ledger.exposed(phase), phase
 
     @pytest.mark.parametrize("variant", COMM_VARIANTS[1:], ids=["fp16", "sym", "fp16+sym"])
     @pytest.mark.parametrize("config", CONFIGS)
@@ -97,6 +110,68 @@ class TestEquivalenceMatrix:
             np.testing.assert_allclose(
                 graph[key], sync[key], atol=1e-6, rtol=1e-6, err_msg=key
             )
+
+
+class _StreamRecorder(PhaseController):
+    """PhaseController that logs the matched request stream."""
+
+    def __init__(self, kfacs, world):
+        super().__init__(kfacs, world)
+        #: ("launch", tag) | ("wait", tag, per-rank compute_seconds)
+        self.stream: list[tuple] = []
+
+    def _launch(self, reqs, pending):
+        self.stream.append(("launch", reqs[0].tag))
+        return super()._launch(reqs, pending)
+
+    def _wait(self, reqs, pending):
+        self.stream.append(("wait", reqs[0].tag, [r.compute_seconds for r in reqs]))
+        return super()._wait(reqs, pending)
+
+
+class TestSyncIsDegenerateLaunchWait:
+    @pytest.mark.parametrize("world_size", [2, 4])
+    @pytest.mark.parametrize("config", ["comm-opt", "layer-wise", "hybrid-0.5"])
+    def test_sync_stream_is_launch_wait_pairs_with_zero_budget(self, world_size, config):
+        """Every sync collective is ``Launch(tag)`` followed at once by
+        ``WaitRequest(tag, 0.0)`` — even though Eig/Precondition compute
+        (which a lazily-waiting executor would credit as overlap) ran
+        before the EigShare / GradShare launches."""
+        tracer = Tracer()
+        world = World(world_size)
+        world.tracer = tracer
+        models = [build_tiny_cnn(seed=1) for _ in range(world_size)]
+        kfacs = [
+            KFAC(m, rank=r, world_size=world_size, scheduler="sync", kfac_update_freq=2,
+                 **_strategy_kw(config, world_size))
+            for r, m in enumerate(models)
+        ]
+        for k in kfacs:
+            k.tracer = tracer
+        controller = _StreamRecorder(kfacs, world)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(8, 1, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 3, size=8).astype(np.int64)
+        for _ in range(2):  # a refresh step, then a precondition-only step
+            for m in models:
+                loss = CrossEntropyLoss()
+                m.zero_grad()
+                loss(m(x), y)
+                m.backward(loss.backward())
+            controller.step()
+
+        stream = controller.stream
+        assert stream and len(stream) % 2 == 0
+        for launch, wait in zip(stream[0::2], stream[1::2]):
+            assert launch[0] == "launch" and wait[0] == "wait"
+            assert wait[1] == launch[1]
+            assert wait[2] == [0.0] * world_size
+        # ... and that zero is not vacuous: simulated task compute preceded
+        # the last launch on rank 0's track
+        spans = tracer.spans(rank=0)
+        last_launch = max(i for i, s in enumerate(spans) if s.name.startswith("launch:"))
+        assert sum(s.duration for s in spans[:last_launch] if s.cat == "task") > 0.0
+        assert world.overlap.total_hidden() == 0.0
 
 
 class TestPlanValidity:
