@@ -7,10 +7,11 @@ grad_worker_frac=0.5, comm_dtype="fp16", diag_blocks=4)`` and then
 verifies the workload-tier invariants on the live preconditioner:
 
 1. the loss decreased under the combined feature stack;
-2. the embedding activation factor is *exactly* diagonal — the gather
-   fast path built it from index counts, never from a dense one-hot;
-3. the wide embedding factor runs blocked (``BlockFactorEig``) past the
-   diag_blocks warmup;
+2. the embedding activation factor is *exactly* diagonal and is held as
+   the ``(vocab,)`` vector it is — built from index counts, decomposed
+   as the identity basis, never widened to ``(vocab, vocab)``;
+3. ``diag_blocks`` leaves that factor whole and blocks the widest
+   *dense* factor (``BlockFactorEig``) past the warmup;
 4. no parameterized layer was silently skipped.
 
 Run:  python examples/transformer.py [--workers 2] [--steps 8]
@@ -79,12 +80,17 @@ def main() -> None:
         opt.step()
 
     emb = next(l for l in kfac.layers if l.name == "tok_embed")
-    off_diag = emb.A - np.diag(np.diag(emb.A))
-    assert float(np.abs(off_diag).max()) == 0.0
-    print("embedding A-factor is diagonal (gather fast path, no dense one-hot)")
-    if isinstance(emb.eig_A, BlockFactorEig):
-        widths = [hi - lo for lo, hi in emb.eig_A.bounds]
-        print(f"embedding A eigendecomposition is blocked: widths {widths}")
+    assert emb.A.shape == (args.vocab,) and emb.eig_A.Q is None
+    print(
+        f"embedding A-factor is diagonal: held as a ({args.vocab},) vector, "
+        "identity eigenbasis (no dense one-hot, no eigh)"
+    )
+    widest = max((m for m in kfac.factor_metas if not m.diagonal), key=lambda m: m.dim)
+    layer = next(l for l in kfac.layers if l.name == widest.layer)
+    eig = layer.eig_A if widest.kind == "A" else layer.eig_G
+    if isinstance(eig, BlockFactorEig):
+        widths = [hi - lo for lo, hi in eig.bounds]
+        print(f"widest dense factor {widest.key} is blocked: widths {widths}")
 
     reg = MetricsRegistry()
     reg.collect_kfacs([kfac])

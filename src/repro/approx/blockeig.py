@@ -163,17 +163,21 @@ def precondition_block_eigen(
     a_blocks, a_bounds = _as_blocks(eig_A)
     g_blocks, g_bounds = _as_blocks(eig_G)
 
-    v1 = np.empty_like(grad)
+    # an exact diagonal side (FactorEig with Q None) is its own single
+    # block in the identity basis: its rotations are skipped
+    v1 = np.array(grad)
     for eig, (lo, hi) in zip(g_blocks, g_bounds):
-        v1[lo:hi, :] = eig.Q.T @ grad[lo:hi, :]
+        if eig.Q is not None:
+            v1[lo:hi, :] = eig.Q.T @ grad[lo:hi, :]
     for eig, (lo, hi) in zip(a_blocks, a_bounds):
-        v1[:, lo:hi] = v1[:, lo:hi] @ eig.Q
+        if eig.Q is not None:
+            v1[:, lo:hi] = v1[:, lo:hi] @ eig.Q
 
-    v2 = v1 / (np.outer(eig_G.lam, eig_A.lam) + gamma)
-
-    out = np.empty_like(v2)
+    out = v1 / (np.outer(eig_G.lam, eig_A.lam) + gamma)
     for eig, (lo, hi) in zip(g_blocks, g_bounds):
-        out[lo:hi, :] = eig.Q @ v2[lo:hi, :]
+        if eig.Q is not None:
+            out[lo:hi, :] = eig.Q @ out[lo:hi, :]
     for eig, (lo, hi) in zip(a_blocks, a_bounds):
-        out[:, lo:hi] = out[:, lo:hi] @ eig.Q.T
+        if eig.Q is not None:
+            out[:, lo:hi] = out[:, lo:hi] @ eig.Q.T
     return out

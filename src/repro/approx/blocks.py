@@ -86,12 +86,16 @@ def widest_first_block_dim(dims: Sequence[int], diag_blocks: int) -> int:
     return max(1, math.ceil(max(dims) / diag_blocks))
 
 
-def plan_block_bounds(dims: Sequence[int], diag_blocks: int) -> list[Bounds]:
+def plan_block_bounds(
+    dims: Sequence[int], diag_blocks: int, diagonal: Sequence[bool] | None = None
+) -> list[Bounds]:
     """Per-factor block partitions under the widest-layer-first policy.
 
     Each factor of dimension ``d`` gets ``ceil(d / block_dim)`` blocks
     where ``block_dim = ceil(max(dims) / diag_blocks)`` — the widest
     factor gets ``diag_blocks`` blocks, narrow factors stay exact.
+    Factors flagged in ``diagonal`` already equal every block partition
+    of themselves: they stay whole, and the edge comes from dense dims only.
 
     Example
     -------
@@ -100,11 +104,18 @@ def plan_block_bounds(dims: Sequence[int], diag_blocks: int) -> list[Bounds]:
     [((0, 25), (25, 49), (49, 73), (73, 97)), ((0, 18), (18, 36)), ((0, 17),)]
     >>> plan_block_bounds([97, 36, 17], 1)        # k = 1: everything exact
     [((0, 97),), ((0, 36),), ((0, 17),)]
+    >>> plan_block_bounds([97, 36], 2, diagonal=[True, False])   # edge 18
+    [((0, 97),), ((0, 18), (18, 36))]
     """
-    if diag_blocks == 1:
+    flags = list(diagonal) if diagonal is not None else [False] * len(dims)
+    dense = [d for d, diag in zip(dims, flags) if not diag]
+    if diag_blocks == 1 or not dense:
         return [((0, d),) for d in dims]
-    block_dim = widest_first_block_dim(dims, diag_blocks)
-    return [block_boundaries(d, math.ceil(d / block_dim)) for d in dims]
+    block_dim = widest_first_block_dim(dense, diag_blocks)
+    return [
+        ((0, d),) if diag else block_boundaries(d, math.ceil(d / block_dim))
+        for d, diag in zip(dims, flags)
+    ]
 
 
 def block_eig_elements(bounds: Bounds) -> int:

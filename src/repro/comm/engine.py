@@ -63,12 +63,15 @@ EIG_FLOP_COEF = 26.0 / 3.0
 INV_FLOP_COEF = 2.0
 
 
-def estimate_second_order_seconds(dims: Sequence[int], eigen: bool = True) -> float:
+def estimate_second_order_seconds(
+    dims: Sequence[int], eigen: bool = True, diagonal_dims: Sequence[int] = ()
+) -> float:
     """Deterministic simulated seconds to eigendecompose/invert factors.
 
-    ``dims`` are the factor side lengths handled locally between an async
-    launch and its wait; the result prices how much in-flight communication
-    that compute can hide.
+    ``dims`` are the (dense) factor side lengths handled locally between an
+    async launch and its wait, cubic each; ``diagonal_dims`` are factors
+    held as their diagonal, one pass over ``d`` elements each.  The result
+    prices how much in-flight communication that compute can hide.
 
     Example
     -------
@@ -80,7 +83,8 @@ def estimate_second_order_seconds(dims: Sequence[int], eigen: bool = True) -> fl
     True
     """
     coef = EIG_FLOP_COEF if eigen else INV_FLOP_COEF
-    return sum(coef * float(d) ** 3 for d in dims) / NOMINAL_SECOND_ORDER_FLOPS
+    flops = sum(coef * float(d) ** 3 for d in dims) + float(sum(diagonal_dims))
+    return flops / NOMINAL_SECOND_ORDER_FLOPS
 
 
 def estimate_precondition_seconds(layer_dims: Sequence[tuple[int, int]]) -> float:

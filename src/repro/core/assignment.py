@@ -28,12 +28,17 @@ placement metadata the preconditioner and the drivers consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
+
+from repro.comm.fusion import tri_len
 
 __all__ = [
     "FactorMeta",
     "BlockMeta",
     "plan_block_metas",
+    "factor_block",
+    "wire_elements",
+    "second_order_shapes",
     "eig_cost",
     "round_robin_assignment",
     "greedy_balanced_assignment",
@@ -48,7 +53,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FactorMeta:
-    """Identity and size of one Kronecker factor.
+    """Identity, size and structure of one Kronecker factor.
+
+    ``diagonal`` (declared by the layer handler's ``diagonal_A``) marks a
+    factor held as its ``(dim,)`` diagonal: every consumer reads it from
+    here instead of assuming a dense square.
 
     Example
     -------
@@ -56,11 +65,14 @@ class FactorMeta:
     >>> meta = FactorMeta(layer="conv1", kind="A", dim=27)
     >>> meta.key, meta.n_elements
     ('conv1/A', 729)
+    >>> FactorMeta("tok_embed", "A", 1024, diagonal=True).n_elements
+    1024
     """
 
     layer: str  # owning layer name
     kind: str  # "A" or "G"
     dim: int  # square matrix dimension
+    diagonal: bool = False  # exactly diagonal: held as its (dim,) diagonal
 
     @property
     def key(self) -> str:
@@ -68,7 +80,7 @@ class FactorMeta:
 
     @property
     def n_elements(self) -> int:
-        return self.dim * self.dim
+        return self.dim if self.diagonal else self.dim * self.dim
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,7 @@ class BlockMeta:
     block: int  # block index within the parent factor
     lo: int  # first row/col of the block in the parent factor
     hi: int  # one past the last row/col
+    diagonal = False  # only dense factors are split (not a field)
 
     @property
     def key(self) -> str:
@@ -115,11 +128,12 @@ class BlockMeta:
 def plan_block_metas(
     factors: Sequence[FactorMeta],
     bounds_list: Sequence[Sequence[tuple[int, int]]],
-) -> list[BlockMeta]:
+) -> "list[BlockMeta | FactorMeta]":
     """Expand factor metas into per-block metas, factor order preserved.
 
     Blocks of one factor are consecutive, so wire payload order stays
-    deterministic across ranks.
+    deterministic across ranks.  A diagonal factor passes through as
+    itself (every block partition of it is the factor): one exact unit.
 
     Example
     -------
@@ -138,6 +152,9 @@ def plan_block_metas(
             raise ValueError(
                 f"{meta.key}: bounds cover {bounds[-1][1]} of {meta.dim} rows"
             )
+        if meta.diagonal:
+            out.append(meta)
+            continue
         for j, (lo, hi) in enumerate(bounds):
             out.append(
                 BlockMeta(
@@ -147,9 +164,45 @@ def plan_block_metas(
     return out
 
 
+def factor_block(factor: Any, meta: "FactorMeta | BlockMeta") -> Any:
+    """What ``meta`` covers of ``factor``: a block's view, else all of it."""
+    if isinstance(meta, BlockMeta):
+        return factor[meta.lo : meta.hi, meta.lo : meta.hi]
+    return factor
+
+
+def wire_elements(meta: "FactorMeta | BlockMeta", symmetric: bool) -> int:
+    """Elements one factor (or block) puts on the factor-allreduce wire."""
+    if symmetric and not meta.diagonal:
+        return tri_len(meta.dim)
+    return meta.n_elements
+
+
+def second_order_shapes(
+    meta: "FactorMeta | BlockMeta", eigen: bool
+) -> tuple[tuple[int, ...], ...]:
+    """Array shapes of one unit's second-order payload, in transport order.
+
+    ``(Q, lam)`` on the eigen path, the damped inverse otherwise; a
+    diagonal factor carries one ``(dim,)`` vector either way.  The world
+    share, the group share and the elastic gather all unpack by this.
+
+    Example
+    -------
+    >>> from repro.core.assignment import FactorMeta, second_order_shapes
+    >>> second_order_shapes(FactorMeta("fc", "A", 4), eigen=True)
+    ((4, 4), (4,))
+    >>> second_order_shapes(FactorMeta("emb", "A", 4, diagonal=True), eigen=True)
+    ((4,),)
+    """
+    if meta.diagonal:
+        return ((meta.dim,),)
+    return ((meta.dim, meta.dim), (meta.dim,)) if eigen else ((meta.dim, meta.dim),)
+
+
 def eig_cost(meta: FactorMeta) -> float:
-    """Relative eigendecomposition cost, ``O(n^3)``."""
-    return float(meta.dim) ** 3
+    """Relative eigendecomposition cost: ``O(n^3)``, ``O(n)`` when diagonal."""
+    return float(meta.dim) if meta.diagonal else float(meta.dim) ** 3
 
 
 def round_robin_assignment(

@@ -61,7 +61,8 @@ degraded multi-worker precision relative to single-worker runs.
 variant used by the factor allreduce: each ``d x d`` factor travels as its
 ``d*(d+1)/2``-element upper triangle and is mirrored back on arrival —
 lossless for the exactly-symmetric factors the syrk Gram kernel produces,
-and a ~2x reduction in factor-stage bytes.
+and a ~2x reduction in factor-stage bytes.  A *diagonal* factor (held as
+its ``(d,)`` vector) ships those ``d`` elements in either format.
 """
 
 from __future__ import annotations
@@ -188,8 +189,9 @@ def pack_arrays(arrays: list[np.ndarray], dtype: str | np.dtype | None = None) -
 
 
 def pack_symmetric(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Triangular-pack each square symmetric factor for transport."""
-    return [tri_pack(f) for f in factors]
+    """Triangular-pack each square symmetric factor for transport; a 1-D
+    (diagonal) factor already is its ``dim`` wire elements."""
+    return [f if f.ndim == 1 else tri_pack(f) for f in factors]
 
 
 def unpack_symmetric(flats: Sequence[np.ndarray], dims: Sequence[int]) -> list[np.ndarray]:

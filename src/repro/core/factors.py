@@ -60,7 +60,6 @@ __all__ = [
     "conv2d_factor_A_from_patches",
     "conv2d_factor_G",
     "embedding_factor_A",
-    "embedding_factor_A_dense",
     "ema_update",
 ]
 
@@ -273,15 +272,17 @@ def embedding_factor_A(
     dtype: np.dtype | type = np.float32,
     workspace: Workspace | None = None,
 ) -> np.ndarray:
-    """Activation covariance of an Embedding layer — the gather fast path.
+    """Activation covariance of an Embedding layer, as its ``(V,)`` diagonal.
 
     An embedding is a Linear layer applied to one-hot rows, so its ``A``
-    factor is ``onehot^T onehot / rows = diag(bincount(indices)) / rows``.
-    This builds that diagonal directly from the index multiset: the dense
-    ``(rows, num_embeddings)`` one-hot matrix is **never materialized**,
-    turning an ``O(rows * V^2)`` Gram product into an ``O(rows + V)``
-    bincount.  Bit-identical to :func:`embedding_factor_A_dense` (0/1
-    products and their sums are exact in floating point).
+    factor is ``onehot^T onehot / rows = diag(bincount(indices)) / rows``
+    — *exactly* diagonal.  This returns that diagonal as a vector and
+    nothing downstream widens it: EMA, wire, eigendecomposition (identity
+    basis), preconditioner and checkpoint all carry ``V`` numbers
+    (``FactorMeta.diagonal``).  Neither the one-hot matrix nor a ``(V, V)``
+    factor is ever built; ``np.diag`` of the result is bit-identical to the
+    dense one-hot Gram product (0/1 products and their sums are exact in
+    floating point) — the oracle the tests keep.
 
     Parameters
     ----------
@@ -289,7 +290,7 @@ def embedding_factor_A(
         Integer index array of any shape; ``indices.size`` is the row
         (sample) count.
     num_embeddings:
-        Vocabulary size ``V`` — the factor is ``(V, V)``.
+        Vocabulary size ``V`` — the length of the returned diagonal.
     dtype:
         Factor dtype (the owning weight's dtype).
 
@@ -297,11 +298,8 @@ def embedding_factor_A(
     -------
     >>> import numpy as np
     >>> from repro.core.factors import embedding_factor_A
-    >>> A = embedding_factor_A(np.array([0, 2, 2, 1]), num_embeddings=3)
-    >>> np.diag(A).tolist()                    # counts / rows
+    >>> embedding_factor_A(np.array([0, 2, 2, 1]), num_embeddings=3).tolist()
     [0.25, 0.25, 0.5]
-    >>> float(np.abs(A - np.diag(np.diag(A))).max())   # exactly diagonal
-    0.0
     """
     if not np.issubdtype(np.asarray(indices).dtype, np.integer):
         raise ValueError(f"indices must be integers, got {np.asarray(indices).dtype}")
@@ -313,42 +311,15 @@ def embedding_factor_A(
             f"indices out of range [0, {num_embeddings}): "
             f"[{flat.min()}, {flat.max()}]"
         )
-    rows = flat.size
     counts = np.bincount(flat, minlength=num_embeddings)
     dt = np.dtype(dtype)
     if workspace is not None:
-        out = workspace.request((num_embeddings, num_embeddings), dt)
-        out[...] = 0.0  # workspace buffers come back uninitialized
+        out = workspace.request((num_embeddings,), dt)
     else:
-        out = np.zeros((num_embeddings, num_embeddings), dtype=dt)
-    diag = out.reshape(-1)[:: num_embeddings + 1]  # writable diagonal view
-    diag[...] = counts.astype(dt)
-    diag /= rows  # same in-place divide as the dense Gram path
+        out = np.empty(num_embeddings, dtype=dt)
+    out[...] = counts
+    out /= flat.size  # same in-place divide as the dense Gram path
     return out
-
-
-def embedding_factor_A_dense(
-    indices: np.ndarray, num_embeddings: int, dtype: np.dtype | type = np.float32
-) -> np.ndarray:
-    """Reference construction: materialize the one-hot matrix, then Gram.
-
-    Exists only as the equality oracle for :func:`embedding_factor_A` in
-    tests and docs — the training capture path never calls it.
-
-    Example
-    -------
-    >>> import numpy as np
-    >>> from repro.core.factors import embedding_factor_A, embedding_factor_A_dense
-    >>> idx = np.random.default_rng(0).integers(0, 7, size=(3, 5))
-    >>> fast = embedding_factor_A(idx, num_embeddings=7)
-    >>> dense = embedding_factor_A_dense(idx, num_embeddings=7)
-    >>> bool(np.array_equal(fast, dense))      # bitwise, not just close
-    True
-    """
-    flat = np.asarray(indices).ravel()
-    onehot = np.zeros((flat.size, num_embeddings), dtype=np.dtype(dtype))
-    onehot[np.arange(flat.size), flat] = 1.0
-    return linear_factor_A(onehot, has_bias=False)
 
 
 def ema_update(

@@ -49,6 +49,9 @@ __all__ = [
 class FactorEig:
     """Eigendecomposition of a symmetric PSD factor: ``M = Q diag(lam) Q^T``.
 
+    ``Q is None`` is the identity basis of a *diagonal* factor: ``lam`` is
+    its diagonal in index order, and consumers skip that side's rotation.
+
     Example
     -------
     >>> import numpy as np
@@ -56,17 +59,24 @@ class FactorEig:
     >>> eig = eigendecompose(np.eye(3, dtype=np.float64))
     >>> eig.dim, eig.lam.tolist()
     (3, [1.0, 1.0, 1.0])
+    >>> diag = eigendecompose(np.array([4.0, 9.0]))     # O(dim), no LAPACK
+    >>> diag.Q is None, diag.lam.tolist(), len(diag.arrays())
+    (True, [4.0, 9.0], 1)
     """
 
-    Q: np.ndarray
+    Q: np.ndarray | None
     lam: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.Q.shape[0]
+        return self.lam.shape[0]
+
+    def arrays(self) -> list[np.ndarray]:
+        """What a share or checkpoint carries: ``[Q, lam]``, or ``[lam]``."""
+        return [self.lam] if self.Q is None else [self.Q, self.lam]
 
     def nbytes(self) -> int:
-        return int(self.Q.nbytes + self.lam.nbytes)
+        return int(sum(a.nbytes for a in self.arrays()))
 
 
 def eigendecompose(factor: np.ndarray, clip_negative: bool = True) -> FactorEig:
@@ -76,7 +86,9 @@ def eigendecompose(factor: np.ndarray, clip_negative: bool = True) -> FactorEig:
     ``clip_negative`` zeroes tiny negative eigenvalues so the damped
     denominator ``v_G v_A^T + gamma`` can never cross zero — this numerical
     robustness is the mechanism behind the eigen path's stability advantage
-    in Table I.
+    in Table I.  A 1-D ``factor`` is the diagonal of a diagonal matrix:
+    identity basis, the (clipped) vector as spectrum — ``eigh``'s answer up
+    to a signed permutation that cancels exactly in :func:`precondition_eigen`.
 
     Example
     -------
@@ -89,6 +101,9 @@ def eigendecompose(factor: np.ndarray, clip_negative: bool = True) -> FactorEig:
     >>> bool(np.allclose(recon, np.diag([4.0, 9.0])))
     True
     """
+    if factor.ndim == 1:
+        lam = np.maximum(factor, 0.0) if clip_negative else factor.copy()
+        return FactorEig(Q=None, lam=lam)
     if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
         raise ValueError(f"factor must be square, got {factor.shape}")
     lam, q = scipy.linalg.eigh(factor)
@@ -103,6 +118,7 @@ def explicit_damped_inverse(factor: np.ndarray, gamma: float) -> np.ndarray:
     The fallback mirrors what happens in practice when the damped factor is
     numerically singular at FP32 — the resulting preconditioner is the
     source of the accuracy loss the paper reports for the inverse method.
+    A 1-D (diagonal) factor inverts elementwise and stays a vector.
 
     Example
     -------
@@ -111,11 +127,18 @@ def explicit_damped_inverse(factor: np.ndarray, gamma: float) -> np.ndarray:
     >>> inv = explicit_damped_inverse(np.eye(2), gamma=1.0)
     >>> bool(np.allclose(inv, 0.5 * np.eye(2)))    # (I + I)^-1
     True
+    >>> explicit_damped_inverse(np.array([3.0, 15.0]), gamma=1.0).tolist()
+    [0.25, 0.0625]
     """
-    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
-        raise ValueError(f"factor must be square, got {factor.shape}")
     if gamma < 0:
         raise ValueError(f"damping must be non-negative, got {gamma}")
+    if factor.ndim == 1:
+        # 1/sqrt twice, not 1/x: the roundings of the Cholesky solve below
+        # on the dense diagonal matrix, so both forms agree bit for bit
+        r = 1.0 / np.sqrt(factor + factor.dtype.type(gamma))
+        return r * r
+    if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
+        raise ValueError(f"factor must be square, got {factor.shape}")
     damped = factor + gamma * np.eye(factor.shape[0], dtype=factor.dtype)
     try:
         cho = scipy.linalg.cho_factor(damped, lower=True)
@@ -151,10 +174,13 @@ def precondition_eigen(
         )
     if gamma <= 0:
         raise ValueError(f"damping must be positive for the eigen path, got {gamma}")
-    v1 = eig_G.Q.T @ grad @ eig_A.Q
-    denom = np.outer(eig_G.lam, eig_A.lam) + gamma
-    v2 = v1 / denom
-    return eig_G.Q @ v2 @ eig_A.Q.T
+    # a side whose basis is the identity (Q is None) skips both rotations
+    v1 = grad if eig_G.Q is None else eig_G.Q.T @ grad
+    if eig_A.Q is not None:
+        v1 = v1 @ eig_A.Q
+    v2 = v1 / (np.outer(eig_G.lam, eig_A.lam) + gamma)
+    out = v2 if eig_G.Q is None else eig_G.Q @ v2
+    return out if eig_A.Q is None else out @ eig_A.Q.T
 
 
 def precondition_inverse(
@@ -162,19 +188,25 @@ def precondition_inverse(
 ) -> np.ndarray:
     """Apply Eq. 12: ``inv_G @ grad @ inv_A`` (factored damping).
 
+    A 1-D inverse is the diagonal of a diagonal one: it scales the
+    gradient's rows (``inv_G``) or columns (``inv_A``) instead.
+
     Example
     -------
     >>> import numpy as np
     >>> from repro.core.inverse import precondition_inverse
     >>> precondition_inverse(np.ones((2, 2)), 0.5 * np.eye(2), np.eye(2)).tolist()
     [[0.5, 0.5], [0.5, 0.5]]
+    >>> precondition_inverse(np.ones((2, 2)), np.array([0.5, 0.25]), np.eye(2)).tolist()
+    [[0.5, 0.25], [0.5, 0.25]]
     """
     if grad.shape != (inv_G.shape[0], inv_A.shape[0]):
         raise ValueError(
             f"grad shape {grad.shape} incompatible with inverses "
             f"G:{inv_G.shape} A:{inv_A.shape}"
         )
-    return inv_G @ grad @ inv_A
+    out = inv_G[:, None] * grad if inv_G.ndim == 1 else inv_G @ grad
+    return out * inv_A if inv_A.ndim == 1 else out @ inv_A
 
 
 def dense_fisher_block(a_factor: np.ndarray, g_factor: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ A handler owns everything K-FAC knows about one supported module:
   both, exactly as the reference implementation does.
 
 Supported families: ``Linear``, ``Conv2d``, ``Embedding`` (diagonal
-gather-path ``A`` factor), and ``LayerNorm`` (elementwise affine on the
+``A`` factor, held as a vector), and ``LayerNorm`` (elementwise affine on the
 normalized activations).  Anything else is "ignored by the K-FAC
 preconditioner and updated normally" (§V) — and reported through
 ``KFAC.unsupported_layers`` so the skip is never silent.
@@ -54,6 +54,10 @@ __all__ = [
 
 class KFACLayer:
     """Base K-FAC handler for one module."""
+
+    #: ``A`` is exactly diagonal and held as its ``(a_dim,)`` diagonal
+    #: (``FactorMeta.diagonal`` carries this to every consumer)
+    diagonal_A = False
 
     def __init__(
         self, name: str, module: Module, workspace: Workspace | None = None
@@ -140,6 +144,21 @@ class KFACLayer:
         if self.A is None or self.G is None:
             raise RuntimeError(f"layer {self.name}: factors not yet computed")
         return explicit_damped_inverse(self.A, gamma), explicit_damped_inverse(self.G, gamma)
+
+    def second_order_entry(self) -> dict[str, np.ndarray]:
+        """Checkpoint keys (copies) of whatever second-order state exists;
+        a diagonal factor's identity basis has no ``eig_*_Q``."""
+        entry: dict[str, np.ndarray] = {}
+        if self.eig_A is not None and self.eig_G is not None:
+            if self.eig_A.Q is not None:
+                entry["eig_A_Q"] = self.eig_A.Q.copy()
+            entry["eig_A_lam"] = self.eig_A.lam.copy()
+            entry["eig_G_Q"] = self.eig_G.Q.copy()
+            entry["eig_G_lam"] = self.eig_G.lam.copy()
+        if self.inv_A is not None and self.inv_G is not None:
+            entry["inv_A"] = self.inv_A.copy()
+            entry["inv_G"] = self.inv_G.copy()
+        return entry
 
     # -- gradient packing ---------------------------------------------------
     def get_grad_matrix(self) -> np.ndarray:
@@ -319,16 +338,20 @@ class Conv2dKFACLayer(KFACLayer):
 class EmbeddingKFACLayer(KFACLayer):
     """Handler for :class:`repro.nn.transformer.Embedding`.
 
-    The layer is a Linear over one-hot rows, so ``A`` is the *diagonal*
-    ``diag(bincount(indices)) / rows`` — built straight from the captured
-    index array via :func:`repro.core.factors.embedding_factor_A`; the
-    dense one-hot matrix is never materialized.  ``G`` is the ordinary
-    Linear output-gradient covariance over the ``N*T`` token rows.
+    The layer is a Linear over one-hot rows, so its ``A`` factor is
+    exactly ``diag(bincount(indices)) / rows``.  The handler declares that
+    (``diagonal_A``) and ``A`` holds the ``(num_embeddings,)`` diagonal
+    end to end — built by :func:`repro.core.factors.embedding_factor_A`,
+    decomposed as the identity basis, applied as a column scaling; no
+    ``(V, V)`` array exists anywhere.  ``G`` is the ordinary Linear
+    output-gradient covariance over the ``N*T`` token rows.
 
     The module's weight is stored ``(num_embeddings, embedding_dim)`` —
     the transpose of the pipeline's ``(g_dim, a_dim)`` packing — so the
     grad-matrix accessors transpose both ways.
     """
+
+    diagonal_A = True
 
     def __init__(
         self, name: str, module: Embedding, workspace: Workspace | None = None

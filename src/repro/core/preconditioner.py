@@ -49,16 +49,18 @@ from repro.approx.adaptive import AdaptiveDamping, DriftTrigger
 from repro.approx.blocks import plan_block_bounds
 from repro.comm.compression import ErrorFeedback, get_codec
 from repro.comm.faults import StaleEigenbasisError
-from repro.comm.fusion import tri_len
 from repro.core.assignment import (
     BlockMeta,
     FactorMeta,
     GroupPlacement,
     build_group_placement,
+    factor_block,
     greedy_balanced_assignment,
     layer_wise_assignment,
     plan_block_metas,
     round_robin_assignment,
+    second_order_shapes,
+    wire_elements,
 )
 from repro.core.comm_ops import unpack_arrays
 from repro.core.inverse import FactorEig
@@ -163,10 +165,11 @@ class KFACHyperParams:
         candidates, however small its drift.
     diag_blocks:
         Block-diagonal factor approximation (:mod:`repro.approx`): the
-        *widest* factor in the model is partitioned into this many
+        *widest dense* factor in the model is partitioned into this many
         diagonal blocks, and every other factor into proportionally
         fewer (same target block edge; factors narrower than one block
-        stay exact).  Each block is eigendecomposed, assigned, and
+        stay exact, and so do exactly-diagonal factors such as an
+        embedding's ``A``).  Each block is eigendecomposed, assigned, and
         communicated independently — finer Eig/EigShare tasks for the
         graph scheduler, ``~k^2``-fold cheaper eigs on the widest
         layers, and block-triangle-only factor payloads.  ``1``
@@ -274,6 +277,29 @@ class KFACHyperParams:
             raise ValueError(f"drift_tol must be > 0 (or None), got {self.drift_tol}")
 
 
+def _diagonal_A_entry(name: str, entry: dict) -> dict:
+    """Normalise a pre-vector checkpoint entry of a diagonal-``A`` layer.
+
+    Legacy entries hold a dense ``A`` / ``inv_A`` and a signed-permutation
+    ``eig_A_Q``: ``A <- diag(A)``, ``eig_A_lam <- diag(Q diag(lam) Q^T)``,
+    ``eig_A_Q`` dropped.  Current entries pass through unchanged.
+    """
+    out = dict(entry)
+    for key in ("A", "inv_A"):
+        mat = out.get(key)
+        if mat is not None and mat.ndim == 2:
+            out[key] = np.diagonal(mat).copy()
+            if key == "A" and np.count_nonzero(mat) > np.count_nonzero(out[key]):
+                raise ValueError(
+                    f"checkpoint factor A of layer {name!r} has non-zero "
+                    "off-diagonal entries, but the layer's A factor is diagonal"
+                )
+    q = out.pop("eig_A_Q", None)
+    if q is not None:
+        out["eig_A_lam"] = (q * q) @ out["eig_A_lam"]
+    return out
+
+
 class KFAC:
     """K-FAC preconditioner for one model replica.
 
@@ -355,6 +381,7 @@ class KFAC:
 
         self.logger = logger if logger is not None else Logger("kfac", stream=sys.stderr)
         self.layers: list[KFACLayer] = []
+        self._layers_by_name: dict[str, KFACLayer] = {}
         self._hook_removers: list = []
         unsupported: list[tuple[str, str]] = []
         for name, module in model.named_modules():
@@ -369,6 +396,7 @@ class KFAC:
                     unsupported.append((name, type(module).__name__))
                 continue
             self.layers.append(handler)
+            self._layers_by_name[name] = handler
             self._hook_removers.append(
                 module.register_forward_hook(self._make_forward_hook(handler))
             )
@@ -420,12 +448,14 @@ class KFAC:
         # communication becomes the diagonal *block*; these mirror the
         # factor-level structures above and are built once, here
         self._block_bounds: dict[str, tuple[tuple[int, int], ...]] = {}
-        self._block_metas: list[BlockMeta] = []
+        self._block_metas: list[BlockMeta | FactorMeta] = []
         self._block_assignment: dict[str, int] = {}
         self._group_block_metas: list[tuple[tuple[int, ...], list[BlockMeta]]] = []
         if base.diag_blocks > 1:
             bounds_list = plan_block_bounds(
-                [m.dim for m in self._factor_metas], base.diag_blocks
+                [m.dim for m in self._factor_metas],
+                base.diag_blocks,
+                [m.diagonal for m in self._factor_metas],
             )
             self._block_bounds = {
                 m.key: tuple(b) for m, b in zip(self._factor_metas, bounds_list)
@@ -526,7 +556,7 @@ class KFAC:
     def _build_factor_metas(self) -> list[FactorMeta]:
         metas: list[FactorMeta] = []
         for layer in self.layers:
-            metas.append(FactorMeta(layer.name, "A", layer.a_dim))
+            metas.append(FactorMeta(layer.name, "A", layer.a_dim, layer.diagonal_A))
         for layer in self.layers:
             metas.append(FactorMeta(layer.name, "G", layer.g_dim))
         return metas
@@ -566,11 +596,6 @@ class KFAC:
     def comm_assignment(self, blocked: bool) -> dict[str, int]:
         """meta key -> owning worker, for the step's comm units."""
         return self._block_assignment if blocked else self._factor_assignment
-
-    def _owner_of(self, meta: "FactorMeta | BlockMeta") -> int:
-        if isinstance(meta, BlockMeta):
-            return self._block_assignment[meta.key]
-        return self._factor_assignment[meta.key]
 
     @property
     def grad_worker_placement(self) -> GroupPlacement | None:
@@ -716,14 +741,12 @@ class KFAC:
         worst_staleness = 0
         has_basis = True
         for meta in metas:
-            layer = self._layer_by_name(meta.layer)
-            factor = layer.A if meta.kind == "A" else layer.G
+            factor = self._factor(meta)
             snap = self._basis_snapshot.get(meta.key)
             if factor is None or snap is None or not self._has_second_order(meta):
                 has_basis = False
                 break
-            lo, hi = (meta.lo, meta.hi) if isinstance(meta, BlockMeta) else (0, meta.dim)
-            max_drift = max(max_drift, trig.drift(factor[lo:hi, lo:hi], snap))
+            max_drift = max(max_drift, trig.drift(factor_block(factor, meta), snap))
             worst_staleness = max(worst_staleness, self.staleness.get(meta.key, 0))
         refresh = trig.should_refresh(max_drift, worst_staleness, has_basis)
         if refresh:
@@ -758,12 +781,10 @@ class KFAC:
             return
         self._basis_snapshot.clear()
         for meta in self.comm_metas(self.blocks_active):
-            layer = self._layer_by_name(meta.layer)
-            factor = layer.A if meta.kind == "A" else layer.G
+            factor = self._factor(meta)
             if factor is None:  # pragma: no cover - refresh implies factors
                 continue
-            lo, hi = (meta.lo, meta.hi) if isinstance(meta, BlockMeta) else (0, meta.dim)
-            self._basis_snapshot[meta.key] = np.array(factor[lo:hi, lo:hi], copy=True)
+            self._basis_snapshot[meta.key] = np.array(factor_block(factor, meta), copy=True)
 
     def build_plan(
         self, update_factors: bool = True, update_second_order: bool = True
@@ -803,12 +824,10 @@ class KFAC:
             codec = get_codec(self.hp.comm_dtype)
             wire = []
             for meta in comm_metas:
-                layer = self._layer_by_name(meta.layer)
-                factor = layer.A if meta.kind == "A" else layer.G
+                factor = self._factor(meta)
                 assert factor is not None, "plan built before factor update"
-                elems = tri_len(meta.dim) if self.hp.symmetric_comm else meta.dim**2
                 itemsize = codec.itemsize if codec is not None else factor.dtype.itemsize
-                wire.append(elems * itemsize)
+                wire.append(wire_elements(meta, self.hp.symmetric_comm) * itemsize)
         groups: tuple = ()
         bcast_entries: tuple = ()
         if self.hp.strategy == HYBRID:
@@ -839,7 +858,7 @@ class KFAC:
         return plan
 
     def _compress_factor_tensors(
-        self, tensors: list[np.ndarray], metas: "Sequence[FactorMeta | BlockMeta] | None" = None
+        self, tensors: list[np.ndarray], metas: "Sequence[FactorMeta | BlockMeta]"
     ) -> list[np.ndarray]:
         """Quantize factor payloads for compressed transport, with EF.
 
@@ -851,30 +870,16 @@ class KFAC:
         """
         if self._comm_ef is None:
             return tensors
-        if metas is None:
-            metas = self._factor_metas
         return [self._comm_ef.apply(meta.key, t) for meta, t in zip(metas, tensors)]
 
-    def _install_second_order_chunk(
-        self,
-        gathered: Sequence[np.ndarray],
-        chunk_metas: "Sequence[FactorMeta | BlockMeta]",
+    def _install_second_order(
+        self, flat: np.ndarray, metas: "Sequence[FactorMeta | BlockMeta]"
     ) -> None:
-        """Install one pipeline chunk's gathered second-order payloads."""
-        for worker in range(self.world_size):
-            metas = [m for m in chunk_metas if self._owner_of(m) == worker]
-            shapes: list[tuple[int, ...]] = []
-            for meta in metas:
-                if self.hp.use_eigen_decomp:
-                    shapes.extend([(meta.dim, meta.dim), (meta.dim,)])
-                else:
-                    shapes.append((meta.dim, meta.dim))
-            arrays = unpack_arrays(gathered[worker], shapes)
-            idx = 0
-            step = 2 if self.hp.use_eigen_decomp else 1
-            for meta in metas:
-                self._install_factor_state(meta, arrays[idx : idx + step])
-                idx += step
+        """Unpack one owner's packed second-order payloads and install them."""
+        shapes = [second_order_shapes(m, self.hp.use_eigen_decomp) for m in metas]
+        arrays = iter(unpack_arrays(flat, [s for per_meta in shapes for s in per_meta]))
+        for meta, per_meta in zip(metas, shapes):
+            self._install_factor_state(meta, [next(arrays) for _ in per_meta])
 
     def _install_factor_state(
         self, meta: "FactorMeta | BlockMeta", arrays: Sequence[np.ndarray]
@@ -888,7 +893,7 @@ class KFAC:
         """
         layer = self._layer_by_name(meta.layer)
         if self.hp.use_eigen_decomp:
-            eig = FactorEig(Q=arrays[0], lam=arrays[1])
+            eig = FactorEig(Q=None if meta.diagonal else arrays[0], lam=arrays[-1])
             if isinstance(meta, BlockMeta):
                 layer.install_block_eig(
                     meta.kind, meta.block, eig, self._block_bounds[meta.parent_key]
@@ -932,10 +937,15 @@ class KFAC:
         return [(root, layers, ranks) for (root, ranks), layers in plan.items()]
 
     def _layer_by_name(self, name: str) -> KFACLayer:
-        for layer in self.layers:
-            if layer.name == name:
-                return layer
-        raise KeyError(f"no K-FAC layer named {name!r}")
+        try:
+            return self._layers_by_name[name]
+        except KeyError:
+            raise KeyError(f"no K-FAC layer named {name!r}") from None
+
+    def _factor(self, meta: "FactorMeta | BlockMeta") -> np.ndarray | None:
+        """The whole running-average factor ``meta`` belongs to."""
+        layer = self._layers_by_name[meta.layer]
+        return layer.A if meta.kind == "A" else layer.G
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -981,14 +991,7 @@ class KFAC:
             if layer.A is not None:
                 entry["A"] = layer.A.copy()
                 entry["G"] = layer.G.copy()  # type: ignore[union-attr]
-            if layer.eig_A is not None and layer.eig_G is not None:
-                entry["eig_A_Q"] = layer.eig_A.Q.copy()
-                entry["eig_A_lam"] = layer.eig_A.lam.copy()
-                entry["eig_G_Q"] = layer.eig_G.Q.copy()
-                entry["eig_G_lam"] = layer.eig_G.lam.copy()
-            if layer.inv_A is not None and layer.inv_G is not None:
-                entry["inv_A"] = layer.inv_A.copy()
-                entry["inv_G"] = layer.inv_G.copy()
+            entry.update(layer.second_order_entry())
             layers[layer.name] = entry
         return {
             "steps": self.steps,
@@ -1031,7 +1034,7 @@ class KFAC:
         """
         portable = bool(state.get("portable", False))
         meta = state.get("placement")
-        by_name = {layer.name: layer for layer in self.layers}
+        by_name = self._layers_by_name
         unknown = sorted(set(state["layers"]) - set(by_name))
         missing = sorted(set(by_name) - set(state["layers"]))
         if strict and unknown:
@@ -1070,6 +1073,8 @@ class KFAC:
             if name not in by_name:
                 continue  # tolerated under strict=False
             layer = by_name[name]
+            if layer.diagonal_A:
+                entry = _diagonal_A_entry(name, entry)
             if "A" in entry:
                 layer.A = entry["A"].copy()
                 layer.G = entry["G"].copy()
@@ -1077,8 +1082,9 @@ class KFAC:
             # hydrates only where the *current* placement wants it
             if portable and not self.is_grad_worker(name):
                 continue
-            if "eig_A_Q" in entry:
-                layer.eig_A = FactorEig(entry["eig_A_Q"].copy(), entry["eig_A_lam"].copy())
+            if "eig_A_lam" in entry:
+                q_A = None if layer.diagonal_A else entry["eig_A_Q"].copy()
+                layer.eig_A = FactorEig(q_A, entry["eig_A_lam"].copy())
                 layer.eig_G = FactorEig(entry["eig_G_Q"].copy(), entry["eig_G_lam"].copy())
             if "inv_A" in entry:
                 layer.inv_A = entry["inv_A"].copy()

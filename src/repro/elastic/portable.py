@@ -19,19 +19,19 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.assignment import grad_worker_groups, layer_wise_assignment
+from repro.core.assignment import (
+    grad_worker_groups,
+    layer_wise_assignment,
+    second_order_shapes,
+)
 from repro.core.preconditioner import COMM_OPT, HYBRID, LAYER_WISE
 
 __all__ = ["gather_state_dict", "redistribution_plan"]
 
-#: second-order entry keys a gathered bundle may carry per layer
-_SECOND_ORDER_KEYS = (
-    "eig_A_Q",
-    "eig_A_lam",
-    "eig_G_Q",
-    "eig_G_lam",
-    "inv_A",
-    "inv_G",
+#: second-order entry keys a gathered bundle may carry per layer (a
+#: diagonal factor's identity basis has no ``eig_A_Q``)
+_SECOND_ORDER_KEYS = frozenset(
+    ("eig_A_Q", "eig_A_lam", "eig_G_Q", "eig_G_lam", "inv_A", "inv_G")
 )
 
 #: wire codes for the original dtype of a gathered shard (0 = absent);
@@ -159,13 +159,21 @@ def gather_state_dict(
 # phase-style gather: all replicas live in this process
 # ----------------------------------------------------------------------
 def _merge_from_peers(state: dict, peers: Sequence[Any]) -> None:
+    """Fill in the layers whose second-order shard another replica holds.
+
+    Reads the missing arrays straight off the peers' layer handlers — one
+    copy of what is merged and nothing else — and returns at once when the
+    local snapshot is already complete (COMM_OPT).
+    """
+    entries = state["layers"]
+    missing = {n for n, e in entries.items() if _SECOND_ORDER_KEYS.isdisjoint(e)}
     for peer in peers:
-        pstate = peer.state_dict()
-        for name, pentry in pstate["layers"].items():
-            entry = state["layers"].setdefault(name, {})
-            for key in _SECOND_ORDER_KEYS:
-                if key in pentry and key not in entry:
-                    entry[key] = pentry[key]
+        if not missing:
+            return
+        for layer in peer.layers:
+            if layer.name in missing and layer.ready:
+                entries[layer.name].update(layer.second_order_entry())
+                missing.discard(layer.name)
 
 
 # ----------------------------------------------------------------------
@@ -182,21 +190,15 @@ def _local_arrays(kfac: Any, meta: Any) -> list[np.ndarray] | None:
     layer = kfac._layer_by_name(meta.layer)
     if kfac.hp.use_eigen_decomp:
         eig = layer.eig_A if meta.kind == "A" else layer.eig_G
-        return None if eig is None else [eig.Q, eig.lam]
+        return None if eig is None else eig.arrays()
     inv = layer.inv_A if meta.kind == "A" else layer.inv_G
     return None if inv is None else [inv]
 
 
 def _entry_keys(kfac: Any, meta: Any) -> tuple[str, ...]:
-    if kfac.hp.use_eigen_decomp:
-        return (f"eig_{meta.kind}_Q", f"eig_{meta.kind}_lam")
-    return (f"inv_{meta.kind}",)
-
-
-def _shard_shapes(kfac: Any, meta: Any) -> tuple[tuple[int, ...], ...]:
-    if kfac.hp.use_eigen_decomp:
-        return ((meta.dim, meta.dim), (meta.dim,))
-    return ((meta.dim, meta.dim),)
+    k = meta.kind
+    keys = (f"eig_{k}_Q", f"eig_{k}_lam") if kfac.hp.use_eigen_decomp else (f"inv_{k}",)
+    return keys[-1:] if meta.diagonal else keys  # diagonal: one vector, no Q
 
 
 def _dtype_code(dtype: np.dtype) -> int:
@@ -237,7 +239,8 @@ def _allgather_shards(kfac: Any, state: dict, hvd: Any) -> None:
                 continue
             dtype = _DTYPE_CODES[code]
             entry = state["layers"].setdefault(meta.layer, {})
-            for key, shape in zip(_entry_keys(kfac, meta), _shard_shapes(kfac, meta)):
+            shapes = second_order_shapes(meta, kfac.hp.use_eigen_decomp)
+            for key, shape in zip(_entry_keys(kfac, meta), shapes):
                 size = int(np.prod(shape))
                 entry[key] = (
                     buf[offset : offset + size].reshape(shape).astype(dtype)

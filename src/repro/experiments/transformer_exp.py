@@ -5,7 +5,8 @@ positional embeddings, pre-LN attention blocks, margin-softmax head) on a
 synthetic token-classification task under the *full* feature stack at
 once: graph scheduler, KAISA hybrid placement (``grad_worker_frac=0.5``),
 fp16 factor compression with error feedback, and the block-diagonal
-approximation (``diag_blocks=4``) on the wide embedding factor.  The
+approximation (``diag_blocks=4``) on the widest dense factor (the
+embeddings' diagonal ``A`` factors stay exact ``O(V)`` vectors).  The
 report shows the per-step loss and what the preconditioner captured —
 the one-command proof that the second model family rides the whole
 pipeline unchanged.

@@ -181,7 +181,7 @@ class IterationModel:
     def _build_metas(self) -> list[FactorMeta]:
         metas: list[FactorMeta] = []
         for l in self.model.kfac_layers:
-            metas.append(FactorMeta(l.name, "A", l.a_dim))
+            metas.append(FactorMeta(l.name, "A", l.a_dim, l.diagonal_A))
         for l in self.model.kfac_layers:
             metas.append(FactorMeta(l.name, "G", l.g_dim))
         return metas
@@ -349,11 +349,10 @@ class IterationModel:
     # ------------------------------------------------------------------
     # K-FAC eigendecomposition stage
     # ------------------------------------------------------------------
-    def _eig_seconds(self, dim: int) -> float:
-        return (
-            eig_flops(dim, self.device.eig_flop_coef) / self.device.eig_flops
-            + self.device.eig_factor_overhead
-        )
+    def _eig_seconds(self, dim: int, diagonal: bool = False) -> float:
+        """One factor's (or block's) decomposition; O(dim) when diagonal."""
+        flops = float(dim) if diagonal else eig_flops(dim, self.device.eig_flop_coef)
+        return flops / self.device.eig_flops + self.device.eig_factor_overhead
 
     def eig_worker_times(
         self,
@@ -377,7 +376,7 @@ class IterationModel:
                 assignment = round_robin_assignment(metas, p)
             return worker_costs(
                 metas, assignment, p,
-                cost_fn=lambda m: self._eig_seconds(m.dim),
+                cost_fn=lambda m: self._eig_seconds(m.dim, m.diagonal),
             )
         if strategy == "layer-wise":
             layer_assignment = layer_wise_assignment(
@@ -386,12 +385,12 @@ class IterationModel:
             loads = [0.0] * p
             if diag_blocks > 1:
                 for m in metas:
-                    loads[layer_assignment[m.layer]] += self._eig_seconds(m.dim)
+                    loads[layer_assignment[m.layer]] += self._eig_seconds(m.dim, m.diagonal)
                 return loads
             for l in self.model.kfac_layers:
-                loads[layer_assignment[l.name]] += self._eig_seconds(l.a_dim) + self._eig_seconds(
-                    l.g_dim
-                )
+                loads[layer_assignment[l.name]] += self._eig_seconds(
+                    l.a_dim, l.diagonal_A
+                ) + self._eig_seconds(l.g_dim)
             return loads
         raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -661,7 +660,7 @@ class IterationModel:
         placement = build_group_placement(metas, p, grad_worker_frac, policy=policy)
         loads = worker_costs(
             metas, placement.assignment, p,
-            cost_fn=lambda m: self._eig_seconds(m.dim),
+            cost_fn=lambda m: self._eig_seconds(m.dim, m.diagonal),
         )
         return max(loads)
 

@@ -6,8 +6,8 @@ yields, per K-FAC-supported layer, the factor dimensions and positional
 extent — everything the cost model and the assignment-imbalance analysis
 (Table VI) need.  Using the genuine ResNet-50/101/152 shapes is what
 makes the reproduced imbalance numbers meaningful; ``transformer_spec``
-prices the embedding/attention workload, whose wide vocabulary factor is
-the showcase for ``KFAC(diag_blocks=k)``.
+prices the embedding/attention workload, whose vocabulary-wide ``A``
+factor is exactly diagonal and priced as the ``O(V)`` vector it is.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.approx.blocks import block_eig_elements, plan_block_bounds
-from repro.comm.fusion import block_tri_len, tri_len
+from repro.comm.fusion import block_tri_len
 from repro.nn.resnet import IMAGENET_DEPTH_CONFIGS
 from repro.tensor.im2col import conv_out_size
 
@@ -68,13 +68,20 @@ class KfacLayerSpec:
     weight_params: int
 
     @property
+    def diagonal_A(self) -> bool:
+        """Mirrors ``KFACLayer.diagonal_A``: ``A`` is exactly diagonal."""
+        return self.kind == "embedding"
+
+    @property
     def eig_elements(self) -> int:
         """Elements of the layer's eigendecomposition state (Q's + lambdas).
 
         What a gradient worker must *store* to precondition this layer —
-        the per-layer unit of the ``grad_worker_frac`` memory model.
+        the per-layer unit of the ``grad_worker_frac`` memory model.  A
+        diagonal ``A`` contributes its ``a_dim`` eigenvalues and no basis.
         """
-        return self.a_dim**2 + self.a_dim + self.g_dim**2 + self.g_dim
+        a_elems = self.a_dim if self.diagonal_A else self.a_dim**2 + self.a_dim
+        return a_elems + self.g_dim**2 + self.g_dim
 
     @property
     def grad_matrix_elements(self) -> int:
@@ -111,12 +118,20 @@ class ModelSpec:
             [l.a_dim for l in self.kfac_layers] + [l.g_dim for l in self.kfac_layers]
         )
 
+    @property
+    def factor_diagonal(self) -> tuple[bool, ...]:
+        """Which factors (same order as ``factor_dims``) are diagonal."""
+        return tuple(
+            [l.diagonal_A for l in self.kfac_layers] + [False] * len(self.kfac_layers)
+        )
+
     def block_bounds(self, diag_blocks: int = 1):
         """Per-factor diagonal-block bounds under the widest-first policy.
 
         Mirrors ``KFAC(diag_blocks=k)`` exactly: the block edge is set by
-        the widest factor, so the modeled block shapes match what the
-        preconditioner actually decomposes.
+        the widest *dense* factor (a diagonal factor stays one unsplit
+        unit), so the modeled block shapes match what the preconditioner
+        actually decomposes.
 
         Example
         -------
@@ -125,7 +140,7 @@ class ModelSpec:
         >>> max(hi - lo for b in bounds for lo, hi in b)   # 4608 / 4
         1152
         """
-        return plan_block_bounds(self.factor_dims, diag_blocks)
+        return plan_block_bounds(self.factor_dims, diag_blocks, self.factor_diagonal)
 
     @property
     def total_params(self) -> int:
@@ -166,25 +181,30 @@ class ModelSpec:
         (triangular packing x half-precision codec): ~0.25x the dense
         fp32 bytes.  ``diag_blocks > 1`` ships only the diagonal-block
         region of each factor (the ``KFAC(diag_blocks=k)`` wire format),
-        shrinking the payload further.
+        shrinking the payload further.  A diagonal factor ships its
+        ``dim`` elements in every format.
 
         Example
         -------
-        >>> from repro.perfmodel.specs import resnet_spec
+        >>> from repro.perfmodel.specs import resnet_spec, transformer_spec
         >>> spec = resnet_spec(50)
         >>> spec.factor_payload_bytes(diag_blocks=4) < spec.factor_bytes
         True
+        >>> transformer_spec(vocab_size=1024, seq_len=16, dim=32, depth=2
+        ...                  ).factor_payload_bytes(packed=True)
+        109988
         """
-        if diag_blocks > 1:
-            bounds = self.block_bounds(diag_blocks)
-            if packed:
-                elements = sum(block_tri_len(b) for b in bounds)
+        elements = 0
+        # one whole-factor block each at diag_blocks=1
+        for dim, diag, b in zip(
+            self.factor_dims, self.factor_diagonal, self.block_bounds(diag_blocks)
+        ):
+            if diag:
+                elements += dim
+            elif packed:
+                elements += block_tri_len(b)
             else:
-                elements = sum((hi - lo) ** 2 for b in bounds for lo, hi in b)
-        elif packed:
-            elements = sum(tri_len(l.a_dim) + tri_len(l.g_dim) for l in self.kfac_layers)
-        else:
-            elements = sum(l.a_dim**2 + l.g_dim**2 for l in self.kfac_layers)
+                elements += sum((hi - lo) ** 2 for lo, hi in b)
         return itemsize * elements
 
     @property
@@ -198,7 +218,8 @@ class ModelSpec:
         The eigenbasis stays fp32 by precision policy, so ``itemsize=4``
         is the normal case; ``itemsize=8`` prices a float64 run.
         ``diag_blocks > 1`` stores only per-block ``Q``'s and eigenvalues
-        — ``sum(d_b^2 + d_b)`` instead of ``d^2 + d`` per factor.
+        — ``sum(d_b^2 + d_b)`` instead of ``d^2 + d`` per factor; a
+        diagonal factor stores ``d`` eigenvalues either way.
 
         Example
         -------
@@ -209,7 +230,8 @@ class ModelSpec:
         """
         if diag_blocks > 1:
             return itemsize * sum(
-                block_eig_elements(b) for b in self.block_bounds(diag_blocks)
+                b[-1][1] if diag else block_eig_elements(b)
+                for diag, b in zip(self.factor_diagonal, self.block_bounds(diag_blocks))
             )
         return itemsize * sum(l.eig_elements for l in self.kfac_layers)
 
@@ -270,7 +292,7 @@ class _SpecBuilder:
         )
 
     def embedding(self, name: str, vocab: int, dim: int, positions: int) -> None:
-        """An embedding table: ``A`` is (vocab, vocab), ``G`` is (dim, dim)."""
+        """An embedding table: ``A`` is diagonal (vocab,), ``G`` is (dim, dim)."""
         self.layers.append(
             KfacLayerSpec(
                 name=name,
@@ -361,18 +383,21 @@ def transformer_spec(
     Walks the model in registration order: token/positional embeddings,
     per block the pre-LN norms, the four attention projections and the
     two MLP linears, then the final norm and classifier head.  The token
-    embedding's ``(vocab, vocab)`` activation factor is by far the widest
-    — the natural first customer of ``KFAC(diag_blocks=k)``, which is why
-    ``block_bounds`` splits it first.
+    embedding's activation factor is by far the widest, but it is exactly
+    diagonal: it costs ``vocab`` elements to ship, store and decompose,
+    and ``block_bounds`` leaves it whole and splits the widest *dense*
+    factor (``fc2``'s ``A``, ``hidden + 1`` wide) instead.
 
     Example
     -------
     >>> from repro.perfmodel.specs import transformer_spec
     >>> spec = transformer_spec(vocab_size=1024, depth=2)
-    >>> spec.kfac_layers[0].a_dim                # token embedding factor
-    1024
-    >>> max(hi - lo for b in spec.block_bounds(4) for lo, hi in b)
-    256
+    >>> spec.kfac_layers[0].a_dim, spec.kfac_layers[0].eig_elements - 256**2 - 256
+    (1024, 1024)
+    >>> [hi - lo for lo, hi in spec.block_bounds(4)[0]]     # tok_embed: whole
+    [1024]
+    >>> max(hi - lo for b in spec.block_bounds(4)[1:] for lo, hi in b)  # ceil(513/4)
+    129
     >>> len(spec.kfac_layers)                    # 2 emb + 2*8 + norm + head
     20
     """

@@ -32,7 +32,8 @@ from repro.comm.engine import (
 )
 from repro.approx.blockeig import block_eigendecompose
 from repro.comm.faults import CollectiveFailed
-from repro.comm.fusion import tri_pack, tri_unpack
+from repro.comm.fusion import tri_unpack
+from repro.core.assignment import BlockMeta, factor_block
 from repro.core.clipping import kl_clip_factor
 from repro.core.comm_ops import (
     AllGatherLaunch,
@@ -48,6 +49,15 @@ from repro.core.inverse import eigendecompose, explicit_damped_inverse
 from repro.obs.tracer import NULL_TRACER
 
 __all__ = ["GraphExecutor"]
+
+
+def _second_order_seconds(metas: Sequence[Any], eigen: bool) -> float:
+    """Simulated decomposition seconds: cubic per dense unit, linear per diagonal."""
+    return estimate_second_order_seconds(
+        [m.dim for m in metas if not m.diagonal],
+        eigen,
+        diagonal_dims=[m.dim for m in metas if m.diagonal],
+    )
 
 
 class GraphExecutor:
@@ -191,25 +201,18 @@ class GraphExecutor:
 
         Blocked plans ship only each meta's diagonal block — the
         off-block entries never travel (that is where the byte savings
-        come from); the exact path packs whole factors as before.
+        come from); the exact path packs whole factors.  A diagonal
+        factor ships its ``dim`` elements under either plan and packing.
         """
         kfac = self.kfac
-        if self._blocked:
-            tensors = []
-            for meta in self._metas:
-                layer = kfac._layer_by_name(meta.layer)
-                factor = layer.A if meta.kind == "A" else layer.G
-                assert factor is not None, "wire built before factor update"
-                sub = np.ascontiguousarray(factor[meta.lo : meta.hi, meta.lo : meta.hi])
-                tensors.append(tri_pack(sub) if kfac.hp.symmetric_comm else sub)
-            tensors = kfac._compress_factor_tensors(tensors, self._metas)
-        else:
-            factors = [l.A for l in kfac.layers] + [l.G for l in kfac.layers]
-            tensors = (
-                pack_symmetric(factors) if kfac.hp.symmetric_comm else list(factors)
-            )
-            tensors = kfac._compress_factor_tensors(tensors)
-        self._wire = tensors
+        tensors = []
+        for meta in self._metas:
+            factor = kfac._factor(meta)
+            assert factor is not None, "wire built before factor update"
+            tensors.append(np.ascontiguousarray(factor_block(factor, meta)))
+        if kfac.hp.symmetric_comm:
+            tensors = pack_symmetric(tensors)
+        self._wire = tensors = kfac._compress_factor_tensors(tensors, self._metas)
         # same promotion rule as pack_arrays(dtype=None), pinned explicitly
         # because ranks owning nothing in a share chunk still contribute an
         # empty buffer of the matching dtype
@@ -243,25 +246,16 @@ class GraphExecutor:
             return
         for i, arr in zip(idxs, reduced):
             meta = self._metas[i]
-            layer = kfac._layer_by_name(meta.layer)
-            if self._blocked:
+            if kfac.hp.symmetric_comm and not meta.diagonal:
+                arr = tri_unpack(arr, meta.dim)
+            if isinstance(meta, BlockMeta):
                 # write the averaged block in place; off-block entries stay
                 # local (they are never read once blocks are active)
-                target = layer.A if meta.kind == "A" else layer.G
-                db = meta.dim
-                block = (
-                    tri_unpack(arr, db)
-                    if kfac.hp.symmetric_comm
-                    else np.asarray(arr).reshape(db, db)
-                )
-                target[meta.lo : meta.hi, meta.lo : meta.hi] = block
+                factor_block(kfac._factor(meta), meta)[...] = arr
+            elif meta.kind == "A":
+                kfac._layer_by_name(meta.layer).A = arr
             else:
-                if kfac.hp.symmetric_comm:
-                    arr = tri_unpack(arr, meta.dim)
-                if meta.kind == "A":
-                    layer.A = arr
-                else:
-                    layer.G = arr
+                kfac._layer_by_name(meta.layer).G = arr
 
     # ------------------------------------------------------------------
     # Eig
@@ -275,22 +269,18 @@ class GraphExecutor:
             meta = self._metas[task.payload["meta"]]
             if self._assignment[meta.key] != kfac.rank:
                 return
-            layer = kfac._layer_by_name(meta.layer)
-            factor = layer.A if meta.kind == "A" else layer.G
+            factor = kfac._factor(meta)
             assert factor is not None, "second-order update before factor update"
-            if self._blocked:
-                factor = np.ascontiguousarray(
-                    factor[meta.lo : meta.hi, meta.lo : meta.hi]
-                )
+            if isinstance(meta, BlockMeta):
+                factor = np.ascontiguousarray(factor_block(factor, meta))
             if eigen:
-                eig = eigendecompose(factor)
-                self._computed[meta.key] = [eig.Q, eig.lam]
+                self._computed[meta.key] = eigendecompose(factor).arrays()
             else:
                 self._computed[meta.key] = [
                     explicit_damped_inverse(factor, kfac.damping)
                 ]
             kfac.n_eigs_computed_locally += 1
-            seconds = estimate_second_order_seconds([meta.dim], eigen)
+            seconds = _second_order_seconds([meta], eigen)
             self._pending_compute += seconds
             if self.tracer.enabled:
                 self.tracer.span(
@@ -308,8 +298,10 @@ class GraphExecutor:
             layer = kfac._layer_by_name(name)
             if eigen:
                 if self._blocked:
-                    layer.eig_A = block_eigendecompose(
-                        layer.A, kfac._block_bounds[f"{name}/A"]
+                    layer.eig_A = (
+                        eigendecompose(layer.A)
+                        if layer.diagonal_A
+                        else block_eigendecompose(layer.A, kfac._block_bounds[f"{name}/A"])
                     )
                     layer.eig_G = block_eigendecompose(
                         layer.G, kfac._block_bounds[f"{name}/G"]
@@ -320,16 +312,15 @@ class GraphExecutor:
                 layer.inv_A, layer.inv_G = layer.compute_inverses(kfac.damping)
             # local refresh succeeded: reset any drift-skip staleness the
             # layer's metas accrued (no share step will do it for us here)
-            kfac._clear_staleness([m for m in self._metas if m.layer == name])
+            layer_metas = [m for m in self._metas if m.layer == name]
+            kfac._clear_staleness(layer_metas)
             kfac.n_eigs_computed_locally += 2
             if self.tracer.enabled:
                 self.tracer.span(
                     f"Eig:{name}",
                     "task",
                     kfac.rank,
-                    estimate_second_order_seconds(
-                        [layer.a_dim, layer.g_dim], eigen
-                    ),
+                    _second_order_seconds(layer_metas, eigen),
                     attrs={"layer": name},
                 )
 
@@ -356,7 +347,10 @@ class GraphExecutor:
                 # every replica keeps the identical last-known eigenbasis
                 kfac._note_eig_share_failure(metas)
                 return
-            kfac._install_second_order_chunk(gathered, metas)
+            for worker, flat in enumerate(gathered):
+                kfac._install_second_order(
+                    flat, [m for m in metas if self._assignment[m.key] == worker]
+                )
             kfac._clear_staleness(metas)
 
         if kfac.world_size == 1:
@@ -405,17 +399,8 @@ class GraphExecutor:
             if gathered is None:  # non-members receive nothing
                 return
             kfac._clear_staleness(grp_metas)
-            step = 2 if kfac.hp.use_eigen_decomp else 1
             for r, buf in zip(ranks, gathered):
-                shapes: list[tuple[int, ...]] = []
-                for meta in member_metas[r]:
-                    if kfac.hp.use_eigen_decomp:
-                        shapes.extend([(meta.dim, meta.dim), (meta.dim,)])
-                    else:
-                        shapes.append((meta.dim, meta.dim))
-                arrays = unpack_arrays(buf, shapes)
-                for j, meta in enumerate(member_metas[r]):
-                    kfac._install_factor_state(meta, arrays[j * step : (j + 1) * step])
+                kfac._install_second_order(buf, member_metas[r])
 
         yield from self._collective(
             task,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.factors import linear_factor_A
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
 from repro.nn.container import Sequential
 from repro.nn.layers import Conv2d, Flatten, Linear, ReLU
@@ -73,3 +74,19 @@ def numerical_gradient(f, x: np.ndarray, eps: float = 1e-4) -> np.ndarray:
         flat[i] = orig
         gflat[i] = (fp - fm) / (2 * eps)
     return grad
+
+
+def onehot_factor_A(
+    indices: np.ndarray, num_embeddings: int, dtype: np.dtype | type = np.float32
+) -> np.ndarray:
+    """Dense one-hot oracle for an embedding's ``A`` factor.
+
+    Materializes the ``(rows, V)`` one-hot matrix and takes the ordinary
+    Linear Gram product — the ``(V, V)`` matrix whose diagonal
+    ``repro.core.factors.embedding_factor_A`` must reproduce bit for bit.
+    Test-only: the training path never builds either array.
+    """
+    flat = np.asarray(indices).ravel()
+    onehot = np.zeros((flat.size, num_embeddings), dtype=np.dtype(dtype))
+    onehot[np.arange(flat.size), flat] = 1.0
+    return linear_factor_A(onehot, has_bias=False)

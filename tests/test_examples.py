@@ -91,8 +91,8 @@ class TestExamples:
         out = run_example("transformer.py", "--workers", "2", "--steps", "6")
         assert "transformer-smoke" in out
         assert "loss decreased" in out
-        assert "gather fast path, no dense one-hot" in out
-        assert "embedding A eigendecomposition is blocked" in out
+        assert "embedding A-factor is diagonal: held as a (40,) vector" in out
+        assert "widest dense factor blocks.m0.fc2/A is blocked" in out
         assert "unsupported (first-order-only) layers: 0" in out
 
     def test_placement_policy(self):

@@ -20,6 +20,9 @@ from repro.core.layers import Conv2dKFACLayer, LinearKFACLayer, make_kfac_layer
 from repro.core.preconditioner import KFAC
 from repro.core.schedule import KFACParamScheduler
 from repro.nn.layers import BatchNorm2d, Conv2d, Linear, ReLU
+from repro.perfmodel.hardware import FRONTERA_LIKE, V100_LIKE
+from repro.perfmodel.iteration import IterationModel
+from repro.perfmodel.specs import transformer_spec
 
 
 def metas(dims):
@@ -75,6 +78,27 @@ class TestAssignment:
 
     def test_eig_cost_cubic(self):
         assert eig_cost(FactorMeta("x", "A", 10)) == 1000.0
+
+    def test_diagonal_factor_is_linear_in_size_and_cost(self):
+        meta = FactorMeta("e", "A", 1024, diagonal=True)
+        assert meta.n_elements == 1024
+        assert eig_cost(meta) == 1024.0
+
+    def test_greedy_no_longer_parks_the_embedding_alone(self):
+        """Priced as a dense 4096-cube, the embedding A took one of four
+        workers to itself; priced as the vector it is, it shares one and
+        the dense factors spread over all four."""
+        ms = IterationModel(transformer_spec(), V100_LIKE, FRONTERA_LIKE)._factor_metas
+        assert ms[0] == FactorMeta("tok_embed", "A", 4096, diagonal=True)
+        as_dense = [FactorMeta(m.layer, m.kind, m.dim) for m in ms]
+        spread = {}
+        for label, group in (("dense", as_dense), ("diagonal", ms)):
+            assignment = greedy_balanced_assignment(group, 4)
+            alone = [k for k, w in assignment.items() if w == assignment["tok_embed/A"]]
+            costs = worker_costs(group, assignment, 4)
+            spread[label] = (max(costs) - min(costs)) / max(costs)
+            assert (alone == ["tok_embed/A"]) == (label == "dense")
+        assert spread["diagonal"] < 0.05 < 0.9 < spread["dense"]
 
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
