@@ -13,10 +13,10 @@ vector the preconditioner actually holds.  Over ``transformer_spec()``
   the slowest-worker eig stage time and the tri-packed factor wire
   payload both shrink strictly as the block count grows — the
   widest-first policy splits the widest *dense* factor (``fc2``'s ``A``,
-  2049 wide) and leaves the diagonal one whole.  (At the default width
-  256 no dense factor is wide enough for blocking to beat the per-factor
-  overhead once the embedding is priced as a vector; the artifact
-  records that row too, without an assertion.)
+  2049 wide) and leaves the diagonal one whole.  The width is not the
+  spec's default 256: with the embedding priced as a vector the widest
+  factor left there is 513, too narrow for four blocks to repay their
+  per-factor overhead, and the claim under test is about wide factors.
 
 Measured blocked ``eigh`` on dense factors lives in ``bench_approx.py``.
 """
@@ -72,8 +72,8 @@ def _build_artifact() -> dict:
         "blocks": list(BLOCKS),
         "vocab": VOCAB,
         "embedding_share": _embedding_share(),
+        "blocked_dim": BLOCKED_DIM,
         "modeled_transformer_p16": _collect_modeled(BLOCKED_DIM),
-        "modeled_transformer_p16_default_width": _collect_modeled(256),
     }
 
 

@@ -33,7 +33,7 @@ __all__ = [
 class BlockFactorEig:
     """Eigendecomposition of a factor's block-diagonal approximation.
 
-    Exposes the same ``Q`` / ``lam`` / ``dim`` surface as
+    Exposes the same ``Q`` / ``lam`` / ``dim`` / ``arrays()`` surface as
     :class:`~repro.core.inverse.FactorEig` (the dense properties assemble
     the block-diagonal basis), so checkpointing and the elastic
     redistribute path work unchanged on blocked state.
@@ -84,6 +84,10 @@ class BlockFactorEig:
         for eig, (lo, hi) in zip(self.blocks, self.bounds):
             out[lo:hi, lo:hi] = eig.Q
         return out
+
+    def arrays(self) -> list[np.ndarray]:
+        """The dense ``[Q, lam]`` a share or checkpoint carries."""
+        return [self.Q, self.lam]
 
     def nbytes(self) -> int:
         return sum(b.nbytes() for b in self.blocks)

@@ -30,7 +30,7 @@ work it interleaves between launches and waits.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -63,15 +63,13 @@ EIG_FLOP_COEF = 26.0 / 3.0
 INV_FLOP_COEF = 2.0
 
 
-def estimate_second_order_seconds(
-    dims: Sequence[int], eigen: bool = True, diagonal_dims: Sequence[int] = ()
-) -> float:
+def estimate_second_order_seconds(factors: Sequence[Any], eigen: bool = True) -> float:
     """Deterministic simulated seconds to eigendecompose/invert factors.
 
-    ``dims`` are the (dense) factor side lengths handled locally between an
-    async launch and its wait, cubic each; ``diagonal_dims`` are factors
-    held as their diagonal, one pass over ``d`` elements each.  The result
-    prices how much in-flight communication that compute can hide.
+    ``factors`` are the factors handled locally between an async launch and
+    its wait — side lengths, or metas carrying ``dim`` / ``diagonal`` (a
+    diagonal factor costs one pass over ``dim`` elements, not ``dim^3``);
+    the result prices how much in-flight communication that compute can hide.
 
     Example
     -------
@@ -83,7 +81,10 @@ def estimate_second_order_seconds(
     True
     """
     coef = EIG_FLOP_COEF if eigen else INV_FLOP_COEF
-    flops = sum(coef * float(d) ** 3 for d in dims) + float(sum(diagonal_dims))
+    flops = 0.0
+    for f in factors:
+        dim = float(getattr(f, "dim", f))
+        flops += dim if getattr(f, "diagonal", False) else coef * dim**3
     return flops / NOMINAL_SECOND_ORDER_FLOPS
 
 

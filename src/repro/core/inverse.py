@@ -118,7 +118,9 @@ def explicit_damped_inverse(factor: np.ndarray, gamma: float) -> np.ndarray:
     The fallback mirrors what happens in practice when the damped factor is
     numerically singular at FP32 — the resulting preconditioner is the
     source of the accuracy loss the paper reports for the inverse method.
-    A 1-D (diagonal) factor inverts elementwise and stays a vector.
+    A 1-D (diagonal) factor inverts elementwise and stays a vector; its
+    counterpart of the fallback maps entries the damping leaves
+    non-positive to 0, as ``pinv`` does for a singular direction.
 
     Example
     -------
@@ -129,13 +131,17 @@ def explicit_damped_inverse(factor: np.ndarray, gamma: float) -> np.ndarray:
     True
     >>> explicit_damped_inverse(np.array([3.0, 15.0]), gamma=1.0).tolist()
     [0.25, 0.0625]
+    >>> explicit_damped_inverse(np.array([4.0, 0.0]), gamma=0.0).tolist()
+    [0.25, 0.0]
     """
     if gamma < 0:
         raise ValueError(f"damping must be non-negative, got {gamma}")
     if factor.ndim == 1:
         # 1/sqrt twice, not 1/x: the roundings of the Cholesky solve below
-        # on the dense diagonal matrix, so both forms agree bit for bit
-        r = 1.0 / np.sqrt(factor + factor.dtype.type(gamma))
+        # on the dense diagonal matrix, so both forms agree bit for bit;
+        # a non-positive entry keeps sqrt's inf placeholder and inverts to 0
+        damped = factor + factor.dtype.type(gamma)
+        r = 1.0 / np.sqrt(damped, where=~(damped <= 0), out=np.full_like(damped, np.inf))
         return r * r
     if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
         raise ValueError(f"factor must be square, got {factor.shape}")

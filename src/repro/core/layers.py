@@ -150,11 +150,10 @@ class KFACLayer:
         a diagonal factor's identity basis has no ``eig_*_Q``."""
         entry: dict[str, np.ndarray] = {}
         if self.eig_A is not None and self.eig_G is not None:
-            if self.eig_A.Q is not None:
-                entry["eig_A_Q"] = self.eig_A.Q.copy()
-            entry["eig_A_lam"] = self.eig_A.lam.copy()
-            entry["eig_G_Q"] = self.eig_G.Q.copy()
-            entry["eig_G_lam"] = self.eig_G.lam.copy()
+            for kind, eig in (("A", self.eig_A), ("G", self.eig_G)):
+                if eig.Q is not None:
+                    entry[f"eig_{kind}_Q"] = eig.Q.copy()
+                entry[f"eig_{kind}_lam"] = eig.lam.copy()
         if self.inv_A is not None and self.inv_G is not None:
             entry["inv_A"] = self.inv_A.copy()
             entry["inv_G"] = self.inv_G.copy()

@@ -228,12 +228,11 @@ class ModelSpec:
         >>> spec.eig_payload_bytes(diag_blocks=4) < spec.eig_bytes
         True
         """
-        if diag_blocks > 1:
-            return itemsize * sum(
-                b[-1][1] if diag else block_eig_elements(b)
-                for diag, b in zip(self.factor_diagonal, self.block_bounds(diag_blocks))
-            )
-        return itemsize * sum(l.eig_elements for l in self.kfac_layers)
+        # one whole-factor block each at diag_blocks=1: d^2 + d
+        return itemsize * sum(
+            b[-1][1] if diag else block_eig_elements(b)
+            for diag, b in zip(self.factor_diagonal, self.block_bounds(diag_blocks))
+        )
 
     @property
     def grad_matrix_bytes(self) -> int:

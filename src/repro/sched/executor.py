@@ -51,15 +51,6 @@ from repro.obs.tracer import NULL_TRACER
 __all__ = ["GraphExecutor"]
 
 
-def _second_order_seconds(metas: Sequence[Any], eigen: bool) -> float:
-    """Simulated decomposition seconds: cubic per dense unit, linear per diagonal."""
-    return estimate_second_order_seconds(
-        [m.dim for m in metas if not m.diagonal],
-        eigen,
-        diagonal_dims=[m.dim for m in metas if m.diagonal],
-    )
-
-
 class GraphExecutor:
     """Execute one planned K-FAC update step over the comm protocol.
 
@@ -280,7 +271,7 @@ class GraphExecutor:
                     explicit_damped_inverse(factor, kfac.damping)
                 ]
             kfac.n_eigs_computed_locally += 1
-            seconds = _second_order_seconds([meta], eigen)
+            seconds = estimate_second_order_seconds([meta], eigen)
             self._pending_compute += seconds
             if self.tracer.enabled:
                 self.tracer.span(
@@ -312,15 +303,16 @@ class GraphExecutor:
                 layer.inv_A, layer.inv_G = layer.compute_inverses(kfac.damping)
             # local refresh succeeded: reset any drift-skip staleness the
             # layer's metas accrued (no share step will do it for us here)
-            layer_metas = [m for m in self._metas if m.layer == name]
-            kfac._clear_staleness(layer_metas)
+            kfac._clear_staleness([m for m in self._metas if m.layer == name])
             kfac.n_eigs_computed_locally += 2
             if self.tracer.enabled:
                 self.tracer.span(
                     f"Eig:{name}",
                     "task",
                     kfac.rank,
-                    _second_order_seconds(layer_metas, eigen),
+                    estimate_second_order_seconds(
+                        [m for m in kfac.factor_metas if m.layer == name], eigen
+                    ),
                     attrs={"layer": name},
                 )
 

@@ -51,6 +51,16 @@ class TestEstimate:
     def test_empty_is_zero(self):
         assert estimate_second_order_seconds([]) == 0.0
 
+    def test_metas_price_like_dims_and_diagonal_is_linear(self):
+        from repro.core.assignment import FactorMeta
+
+        dense = [FactorMeta("fc", "A", 64), FactorMeta("fc", "G", 16)]
+        assert estimate_second_order_seconds(dense) == estimate_second_order_seconds([64, 16])
+        emb = FactorMeta("tok_embed", "A", 1024, diagonal=True)
+        per_element = estimate_second_order_seconds([emb]) / 1024
+        assert estimate_second_order_seconds([emb, emb]) == 2 * 1024 * per_element
+        assert estimate_second_order_seconds([emb]) < estimate_second_order_seconds([16])
+
 
 class TestAsyncWorld:
     def test_async_allreduce_matches_sync_values(self, rng):

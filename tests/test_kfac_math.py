@@ -240,3 +240,11 @@ class TestPreconditioningPaths:
         m = np.zeros((3, 3))
         out = explicit_damped_inverse(m, 0.0)
         assert np.isfinite(out).all()
+
+    def test_singular_diagonal_factor_inverts_like_pinv(self):
+        """The 1-D branch has the dense path's fallback: an entry the
+        damping leaves at zero (an unseen token at gamma=0) inverts to 0."""
+        a = np.array([4.0, 0.0, 0.25])
+        out = explicit_damped_inverse(a, 0.0)
+        np.testing.assert_allclose(out, np.diag(explicit_damped_inverse(np.diag(a), 0.0)))
+        assert out.tolist() == [0.25, 0.0, 4.0]

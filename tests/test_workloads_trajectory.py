@@ -77,12 +77,15 @@ def run_transformer(
     driver: str = "phase",
     return_losses: bool = False,
     return_kfacs: bool = False,
+    gather: bool = False,
     **kfac_kw,
 ):
     """Train the tiny transformer data-parallel; return final weights.
 
     Mirrors ``test_grad_worker_frac.run_hybrid``: strided shards, a
     shared gradient allreduce, then the K-FAC driver under test.
+    ``gather`` also returns rank 0's portable bundle (hvd= under SPMD,
+    peers= under the phase driver).
     """
     kw = dict(damping=0.01, kfac_update_freq=2, fac_update_freq=1, lr=0.1)
     kw.update(kfac_kw)
@@ -95,7 +98,8 @@ def run_transformer(
         def program(view):
             model = build_tiny_transformer(seed)
             kfac = KFAC(model, rank=view.rank, world_size=world_size, **kw)
-            drv = SPMDDriver(kfac, HorovodContext(view))
+            hvd = HorovodContext(view)
+            drv = SPMDDriver(kfac, hvd)
             opt = SGD(model.parameters(), lr=0.1, momentum=0.9)
             loss_fn = MarginSoftmaxLoss()
             for _ in range(steps):
@@ -109,6 +113,8 @@ def run_transformer(
                     )
                 drv.step()
                 opt.step()
+            if gather:
+                return model.state_dict(), gather_state_dict(kfac, hvd=hvd)
             return model.state_dict()
 
         return world.run_spmd(program, timeout=60)[0]
@@ -138,6 +144,8 @@ def run_transformer(
             opts[r].step()
         losses.append(float(step_loss))
     state = models[0].state_dict()
+    if gather:
+        return state, gather_state_dict(kfacs[0], peers=kfacs)
     if return_kfacs:
         return state, kfacs
     if return_losses:
@@ -229,6 +237,22 @@ class TestBlockedEmbedding:
         spmd = run_transformer(2, driver="spmd", **kw)
         for name in phase:
             np.testing.assert_array_equal(phase[name], spmd[name])
+
+    @pytest.mark.parametrize("strategy,frac", [(HYBRID, 0.5), (LAYER_WISE, None)])
+    def test_spmd_gather_of_blocked_state_matches_peers_gather(self, strategy, frac):
+        """The allgather path ships a BlockFactorEig as its dense [Q, lam]
+        and the diagonal embedding factor as lam alone — the same bundle
+        the in-process peers= gather assembles."""
+        kw = dict(steps=3, diag_blocks=2, diag_warmup=1, strategy=strategy,
+                  grad_worker_frac=frac, gather=True)
+        _, by_peers = run_transformer(4, **kw)
+        _, by_hvd = run_transformer(4, driver="spmd", **kw)
+        assert "eig_A_Q" not in by_hvd["layers"]["tok_embed"]
+        assert by_hvd["layers"].keys() == by_peers["layers"].keys()
+        for name, entry in by_peers["layers"].items():
+            assert by_hvd["layers"][name].keys() == entry.keys(), name
+            for key, arr in entry.items():
+                np.testing.assert_array_equal(by_hvd["layers"][name][key], arr)
 
 
 ACCEPTANCE_KW = dict(
