@@ -11,7 +11,7 @@ verifies the workload-tier invariants on the live preconditioner:
    the ``(vocab,)`` vector it is — built from index counts, decomposed
    as the identity basis, never widened to ``(vocab, vocab)``;
 3. ``diag_blocks`` leaves that factor whole and blocks the widest
-   *dense* factor (``BlockFactorEig``) past the warmup;
+   *dense* factor (a blocked ``FactorEig``) past the warmup;
 4. no parameterized layer was silently skipped.
 
 Run:  python examples/transformer.py [--workers 2] [--steps 8]
@@ -24,7 +24,6 @@ import argparse
 
 import numpy as np
 
-from repro.approx.blockeig import BlockFactorEig
 from repro.experiments.transformer_exp import run_transformer_smoke
 from repro.obs.metrics import MetricsRegistry
 
@@ -88,7 +87,7 @@ def main() -> None:
     widest = max((m for m in kfac.factor_metas if not m.diagonal), key=lambda m: m.dim)
     layer = next(l for l in kfac.layers if l.name == widest.layer)
     eig = layer.eig_A if widest.kind == "A" else layer.eig_G
-    if isinstance(eig, BlockFactorEig):
+    if eig.blocked:
         widths = [hi - lo for lo, hi in eig.bounds]
         print(f"widest dense factor {widest.key} is blocked: widths {widths}")
 

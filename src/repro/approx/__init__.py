@@ -8,10 +8,12 @@ fixed refresh schedule with feedback:
 
 - :mod:`repro.approx.blocks` — the ``diag_blocks`` widest-layer-first
   block partition policy (pure index math, shared by preconditioner,
-  planner, perfmodel, and tests).
-- :mod:`repro.approx.blockeig` — per-block eigendecomposition and the
-  blocked Eq. 13–15 preconditioner (:class:`BlockFactorEig`), exact-path
-  bit-identical at one block.
+  planner, perfmodel, and tests).  The blocks themselves travel in the
+  core types: a block is a :class:`~repro.core.assignment.FactorMeta`
+  with block coordinates, and a blocked basis is a
+  :class:`~repro.core.inverse.FactorEig` with one basis per block, built
+  by ``eigendecompose(factor, bounds=...)`` and applied by
+  ``precondition_eigen``.
 - :mod:`repro.approx.adaptive` — :class:`DriftTrigger` (refresh when the
   factor EMA drifts from the decomposed snapshot, hard-capped by the
   ``max_eig_staleness`` budget) and :class:`AdaptiveDamping` (LM-style
@@ -23,11 +25,6 @@ hyperparameters; see ``docs/approximation.md``.
 """
 
 from repro.approx.adaptive import AdaptiveDamping, DriftTrigger
-from repro.approx.blockeig import (
-    BlockFactorEig,
-    block_eigendecompose,
-    precondition_block_eigen,
-)
 from repro.approx.blocks import (
     block_boundaries,
     block_eig_elements,
@@ -40,9 +37,6 @@ __all__ = [
     "widest_first_block_dim",
     "plan_block_bounds",
     "block_eig_elements",
-    "BlockFactorEig",
-    "block_eigendecompose",
-    "precondition_block_eigen",
     "DriftTrigger",
     "AdaptiveDamping",
 ]

@@ -43,12 +43,9 @@ from repro.comm.costmodel import (
 )
 from repro.comm.fusion import (
     FusionBuffer,
-    block_tri_len,
     tri_len,
     tri_pack,
-    tri_pack_blocks,
     tri_unpack,
-    tri_unpack_blocks,
 )
 from repro.comm.horovod import Average, DistributedOptimizer, HorovodContext, Sum
 
@@ -62,9 +59,6 @@ __all__ = [
     "tri_len",
     "tri_pack",
     "tri_unpack",
-    "block_tri_len",
-    "tri_pack_blocks",
-    "tri_unpack_blocks",
     "ring_allreduce",
     "ring_allgather",
     "ring_reduce_scatter",

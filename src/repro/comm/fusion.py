@@ -40,9 +40,6 @@ __all__ = [
     "tri_len",
     "tri_pack",
     "tri_unpack",
-    "block_tri_len",
-    "tri_pack_blocks",
-    "tri_unpack_blocks",
 ]
 
 #: cached packed-row offsets, keyed by side length: row ``i`` of the upper
@@ -129,88 +126,6 @@ def tri_unpack(flat: np.ndarray, d: int, out: np.ndarray | None = None) -> np.nd
     for i in range(d):
         out[i, i:] = flat[offs[i] : offs[i + 1]]
     return mirror_upper(out)
-
-
-def block_tri_len(bounds) -> int:
-    """Packed length of a block-diagonal symmetric payload.
-
-    Sum of the per-block upper triangles — what a blocked factor
-    allreduce actually ships instead of the full ``tri_len(d)`` triangle
-    (see :mod:`repro.approx.blocks` for the partition policy).
-
-    Example
-    -------
-    >>> from repro.comm.fusion import block_tri_len, tri_len
-    >>> block_tri_len(((0, 4),)) == tri_len(4)
-    True
-    >>> block_tri_len(((0, 2), (2, 4)))      # 2 * tri_len(2)
-    6
-    """
-    return sum(tri_len(hi - lo) for lo, hi in bounds)
-
-
-def tri_pack_blocks(mat: np.ndarray, bounds) -> np.ndarray:
-    """Pack the upper triangles of ``mat``'s diagonal blocks, concatenated.
-
-    Row-major per block, blocks in ``bounds`` order.  With a single
-    block covering the whole matrix this is exactly :func:`tri_pack`.
-
-    Example
-    -------
-    >>> import numpy as np
-    >>> from repro.comm.fusion import tri_pack_blocks
-    >>> m = np.arange(16.0).reshape(4, 4)
-    >>> tri_pack_blocks(m, ((0, 2), (2, 4))).tolist()
-    [0.0, 1.0, 5.0, 10.0, 11.0, 15.0]
-    """
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"tri_pack_blocks expects a square matrix, got {mat.shape}")
-    out = np.empty(block_tri_len(bounds), dtype=mat.dtype)
-    pos = 0
-    for lo, hi in bounds:
-        n = tri_len(hi - lo)
-        tri_pack(np.ascontiguousarray(mat[lo:hi, lo:hi]), out=out[pos : pos + n])
-        pos += n
-    return out
-
-
-def tri_unpack_blocks(
-    flat: np.ndarray, bounds, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Scatter packed block triangles back into a matrix's diagonal blocks.
-
-    When ``out`` is given, only the diagonal-block regions are written —
-    off-block entries keep their existing values (the blocked factor
-    exchange leaves them local).  Without ``out`` the off-block entries
-    are zero, i.e. the block-diagonal approximation itself.
-
-    Example
-    -------
-    >>> import numpy as np
-    >>> from repro.comm.fusion import tri_pack_blocks, tri_unpack_blocks
-    >>> m = np.arange(16.0).reshape(4, 4); m = (m + m.T) / 2
-    >>> bounds = ((0, 2), (2, 4))
-    >>> back = tri_unpack_blocks(tri_pack_blocks(m, bounds), bounds, out=m.copy())
-    >>> bool(np.array_equal(back, m))
-    True
-    """
-    if flat.shape != (block_tri_len(bounds),):
-        raise ValueError(
-            f"packed block payload must have {block_tri_len(bounds)} elements, "
-            f"got shape {flat.shape}"
-        )
-    d = bounds[-1][1]
-    if out is None:
-        out = np.zeros((d, d), dtype=flat.dtype)
-    elif out.shape != (d, d):
-        raise ValueError(f"tri_unpack_blocks out must be ({d}, {d}), got {out.shape}")
-    pos = 0
-    for lo, hi in bounds:
-        db = hi - lo
-        n = tri_len(db)
-        out[lo:hi, lo:hi] = tri_unpack(flat[pos : pos + n].astype(out.dtype, copy=False), db)
-        pos += n
-    return out
 
 
 class FusionBuffer:

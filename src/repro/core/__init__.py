@@ -21,10 +21,9 @@ Layout:
 """
 
 from repro.core.assignment import (
-    BlockMeta,
     FactorMeta,
     GroupPlacement,
-    plan_block_metas,
+    plan_units,
     build_group_placement,
     grad_worker_count,
     grad_worker_groups,
@@ -69,8 +68,7 @@ __all__ = [
     "SPMDDriver",
     "KFACParamScheduler",
     "FactorMeta",
-    "BlockMeta",
-    "plan_block_metas",
+    "plan_units",
     "round_robin_assignment",
     "greedy_balanced_assignment",
     "GroupPlacement",

@@ -34,8 +34,8 @@ from repro.comm.fusion import tri_len
 
 __all__ = [
     "FactorMeta",
-    "BlockMeta",
-    "plan_block_metas",
+    "FactorUnits",
+    "plan_units",
     "factor_block",
     "wire_elements",
     "second_order_shapes",
@@ -53,11 +53,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FactorMeta:
-    """Identity, size and structure of one Kronecker factor.
+    """Identity, size and structure of one Kronecker factor, or of one
+    diagonal block of it.
 
     ``diagonal`` (declared by the layer handler's ``diagonal_A``) marks a
     factor held as its ``(dim,)`` diagonal: every consumer reads it from
-    here instead of assuming a dense square.
+    here instead of assuming a dense square.  ``block`` marks one diagonal
+    block of a dense factor (``diag_blocks > 1``, see
+    :func:`repro.approx.blocks.plan_block_bounds`): the block's index in
+    its factor, occupying rows/cols ``[lo, hi)``, with ``dim = hi - lo``.
+    Placement, wire and eig cost read only these fields, so a block is
+    scheduled, shipped and balanced like a factor.
 
     Example
     -------
@@ -67,120 +73,53 @@ class FactorMeta:
     ('conv1/A', 729)
     >>> FactorMeta("tok_embed", "A", 1024, diagonal=True).n_elements
     1024
+    >>> blk = FactorMeta("conv1", "A", 14, block=1, lo=14)
+    >>> blk.key, blk.hi, blk.factor_key
+    ('conv1/A#1', 28, 'conv1/A')
     """
 
     layer: str  # owning layer name
     kind: str  # "A" or "G"
-    dim: int  # square matrix dimension
+    dim: int  # square matrix (or block) dimension
     diagonal: bool = False  # exactly diagonal: held as its (dim,) diagonal
+    block: int | None = None  # index of this diagonal block; None: whole factor
+    lo: int = 0  # first row/col of the block in its factor
+
+    @property
+    def hi(self) -> int:
+        """One past the last row/col this meta covers in its factor."""
+        return self.lo + self.dim
+
+    @property
+    def factor_key(self) -> str:
+        """Key of the whole factor this meta belongs to."""
+        return f"{self.layer}/{self.kind}"
 
     @property
     def key(self) -> str:
-        return f"{self.layer}/{self.kind}"
+        key = f"{self.layer}/{self.kind}"
+        return key if self.block is None else f"{key}#{self.block}"
 
     @property
     def n_elements(self) -> int:
         return self.dim if self.diagonal else self.dim * self.dim
 
 
-@dataclass(frozen=True)
-class BlockMeta:
-    """Identity and size of one diagonal block of a Kronecker factor.
-
-    When ``diag_blocks > 1`` the unit of assignment, scheduling, and
-    communication becomes the *block*, not the factor: every placement
-    policy in this module works on either (they only read ``key`` and
-    ``dim``), so finer blocks directly improve LPT balance.  ``dim`` is
-    the block edge; ``(lo, hi)`` is the half-open row/col range the block
-    occupies in its parent factor (see
-    :func:`repro.approx.blocks.plan_block_bounds` for the partition
-    policy).
-
-    Example
-    -------
-    >>> from repro.core.assignment import BlockMeta
-    >>> blk = BlockMeta(layer="conv1", kind="A", dim=14, block=1, lo=14, hi=28)
-    >>> blk.key, blk.n_elements, blk.parent_key
-    ('conv1/A#1', 196, 'conv1/A')
-    """
-
-    layer: str  # owning layer name
-    kind: str  # "A" or "G"
-    dim: int  # block edge (hi - lo)
-    block: int  # block index within the parent factor
-    lo: int  # first row/col of the block in the parent factor
-    hi: int  # one past the last row/col
-    diagonal = False  # only dense factors are split (not a field)
-
-    @property
-    def key(self) -> str:
-        return f"{self.layer}/{self.kind}#{self.block}"
-
-    @property
-    def parent_key(self) -> str:
-        return f"{self.layer}/{self.kind}"
-
-    @property
-    def n_elements(self) -> int:
-        return self.dim * self.dim
-
-
-def plan_block_metas(
-    factors: Sequence[FactorMeta],
-    bounds_list: Sequence[Sequence[tuple[int, int]]],
-) -> "list[BlockMeta | FactorMeta]":
-    """Expand factor metas into per-block metas, factor order preserved.
-
-    Blocks of one factor are consecutive, so wire payload order stays
-    deterministic across ranks.  A diagonal factor passes through as
-    itself (every block partition of it is the factor): one exact unit.
-
-    Example
-    -------
-    >>> from repro.core.assignment import FactorMeta, plan_block_metas
-    >>> metas = plan_block_metas([FactorMeta("l0", "A", 4)], [((0, 2), (2, 4))])
-    >>> [(m.key, m.dim, m.lo, m.hi) for m in metas]
-    [('l0/A#0', 2, 0, 2), ('l0/A#1', 2, 2, 4)]
-    """
-    if len(factors) != len(bounds_list):
-        raise ValueError(
-            f"{len(factors)} factors but {len(bounds_list)} bound sets"
-        )
-    out: list[BlockMeta] = []
-    for meta, bounds in zip(factors, bounds_list):
-        if bounds[-1][1] != meta.dim:
-            raise ValueError(
-                f"{meta.key}: bounds cover {bounds[-1][1]} of {meta.dim} rows"
-            )
-        if meta.diagonal:
-            out.append(meta)
-            continue
-        for j, (lo, hi) in enumerate(bounds):
-            out.append(
-                BlockMeta(
-                    layer=meta.layer, kind=meta.kind, dim=hi - lo, block=j, lo=lo, hi=hi
-                )
-            )
-    return out
-
-
-def factor_block(factor: Any, meta: "FactorMeta | BlockMeta") -> Any:
+def factor_block(factor: Any, meta: FactorMeta) -> Any:
     """What ``meta`` covers of ``factor``: a block's view, else all of it."""
-    if isinstance(meta, BlockMeta):
-        return factor[meta.lo : meta.hi, meta.lo : meta.hi]
-    return factor
+    if meta.block is None:
+        return factor
+    return factor[meta.lo : meta.hi, meta.lo : meta.hi]
 
 
-def wire_elements(meta: "FactorMeta | BlockMeta", symmetric: bool) -> int:
+def wire_elements(meta: FactorMeta, symmetric: bool) -> int:
     """Elements one factor (or block) puts on the factor-allreduce wire."""
     if symmetric and not meta.diagonal:
         return tri_len(meta.dim)
     return meta.n_elements
 
 
-def second_order_shapes(
-    meta: "FactorMeta | BlockMeta", eigen: bool
-) -> tuple[tuple[int, ...], ...]:
+def second_order_shapes(meta: FactorMeta, eigen: bool) -> tuple[tuple[int, ...], ...]:
     """Array shapes of one unit's second-order payload, in transport order.
 
     ``(Q, lam)`` on the eigen path, the damped inverse otherwise; a
@@ -425,3 +364,94 @@ def build_group_placement(
         groups=groups,
         assignment=assignment,
     )
+
+
+# ----------------------------------------------------------------------
+# one granularity's units: metas + assignment + group buckets
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class FactorUnits:
+    """The comm/eig units of one granularity and where they are placed.
+
+    Attributes
+    ----------
+    metas:
+        The units in communication order: whole factors, or — under a
+        block partition — each dense factor's blocks, consecutively.
+    assignment:
+        unit key -> the rank that decomposes it.
+    placement:
+        The gradient-worker placement (``HYBRID`` only, else None).
+    groups:
+        ``HYBRID`` only: per gradient-worker group, its ranks and the
+        indices of its units in ``metas``.
+    bounds:
+        factor key -> block partition, for every factor split into blocks.
+    """
+
+    metas: tuple[FactorMeta, ...]
+    assignment: dict[str, int]
+    placement: GroupPlacement | None = None
+    groups: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
+    bounds: dict[str, tuple[tuple[int, int], ...]] = field(default_factory=dict)
+
+
+def plan_units(
+    factors: Sequence[FactorMeta],
+    n_workers: int = 1,
+    policy: str = "round_robin",
+    frac: float | None = None,
+    bounds: Sequence[Sequence[tuple[int, int]]] | None = None,
+) -> FactorUnits:
+    """Split ``factors`` into units and place them — every granularity.
+
+    ``bounds`` (one partition per factor, from
+    :func:`repro.approx.blocks.plan_block_bounds`) splits each dense
+    factor into its diagonal blocks; blocks of one factor stay
+    consecutive, so wire payload order is deterministic across ranks.  A
+    diagonal factor stays whole (every block partition of it is the
+    factor).  The units are then placed by ``policy`` over ``n_workers``
+    ranks, inside the gradient-worker groups of ``frac`` when it is set.
+
+    Example
+    -------
+    >>> from repro.core.assignment import FactorMeta, plan_units
+    >>> units = plan_units([FactorMeta("l0", "A", 4)], 2, bounds=[((0, 2), (2, 4))])
+    >>> [(m.key, m.dim, m.lo, m.hi) for m in units.metas]
+    [('l0/A#0', 2, 0, 2), ('l0/A#1', 2, 2, 4)]
+    >>> units.assignment, units.bounds
+    ({'l0/A#0': 0, 'l0/A#1': 1}, {'l0/A': ((0, 2), (2, 4))})
+    >>> plan_units([FactorMeta("l0", "A", 4)], 2, frac=1.0).groups
+    (((0, 1), (0,)),)
+    """
+    metas: list[FactorMeta] = list(factors)
+    split: dict[str, tuple[tuple[int, int], ...]] = {}
+    if bounds is not None:
+        if len(factors) != len(bounds):
+            raise ValueError(f"{len(factors)} factors but {len(bounds)} bound sets")
+        metas = []
+        for meta, b in zip(factors, bounds):
+            if b[-1][1] != meta.dim:
+                raise ValueError(f"{meta.key}: bounds cover {b[-1][1]} of {meta.dim} rows")
+            if meta.diagonal:
+                metas.append(meta)
+                continue
+            split[meta.key] = tuple(b)
+            metas.extend(
+                FactorMeta(meta.layer, meta.kind, hi - lo, block=j, lo=lo)
+                for j, (lo, hi) in enumerate(b)
+            )
+    placement = None
+    groups: tuple = ()
+    if frac is not None:
+        placement = build_group_placement(metas, n_workers, frac, policy=policy)
+        assignment = placement.assignment
+        grouped: dict[tuple[int, ...], list[int]] = {}
+        for i, meta in enumerate(metas):
+            grouped.setdefault(placement.groups[meta.layer], []).append(i)
+        groups = tuple((grp, tuple(idxs)) for grp, idxs in grouped.items())
+    elif policy == "greedy":
+        assignment = greedy_balanced_assignment(metas, n_workers)
+    else:
+        assignment = round_robin_assignment(metas, n_workers)
+    return FactorUnits(tuple(metas), assignment, placement, groups, split)

@@ -69,8 +69,8 @@ class KFACLayer:
         self.g_output: np.ndarray | None = None
         self.A: np.ndarray | None = None  # running-average activation factor
         self.G: np.ndarray | None = None  # running-average grad factor
-        self.eig_A: FactorEig | BlockFactorEig | None = None
-        self.eig_G: FactorEig | BlockFactorEig | None = None
+        self.eig_A: FactorEig | None = None
+        self.eig_G: FactorEig | None = None
         self.inv_A: np.ndarray | None = None
         self.inv_G: np.ndarray | None = None
         # per-block eigenbases staged by the distributed install path until
@@ -133,11 +133,16 @@ class KFACLayer:
         self.g_output = None
 
     # -- second-order state -------------------------------------------------
-    def compute_eigen(self) -> tuple[FactorEig, FactorEig]:
-        """Eigendecompose both running-average factors (Eq. 13 inputs)."""
+    def compute_eigen(
+        self,
+        bounds_A: tuple[tuple[int, int], ...] | None = None,
+        bounds_G: tuple[tuple[int, int], ...] | None = None,
+    ) -> tuple[FactorEig, FactorEig]:
+        """Eigendecompose both running-average factors (Eq. 13 inputs);
+        a factor given a block partition gets a blocked basis."""
         if self.A is None or self.G is None:
             raise RuntimeError(f"layer {self.name}: factors not yet computed")
-        return eigendecompose(self.A), eigendecompose(self.G)
+        return eigendecompose(self.A, bounds=bounds_A), eigendecompose(self.G, bounds=bounds_G)
 
     def compute_inverses(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
         """Explicit damped inverses of both factors (Eq. 11)."""
@@ -147,13 +152,15 @@ class KFACLayer:
 
     def second_order_entry(self) -> dict[str, np.ndarray]:
         """Checkpoint keys (copies) of whatever second-order state exists;
-        a diagonal factor's identity basis has no ``eig_*_Q``."""
+        a diagonal factor's identity basis has no ``eig_*_Q``, a blocked
+        basis stores its dense block-diagonal assembly."""
         entry: dict[str, np.ndarray] = {}
         if self.eig_A is not None and self.eig_G is not None:
             for kind, eig in (("A", self.eig_A), ("G", self.eig_G)):
-                if eig.Q is not None:
-                    entry[f"eig_{kind}_Q"] = eig.Q.copy()
-                entry[f"eig_{kind}_lam"] = eig.lam.copy()
+                *q, lam = eig.arrays()
+                if q:
+                    entry[f"eig_{kind}_Q"] = q[0].copy()
+                entry[f"eig_{kind}_lam"] = lam.copy()
         if self.inv_A is not None and self.inv_G is not None:
             entry["inv_A"] = self.inv_A.copy()
             entry["inv_G"] = self.inv_G.copy()
@@ -198,15 +205,10 @@ class KFACLayer:
 
         Blocks of one factor may arrive in any order (they are assigned to
         different workers and shipped in different buckets); the factor's
-        ``eig_A``/``eig_G`` flips to the new :class:`BlockFactorEig`
+        ``eig_A``/``eig_G`` flips to the new blocked :class:`FactorEig`
         atomically once the last block lands, so preconditioning never
         sees a half-refreshed basis.
         """
-        # imported lazily: repro.approx.blockeig itself imports
-        # repro.core.inverse, and a module-level import here would close
-        # that loop when repro.approx is the first package loaded
-        from repro.approx.blockeig import BlockFactorEig
-
         if not 0 <= block < len(bounds):
             raise ValueError(
                 f"layer {self.name}: block {block} out of range for "
@@ -215,9 +217,7 @@ class KFACLayer:
         parts = self._pending_block_eig.setdefault(kind, {})
         parts[block] = eig
         if len(parts) == len(bounds):
-            assembled = BlockFactorEig(
-                blocks=tuple(parts[j] for j in range(len(bounds))), bounds=tuple(bounds)
-            )
+            assembled = FactorEig.from_blocks([parts[j] for j in range(len(bounds))], bounds)
             if kind == "A":
                 self.eig_A = assembled
             else:
@@ -226,15 +226,9 @@ class KFACLayer:
 
     def precondition(self, grad_mat: np.ndarray, gamma: float, use_eigen: bool) -> np.ndarray:
         """Apply the current second-order state to a packed gradient."""
-        from repro.approx.blockeig import BlockFactorEig, precondition_block_eigen
-
         if use_eigen:
             if self.eig_A is None or self.eig_G is None:
                 raise RuntimeError(f"layer {self.name}: eigendecompositions not ready")
-            if isinstance(self.eig_A, BlockFactorEig) or isinstance(
-                self.eig_G, BlockFactorEig
-            ):
-                return precondition_block_eigen(grad_mat, self.eig_A, self.eig_G, gamma)
             return precondition_eigen(grad_mat, self.eig_A, self.eig_G, gamma)
         if self.inv_A is None or self.inv_G is None:
             raise RuntimeError(f"layer {self.name}: inverses not ready")

@@ -50,15 +50,12 @@ from repro.approx.blocks import plan_block_bounds
 from repro.comm.compression import ErrorFeedback, get_codec
 from repro.comm.faults import StaleEigenbasisError
 from repro.core.assignment import (
-    BlockMeta,
     FactorMeta,
+    FactorUnits,
     GroupPlacement,
-    build_group_placement,
     factor_block,
-    greedy_balanced_assignment,
     layer_wise_assignment,
-    plan_block_metas,
-    round_robin_assignment,
+    plan_units,
     second_order_shapes,
     wire_elements,
 )
@@ -300,6 +297,22 @@ def _diagonal_A_entry(name: str, entry: dict) -> dict:
     return out
 
 
+def _restored_eig(
+    q: np.ndarray | None, lam: np.ndarray, bounds: tuple[tuple[int, int], ...] | None
+) -> FactorEig:
+    """A checkpointed basis (copied): blocked again under ``bounds`` when
+    ``q`` is exactly block-diagonal there — the dense form a blocked basis
+    checkpoints as — else as stored."""
+    if q is not None and bounds is not None:
+        off_block = q.copy()
+        for lo, hi in bounds:
+            off_block[lo:hi, lo:hi] = 0
+        if not off_block.any():
+            blocks = tuple(q[lo:hi, lo:hi].copy() for lo, hi in bounds)
+            return FactorEig(None, lam.copy(), blocks, bounds)
+    return FactorEig(None if q is None else q.copy(), lam.copy())
+
+
 class KFAC:
     """K-FAC preconditioner for one model replica.
 
@@ -420,71 +433,29 @@ class KFAC:
             )
 
         self._factor_metas = self._build_factor_metas()
-        self._factor_assignment: dict[str, int] = self._assign_factors()
         self._layer_assignment: dict[str, int] = layer_wise_assignment(
             [l.name for l in self.layers], world_size
         )
-        #: gradient-worker placement (HYBRID strategy only): per-layer
-        #: groups, broadcast roots, and the within-group factor assignment
-        self._placement: GroupPlacement | None = None
-        self._group_metas: list[tuple[tuple[int, ...], list[FactorMeta]]] = []
-        self._bcast_plan: list[tuple[int, list[KFACLayer], tuple[int, ...]]] = []
-        if base.strategy == HYBRID:
-            assert base.grad_worker_frac is not None
-            self._placement = build_group_placement(
-                self._factor_metas,
-                world_size,
-                base.grad_worker_frac,
-                policy=base.assignment,
-            )
-            self._factor_assignment = dict(self._placement.assignment)
-            # the placement is immutable, so the per-step structures —
-            # factor metas bucketed by group, and the fused (root,
-            # participants) broadcast plan — are built once here
-            self._group_metas = self._build_group_metas()
-            self._bcast_plan = self._build_broadcast_plan()
-        # block-diagonal approximation (repro.approx): past diag_warmup
-        # second-order updates the unit of assignment, scheduling, and
-        # communication becomes the diagonal *block*; these mirror the
-        # factor-level structures above and are built once, here
-        self._block_bounds: dict[str, tuple[tuple[int, int], ...]] = {}
-        self._block_metas: list[BlockMeta | FactorMeta] = []
-        self._block_assignment: dict[str, int] = {}
-        self._group_block_metas: list[tuple[tuple[int, ...], list[BlockMeta]]] = []
+        # the comm/eig units of each approximation phase, built once: whole
+        # factors, then — past diag_warmup second-order updates of a
+        # diag_blocks > 1 run — their diagonal blocks (blocks_active)
+        placed = (self._factor_metas, world_size, base.assignment, base.grad_worker_frac)
+        self._units: list[FactorUnits] = [plan_units(*placed)]
         if base.diag_blocks > 1:
-            bounds_list = plan_block_bounds(
+            bounds = plan_block_bounds(
                 [m.dim for m in self._factor_metas],
                 base.diag_blocks,
                 [m.diagonal for m in self._factor_metas],
             )
-            self._block_bounds = {
-                m.key: tuple(b) for m, b in zip(self._factor_metas, bounds_list)
-            }
-            self._block_metas = plan_block_metas(self._factor_metas, bounds_list)
-            if base.strategy == HYBRID:
-                assert self._placement is not None
-                # same layer->group map as the factor-level placement (groups
-                # depend only on the layer list); only the within-group owner
-                # of each *block* is re-balanced
-                block_placement = build_group_placement(
-                    self._block_metas,
-                    world_size,
-                    base.grad_worker_frac,
-                    policy=base.assignment,
-                )
-                self._block_assignment = dict(block_placement.assignment)
-                grouped: dict[tuple[int, ...], list[BlockMeta]] = {}
-                for bm in self._block_metas:
-                    grouped.setdefault(self._placement.groups[bm.layer], []).append(bm)
-                self._group_block_metas = list(grouped.items())
-            elif base.assignment == "greedy":
-                self._block_assignment = greedy_balanced_assignment(
-                    self._block_metas, world_size
-                )
-            else:
-                self._block_assignment = round_robin_assignment(
-                    self._block_metas, world_size
-                )
+            self._units.append(plan_units(*placed, bounds))
+        #: gradient-worker placement (HYBRID strategy only): per-layer
+        #: groups, broadcast roots, and the within-group factor assignment
+        self._placement: GroupPlacement | None = self._units[0].placement
+        # the placement is immutable, so the fused (root, participants)
+        # broadcast plan is built once here
+        self._bcast_plan: list[tuple[int, list[KFACLayer], tuple[int, ...]]] = (
+            self._build_broadcast_plan() if self._placement is not None else []
+        )
         # staleness-tolerant eigenbases: drift-triggered refresh state
         self._drift_trigger: DriftTrigger | None = (
             DriftTrigger(base.drift_tol, base.max_eig_staleness)
@@ -561,20 +532,10 @@ class KFAC:
             metas.append(FactorMeta(layer.name, "G", layer.g_dim))
         return metas
 
-    def _assign_factors(self) -> dict[str, int]:
-        if self.hp.assignment == "greedy":
-            return greedy_balanced_assignment(self._factor_metas, self.world_size)
-        return round_robin_assignment(self._factor_metas, self.world_size)
-
     @property
     def factor_metas(self) -> list[FactorMeta]:
         """All factor identities, in communication order (A's then G's)."""
         return list(self._factor_metas)
-
-    @property
-    def factor_assignment(self) -> dict[str, int]:
-        """factor key -> owning worker."""
-        return dict(self._factor_assignment)
 
     @property
     def blocks_active(self) -> bool:
@@ -589,13 +550,10 @@ class KFAC:
             and self.n_second_order_updates >= self.hp.diag_warmup
         )
 
-    def comm_metas(self, blocked: bool) -> "list[FactorMeta] | list[BlockMeta]":
-        """The step's comm/eig units: block metas when ``blocked``."""
-        return self._block_metas if blocked else self._factor_metas
-
-    def comm_assignment(self, blocked: bool) -> dict[str, int]:
-        """meta key -> owning worker, for the step's comm units."""
-        return self._block_assignment if blocked else self._factor_assignment
+    @property
+    def units(self) -> FactorUnits:
+        """The comm/eig units of the current phase: blocks once active."""
+        return self._units[-1] if self.blocks_active else self._units[0]
 
     @property
     def grad_worker_placement(self) -> GroupPlacement | None:
@@ -736,7 +694,7 @@ class KFAC:
             return self.steps % self.kfac_update_freq == 0
         if not update_factors:
             return False
-        metas = self.comm_metas(self.blocks_active)
+        metas = self.units.metas
         max_drift = 0.0
         worst_staleness = 0
         has_basis = True
@@ -780,7 +738,7 @@ class KFAC:
         if self._drift_trigger is None:
             return
         self._basis_snapshot.clear()
-        for meta in self.comm_metas(self.blocks_active):
+        for meta in self.units.metas:
             factor = self._factor(meta)
             if factor is None:  # pragma: no cover - refresh implies factors
                 continue
@@ -803,12 +761,11 @@ class KFAC:
         """
         from repro.sched.planner import build_step_plan
 
-        blocked = self.blocks_active
-        key = (bool(update_factors), bool(update_second_order), blocked)
+        key = (bool(update_factors), bool(update_second_order), self.blocks_active)
         plan = self._plans.get(key)
         if plan is not None:
             return plan
-        comm_metas = self.comm_metas(blocked)
+        units = self.units
         pipelined = (
             self.hp.scheduler == "graph"
             and self.world_size > 1
@@ -818,47 +775,36 @@ class KFAC:
         )
         wire: list[int] | None = None
         if update_factors and self.world_size > 1:
-            # per-unit wire bytes (block metas past warmup — only the block
-            # triangles ship): triangular packing and compressed transport
-            # shrink the payloads the partition actually sees
+            # per-unit wire bytes (only the block triangles ship once
+            # blocks are active): triangular packing and compressed
+            # transport shrink the payloads the partition actually sees
             codec = get_codec(self.hp.comm_dtype)
             wire = []
-            for meta in comm_metas:
+            for meta in units.metas:
                 factor = self._factor(meta)
                 assert factor is not None, "plan built before factor update"
                 itemsize = codec.itemsize if codec is not None else factor.dtype.itemsize
                 wire.append(wire_elements(meta, self.hp.symmetric_comm) * itemsize)
-        groups: tuple = ()
-        bcast_entries: tuple = ()
-        if self.hp.strategy == HYBRID:
-            index = {m.key: i for i, m in enumerate(comm_metas)}
-            group_metas = self._group_block_metas if blocked else self._group_metas
-            groups = tuple(
-                (grp, [index[m.key] for m in metas]) for grp, metas in group_metas
-            )
-            bcast_entries = tuple(
-                (root, [l.name for l in layers_r])
-                for root, layers_r, _ in self._bcast_plan
-            )
+        bcast_entries = tuple(
+            (root, [l.name for l in layers_r]) for root, layers_r, _ in self._bcast_plan
+        )
         plan = build_step_plan(
             strategy=self.hp.strategy,
             world_size=self.world_size,
-            factor_metas=comm_metas,
+            units=units,
             layer_names=[l.name for l in self.layers],
-            groups=groups,
             bcast_entries=bcast_entries,
             wire_nbytes_list=wire,
             bucket_bytes=self.hp.bucket_bytes,
             update_factors=update_factors,
             update_second_order=update_second_order,
             pipelined=pipelined,
-            blocked=blocked,
         )
         self._plans[key] = plan
         return plan
 
     def _compress_factor_tensors(
-        self, tensors: list[np.ndarray], metas: "Sequence[FactorMeta | BlockMeta]"
+        self, tensors: list[np.ndarray], metas: Sequence[FactorMeta]
     ) -> list[np.ndarray]:
         """Quantize factor payloads for compressed transport, with EF.
 
@@ -873,7 +819,7 @@ class KFAC:
         return [self._comm_ef.apply(meta.key, t) for meta, t in zip(metas, tensors)]
 
     def _install_second_order(
-        self, flat: np.ndarray, metas: "Sequence[FactorMeta | BlockMeta]"
+        self, flat: np.ndarray, metas: Sequence[FactorMeta]
     ) -> None:
         """Unpack one owner's packed second-order payloads and install them."""
         shapes = [second_order_shapes(m, self.hp.use_eigen_decomp) for m in metas]
@@ -882,21 +828,21 @@ class KFAC:
             self._install_factor_state(meta, [next(arrays) for _ in per_meta])
 
     def _install_factor_state(
-        self, meta: "FactorMeta | BlockMeta", arrays: Sequence[np.ndarray]
+        self, meta: FactorMeta, arrays: Sequence[np.ndarray]
     ) -> None:
         """Install one factor's (or factor block's) payload into its layer.
 
-        Block payloads are *staged*: the layer assembles a
-        :class:`repro.approx.blockeig.BlockFactorEig` only once every
-        block of the factor has arrived, so a half-shipped refresh never
+        Block payloads are *staged*: the layer assembles the blocked
+        :class:`~repro.core.inverse.FactorEig` only once every block of
+        the factor has arrived, so a half-shipped refresh never
         preconditions.
         """
         layer = self._layer_by_name(meta.layer)
         if self.hp.use_eigen_decomp:
             eig = FactorEig(Q=None if meta.diagonal else arrays[0], lam=arrays[-1])
-            if isinstance(meta, BlockMeta):
+            if meta.block is not None:
                 layer.install_block_eig(
-                    meta.kind, meta.block, eig, self._block_bounds[meta.parent_key]
+                    meta.kind, meta.block, eig, self._units[-1].bounds[meta.factor_key]
                 )
             elif meta.kind == "A":
                 layer.eig_A = eig
@@ -907,14 +853,6 @@ class KFAC:
                 layer.inv_A = arrays[0]
             else:
                 layer.inv_G = arrays[0]
-
-    def _build_group_metas(self) -> list[tuple[tuple[int, ...], list[FactorMeta]]]:
-        """Factor metas bucketed by gradient-worker group (stable order)."""
-        assert self._placement is not None
-        grouped: dict[tuple[int, ...], list[FactorMeta]] = {}
-        for meta in self._factor_metas:
-            grouped.setdefault(self._placement.groups[meta.layer], []).append(meta)
-        return list(grouped.items())
 
     def _build_broadcast_plan(self) -> list[tuple[int, list[KFACLayer], tuple[int, ...]]]:
         """Fuse per-layer grad broadcasts by (root, participant set).
@@ -942,7 +880,7 @@ class KFAC:
         except KeyError:
             raise KeyError(f"no K-FAC layer named {name!r}") from None
 
-    def _factor(self, meta: "FactorMeta | BlockMeta") -> np.ndarray | None:
+    def _factor(self, meta: FactorMeta) -> np.ndarray | None:
         """The whole running-average factor ``meta`` belongs to."""
         layer = self._layers_by_name[meta.layer]
         return layer.A if meta.kind == "A" else layer.G
@@ -968,8 +906,9 @@ class KFAC:
             "symmetric_comm": self.hp.symmetric_comm,
             "comm_dtype": self.hp.comm_dtype,
             # informational (not a naive-resume match key): blocked bases
-            # checkpoint as their dense block-diagonal assembly and any
-            # diag_blocks run can resume them — the next refresh re-blocks
+            # checkpoint as their dense block-diagonal assembly, which any
+            # diag_blocks run can resume (load re-blocks it when it is
+            # exactly block-diagonal under the loading run's partition)
             "diag_blocks": self.hp.diag_blocks,
         }
 
@@ -999,6 +938,7 @@ class KFAC:
             "damping": self.damping,
             "fac_update_freq": self.fac_update_freq,
             "kfac_update_freq": self.kfac_update_freq,
+            "n_second_order_updates": self.n_second_order_updates,
             "layers": layers,
             "placement": self.placement_metadata(),
             "portable": False,
@@ -1069,6 +1009,13 @@ class KFAC:
         self.damping = float(state["damping"])
         self.fac_update_freq = int(state["fac_update_freq"])
         self.kfac_update_freq = int(state["kfac_update_freq"])
+        # sets the diag_warmup phase; older checkpoints lack it
+        self.n_second_order_updates = int(
+            state.get("n_second_order_updates", self.n_second_order_updates)
+        )
+        # the saved bases are blocked iff their refresh ran past the warmup
+        past_warmup = self.n_second_order_updates > self.hp.diag_warmup
+        bounds = self._units[-1].bounds if past_warmup else {}
         for name, entry in state["layers"].items():
             if name not in by_name:
                 continue  # tolerated under strict=False
@@ -1083,9 +1030,11 @@ class KFAC:
             if portable and not self.is_grad_worker(name):
                 continue
             if "eig_A_lam" in entry:
-                q_A = None if layer.diagonal_A else entry["eig_A_Q"].copy()
-                layer.eig_A = FactorEig(q_A, entry["eig_A_lam"].copy())
-                layer.eig_G = FactorEig(entry["eig_G_Q"].copy(), entry["eig_G_lam"].copy())
+                q_A = None if layer.diagonal_A else entry["eig_A_Q"]
+                layer.eig_A = _restored_eig(q_A, entry["eig_A_lam"], bounds.get(f"{name}/A"))
+                layer.eig_G = _restored_eig(
+                    entry["eig_G_Q"], entry["eig_G_lam"], bounds.get(f"{name}/G")
+                )
             if "inv_A" in entry:
                 layer.inv_A = entry["inv_A"].copy()
                 layer.inv_G = entry["inv_G"].copy()

@@ -183,7 +183,7 @@ def _factor_owner(kfac: Any, meta: Any) -> int:
     """The rank that computed (and therefore holds) a factor's shard."""
     if kfac.hp.strategy == LAYER_WISE:
         return kfac._layer_assignment[meta.layer]
-    return kfac._factor_assignment[meta.key]
+    return kfac._units[0].assignment[meta.key]
 
 
 def _local_arrays(kfac: Any, meta: Any) -> list[np.ndarray] | None:

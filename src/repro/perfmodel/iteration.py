@@ -28,12 +28,11 @@ from repro.comm.costmodel import allgather_time, allreduce_time, scatter_broadca
 from repro.comm.engine import DEFAULT_BUCKET_BYTES
 from repro.core.assignment import (
     FactorMeta,
+    FactorUnits,
     build_group_placement,
     grad_worker_count,
-    greedy_balanced_assignment,
     layer_wise_assignment,
-    plan_block_metas,
-    round_robin_assignment,
+    plan_units,
     worker_costs,
 )
 from repro.perfmodel.costs import (
@@ -176,7 +175,6 @@ class IterationModel:
         self.cluster = cluster
         self.local_batch = local_batch
         self._factor_metas = self._build_metas()
-        self._block_meta_cache: dict[int, list] = {}
 
     def _build_metas(self) -> list[FactorMeta]:
         metas: list[FactorMeta] = []
@@ -186,22 +184,22 @@ class IterationModel:
             metas.append(FactorMeta(l.name, "G", l.g_dim))
         return metas
 
-    def _comm_metas(self, diag_blocks: int = 1) -> list:
+    def _units(
+        self,
+        diag_blocks: int = 1,
+        p: int = 1,
+        policy: str = "round_robin",
+        grad_worker_frac: float | None = None,
+    ) -> FactorUnits:
         """Assignment/scheduling units at the given block granularity.
 
         ``diag_blocks=1`` is the whole-factor baseline; ``> 1`` splits
         each factor into the same widest-first diagonal blocks the real
-        ``KFAC(diag_blocks=k)`` preconditioner schedules.
+        ``KFAC(diag_blocks=k)`` preconditioner schedules, placed on ``p``
+        ranks by the same construction.
         """
-        if diag_blocks <= 1:
-            return self._factor_metas
-        cached = self._block_meta_cache.get(diag_blocks)
-        if cached is None:
-            cached = plan_block_metas(
-                self._factor_metas, self.model.block_bounds(diag_blocks)
-            )
-            self._block_meta_cache[diag_blocks] = cached
-        return cached
+        bounds = self.model.block_bounds(diag_blocks) if diag_blocks > 1 else None
+        return plan_units(self._factor_metas, p, policy, grad_worker_frac, bounds)
 
     @property
     def n_layers(self) -> int:
@@ -334,7 +332,7 @@ class IterationModel:
             p,
             self.cluster.net,
         )
-        return base + self.cluster.op_launch * len(self._comm_metas(diag_blocks))
+        return base + self.cluster.op_launch * len(self._units(diag_blocks).metas)
 
     def factor_stage_time(
         self, p: int, symmetric: bool = False, precision: str = "fp32"
@@ -368,14 +366,10 @@ class IterationModel:
         ``diag_blocks > 1`` assigns per-block eigendecompositions — the
         cubic cost drop plus the finer LPT balance of the blocked path.
         """
-        metas = self._comm_metas(diag_blocks)
+        units = self._units(diag_blocks, p, policy)
         if strategy == "comm-opt":
-            if policy == "greedy":
-                assignment = greedy_balanced_assignment(metas, p)
-            else:
-                assignment = round_robin_assignment(metas, p)
             return worker_costs(
-                metas, assignment, p,
+                units.metas, units.assignment, p,
                 cost_fn=lambda m: self._eig_seconds(m.dim, m.diagonal),
             )
         if strategy == "layer-wise":
@@ -384,7 +378,7 @@ class IterationModel:
             )
             loads = [0.0] * p
             if diag_blocks > 1:
-                for m in metas:
+                for m in units.metas:
                     loads[layer_assignment[m.layer]] += self._eig_seconds(m.dim, m.diagonal)
                 return loads
             for l in self.model.kfac_layers:
@@ -411,7 +405,7 @@ class IterationModel:
         base = allgather_time(
             self.model.eig_payload_bytes(4, diag_blocks), p, self.cluster.net
         )
-        return base + self.cluster.op_launch * len(self._comm_metas(diag_blocks)) * 2
+        return base + self.cluster.op_launch * len(self._units(diag_blocks).metas) * 2
 
     # ------------------------------------------------------------------
     # pipelined (async) communication: exposed vs. hidden
@@ -604,7 +598,7 @@ class IterationModel:
         per_rank_windows = g * n_groups / p
         per_group = self.model.eig_payload_bytes(4, diag_blocks) / n_groups
         launches = (
-            self.cluster.op_launch * len(self._comm_metas(diag_blocks)) * 2 * g / p
+            self.cluster.op_launch * len(self._units(diag_blocks).metas) * 2 * g / p
         )
         return per_rank_windows * allgather_time(per_group, g, self.cluster.net) + launches
 
@@ -656,10 +650,9 @@ class IterationModel:
         would exhibit; degenerates to the COMM_OPT assignment at
         ``f = 1`` and the LAYER_WISE loads at ``f = 1/p``.
         """
-        metas = self._comm_metas(diag_blocks)
-        placement = build_group_placement(metas, p, grad_worker_frac, policy=policy)
+        units = self._units(diag_blocks, p, policy, grad_worker_frac)
         loads = worker_costs(
-            metas, placement.assignment, p,
+            units.metas, units.assignment, p,
             cost_fn=lambda m: self._eig_seconds(m.dim, m.diagonal),
         )
         return max(loads)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.approx.blocks import block_eig_elements, plan_block_bounds
-from repro.comm.fusion import block_tri_len
+from repro.comm.fusion import tri_len
 from repro.nn.resnet import IMAGENET_DEPTH_CONFIGS
 from repro.tensor.im2col import conv_out_size
 
@@ -202,7 +202,7 @@ class ModelSpec:
             if diag:
                 elements += dim
             elif packed:
-                elements += block_tri_len(b)
+                elements += sum(tri_len(hi - lo) for lo, hi in b)
             else:
                 elements += sum((hi - lo) ** 2 for lo, hi in b)
         return itemsize * elements

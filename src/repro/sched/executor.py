@@ -30,10 +30,9 @@ from repro.comm.engine import (
     estimate_precondition_seconds,
     estimate_second_order_seconds,
 )
-from repro.approx.blockeig import block_eigendecompose
 from repro.comm.faults import CollectiveFailed
 from repro.comm.fusion import tri_unpack
-from repro.core.assignment import BlockMeta, factor_block
+from repro.core.assignment import factor_block
 from repro.core.clipping import kl_clip_factor
 from repro.core.comm_ops import (
     AllGatherLaunch,
@@ -96,12 +95,10 @@ class GraphExecutor:
         self._raw: dict[str, np.ndarray] = {}
         self._wire: list[np.ndarray] | None = None
         self._transport_dtype: np.dtype | None = None
-        #: blocked plans (diag_blocks past warmup) resolve meta indices
-        #: against the preconditioner's block metas/assignment — every
-        #: task below works on either granularity through these two views
-        self._blocked: bool = bool(getattr(plan, "blocked", False))
-        self._metas = kfac.comm_metas(self._blocked)
-        self._assignment = kfac.comm_assignment(self._blocked)
+        #: the plan's comm/eig units (whole factors, or their diagonal
+        #: blocks): task payloads index into these metas
+        self._metas = plan.units.metas
+        self._assignment = plan.units.assignment
         #: span recorder (repro.obs); inherited from the preconditioner
         self.tracer = getattr(kfac, "tracer", NULL_TRACER)
 
@@ -190,10 +187,10 @@ class GraphExecutor:
     def _prepare_wire(self) -> None:
         """Build the factor wire payloads (tri-packed, EF-compressed).
 
-        Blocked plans ship only each meta's diagonal block — the
-        off-block entries never travel (that is where the byte savings
-        come from); the exact path packs whole factors.  A diagonal
-        factor ships its ``dim`` elements under either plan and packing.
+        A block meta ships only its diagonal block — the off-block
+        entries never travel (that is where the byte savings come from);
+        a whole-factor meta packs the whole factor.  A diagonal factor
+        ships its ``dim`` elements under either packing.
         """
         kfac = self.kfac
         tensors = []
@@ -239,7 +236,7 @@ class GraphExecutor:
             meta = self._metas[i]
             if kfac.hp.symmetric_comm and not meta.diagonal:
                 arr = tri_unpack(arr, meta.dim)
-            if isinstance(meta, BlockMeta):
+            if meta.block is not None:
                 # write the averaged block in place; off-block entries stay
                 # local (they are never read once blocks are active)
                 factor_block(kfac._factor(meta), meta)[...] = arr
@@ -262,7 +259,7 @@ class GraphExecutor:
                 return
             factor = kfac._factor(meta)
             assert factor is not None, "second-order update before factor update"
-            if isinstance(meta, BlockMeta):
+            if meta.block is not None:
                 factor = np.ascontiguousarray(factor_block(factor, meta))
             if eigen:
                 self._computed[meta.key] = eigendecompose(factor).arrays()
@@ -288,17 +285,10 @@ class GraphExecutor:
                 return
             layer = kfac._layer_by_name(name)
             if eigen:
-                if self._blocked:
-                    layer.eig_A = (
-                        eigendecompose(layer.A)
-                        if layer.diagonal_A
-                        else block_eigendecompose(layer.A, kfac._block_bounds[f"{name}/A"])
-                    )
-                    layer.eig_G = block_eigendecompose(
-                        layer.G, kfac._block_bounds[f"{name}/G"]
-                    )
-                else:
-                    layer.eig_A, layer.eig_G = layer.compute_eigen()
+                bounds = self.plan.units.bounds
+                layer.eig_A, layer.eig_G = layer.compute_eigen(
+                    bounds.get(f"{name}/A"), bounds.get(f"{name}/G")
+                )
             else:
                 layer.inv_A, layer.inv_G = layer.compute_inverses(kfac.damping)
             # local refresh succeeded: reset any drift-skip staleness the

@@ -15,9 +15,10 @@ decisions are made (SPD-KFAC's cost-model-driven tensor partitioning):
   so transfers stay interruptible;
 - :func:`build_step_plan` — derive the full :class:`StepPlan` (task graph
   plus deterministic schedule) for any strategy and any
-  ``grad_worker_frac`` in ``[1/P, 1]`` from the factor metas, the
-  factor/layer assignment, and the :class:`repro.core.assignment.GroupPlacement`-derived
-  group/broadcast structures.
+  ``grad_worker_frac`` in ``[1/P, 1]`` from the comm/eig units
+  (:func:`repro.core.assignment.plan_units`: metas, assignment, group
+  buckets — whole factors or their diagonal blocks alike) and the
+  broadcast structure.
 
 Every input is identical on every rank, so the resulting graph, schedule
 and bucket partition are too — the lockstep property the drivers need.
@@ -31,6 +32,7 @@ from typing import Sequence
 
 from repro.comm.costmodel import EDR_LIKE, NetworkProfile
 from repro.comm.engine import DEFAULT_BUCKET_BYTES, partition_buckets
+from repro.core.assignment import FactorUnits
 from repro.sched.graph import Task, TaskGraph, lint_schedule
 
 __all__ = ["StepPlan", "build_step_plan", "choose_bucket_bytes", "plan_buckets"]
@@ -99,18 +101,21 @@ def choose_bucket_bytes(
 class StepPlan:
     """One K-FAC update step, planned: graph + schedule + bucket partition.
 
-    ``buckets`` holds factor-meta *indices* per pipeline chunk (a single
+    ``buckets`` holds unit *indices* per pipeline chunk (a single
     all-inclusive bucket for synchronous plans); ``schedule`` is the
     deterministic linearisation the executor walks; ``pipelined`` defers
     each collective's wait to its first dependent task instead of waiting
-    the moment it is launched.
+    the moment it is launched; ``units`` are the factors (or blocks) the
+    indices refer to, with their owners — the executor runs on them.
 
     Example
     -------
+    >>> from repro.core.assignment import FactorMeta, plan_units
     >>> from repro.sched.graph import Task, TaskGraph
     >>> from repro.sched.planner import StepPlan
     >>> g = TaskGraph([Task("precondition:fc", "Precondition")])
-    >>> plan = StepPlan(g, ("precondition:fc",), ((0,),), 4096, False)
+    >>> units = plan_units([FactorMeta("fc", "A", 4)])
+    >>> plan = StepPlan(g, ("precondition:fc",), ((0,),), 4096, False, units)
     >>> plan.pipelined
     False
     """
@@ -120,19 +125,15 @@ class StepPlan:
     buckets: tuple[tuple[int, ...], ...]
     bucket_bytes: int
     pipelined: bool
-    #: the plan's comm/eig unit is the diagonal *block*, not the factor
-    #: (``KFAC(diag_blocks=k)`` past warmup) — the executor then resolves
-    #: meta indices against the preconditioner's block metas
-    blocked: bool = False
+    units: FactorUnits
 
 
 def build_step_plan(
     *,
     strategy: str,
     world_size: int,
-    factor_metas: Sequence,
+    units: FactorUnits,
     layer_names: Sequence[str],
-    groups: Sequence[tuple[tuple[int, ...], Sequence[int]]] = (),
     bcast_entries: Sequence[tuple[int, Sequence[str]]] = (),
     wire_nbytes_list: Sequence[int] | None = None,
     bucket_bytes: int | None = None,
@@ -140,18 +141,17 @@ def build_step_plan(
     update_factors: bool = True,
     update_second_order: bool = True,
     pipelined: bool = False,
-    blocked: bool = False,
 ) -> StepPlan:
     """Derive the validated task graph + schedule for one update step.
 
     Parameters mirror the preconditioner's per-rank-identical metadata:
-    ``factor_metas`` (objects with ``key``/``dim``/``layer``/``kind``, in
-    communication order), ``layer_names`` (model order), ``groups`` (for
-    the hybrid strategy: per gradient-worker group, its rank tuple and the
-    indices of its factor metas), ``bcast_entries`` (per fused
-    second-stage broadcast: root rank and the layer names it ships), and
-    ``wire_nbytes_list`` (per-factor wire bytes, required when a factor
-    allreduce happens, i.e. ``update_factors`` and ``world_size > 1``).
+    ``units`` (:func:`repro.core.assignment.plan_units`: the metas in
+    communication order and, for the hybrid strategy, the gradient-worker
+    groups with the indices of their metas), ``layer_names`` (model
+    order), ``bcast_entries`` (per fused second-stage broadcast: root
+    rank and the layer names it ships), and ``wire_nbytes_list`` (per-unit
+    wire bytes, required when a factor allreduce happens, i.e.
+    ``update_factors`` and ``world_size > 1``).
     ``bucket_bytes=None`` defers to :func:`choose_bucket_bytes`.
 
     The synchronous plan reproduces the retired hand-written pipelines'
@@ -161,11 +161,11 @@ def build_step_plan(
 
     Example
     -------
-    >>> from repro.core.assignment import FactorMeta
+    >>> from repro.core.assignment import FactorMeta, plan_units
     >>> from repro.sched.planner import build_step_plan
-    >>> metas = [FactorMeta("fc", "A", 4), FactorMeta("fc", "G", 3)]
+    >>> units = plan_units([FactorMeta("fc", "A", 4), FactorMeta("fc", "G", 3)], 2)
     >>> plan = build_step_plan(
-    ...     strategy="comm-opt", world_size=2, factor_metas=metas,
+    ...     strategy="comm-opt", world_size=2, units=units,
     ...     layer_names=["fc"], wire_nbytes_list=[64, 36],
     ...     bucket_bytes=32, pipelined=True)
     >>> [t.name for t in plan.graph.tasks][:3]
@@ -175,6 +175,7 @@ def build_step_plan(
     """
     if strategy not in (_COMM_OPT, _LAYER_WISE, _HYBRID):
         raise ValueError(f"unknown strategy {strategy!r}")
+    factor_metas, groups = units.metas, units.groups
     n = len(factor_metas)
     has_factor_comm = update_factors and world_size > 1
     if has_factor_comm and wire_nbytes_list is None:
@@ -335,5 +336,5 @@ def build_step_plan(
         buckets=tuple(tuple(b) for b in buckets),
         bucket_bytes=int(bucket_bytes),
         pipelined=bool(pipelined),
-        blocked=bool(blocked),
+        units=units,
     )

@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 from repro.approx.adaptive import AdaptiveDamping, DriftTrigger
-from repro.approx.blockeig import BlockFactorEig
 from repro.core.preconditioner import KFAC
 from repro.nn.loss import CrossEntropyLoss
 from repro.optim.sgd import SGD
@@ -120,23 +119,17 @@ class TestRefreshSchedule:
         step, kfac = _stepper(drift_tol=1e-12, diag_blocks=4, diag_warmup=1)
         step()  # warmup refresh: exact whole-factor bases
         assert kfac.n_second_order_updates == 1 and kfac.blocks_active
-        assert not any(
-            isinstance(l.eig_A, BlockFactorEig) or isinstance(l.eig_G, BlockFactorEig)
-            for l in kfac.layers
-        )
+        assert not any(l.eig_A.blocked or l.eig_G.blocked for l in kfac.layers)
         # the warmup refresh already re-keyed the drift snapshots at block
         # granularity, so the exact basis legitimately survives the
         # zero-drift candidate right after it...
         step()
         assert kfac.n_second_order_updates == 1
         # ...and the next trigger firing refreshes *blocked*: the wide
-        # layers swap their exact bases for BlockFactorEig
+        # layers swap their exact bases for blocked ones
         step()
         assert kfac.n_second_order_updates == 2
-        assert any(
-            isinstance(l.eig_A, BlockFactorEig) or isinstance(l.eig_G, BlockFactorEig)
-            for l in kfac.layers
-        )
+        assert any(l.eig_A.blocked or l.eig_G.blocked for l in kfac.layers)
 
     def test_drift_run_spmd_matches_phase_driver(self):
         kw = dict(steps=6, drift_tol=0.05, max_eig_staleness=3)

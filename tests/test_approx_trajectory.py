@@ -4,9 +4,9 @@ The lock-down guarantee: ``KFAC(diag_blocks=1)`` with the drift trigger
 off is *the seed code path* — every weight of every parity-matrix config
 (strategy x world size x wire dtype x scheduler) must match the baseline
 bitwise after training.  The approximation itself (``diag_blocks=4``)
-then only has to be *bounded*: the blocked run must actually engage
-:class:`~repro.approx.blockeig.BlockFactorEig`, stay finite, and land
-within a loose loss band of the exact run on the smoke model.
+then only has to be *bounded*: the blocked run must actually install
+blocked :class:`~repro.core.inverse.FactorEig` bases, stay finite, and
+land within a loose loss band of the exact run on the smoke model.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.approx.blockeig import BlockFactorEig
 from repro.core.preconditioner import COMM_OPT, HYBRID, LAYER_WISE, KFAC
 from repro.nn.loss import CrossEntropyLoss
 from repro.optim.sgd import SGD
@@ -86,21 +85,30 @@ class TestBlockedApproximation:
         blocked_loss, kfac = _train_local(steps=8, diag_blocks=4, diag_warmup=1)
         # the approximation engaged on the wide layers...
         assert kfac.blocks_active
-        blocked_layers = [
-            l.name
-            for l in kfac.layers
-            if isinstance(l.eig_A, BlockFactorEig)
-            or isinstance(l.eig_G, BlockFactorEig)
-        ]
-        assert blocked_layers, "no layer ever installed a BlockFactorEig"
+        blocked_layers = [l.name for l in kfac.layers if l.eig_A.blocked or l.eig_G.blocked]
+        assert blocked_layers, "no layer ever installed a blocked basis"
         # ...and still optimizes: finite, and within a loose band of exact
         assert np.isfinite(blocked_loss)
         assert blocked_loss < exact_loss + 0.5
 
-    def test_diag_blocks_four_spmd_matches_phase(self):
-        """Blocked runs stay deterministic across driver implementations."""
-        kw = dict(steps=6, diag_blocks=4, diag_warmup=1, strategy=COMM_OPT)
-        phase = run_hybrid(2, **kw)
-        spmd = run_hybrid(2, driver="spmd", **kw)
+    @pytest.mark.parametrize(
+        "p,extra",
+        [
+            pytest.param(2, dict(strategy=COMM_OPT), id="comm-opt-sync-p2"),
+            pytest.param(2, dict(strategy=LAYER_WISE), id="layer-wise-sync-p2"),
+            pytest.param(
+                4,
+                dict(grad_worker_frac=0.5, scheduler="graph", comm_dtype="fp16"),
+                id="hybrid-graph-fp16-p4",
+            ),
+        ],
+    )
+    def test_diag_blocks_four_spmd_matches_phase(self, p, extra):
+        """Blocked runs stay deterministic across driver implementations,
+        for every placement the blocked units take (per-block owners,
+        per-layer owners, per-block owners inside gradient-worker groups)."""
+        kw = dict(steps=6, diag_blocks=4, diag_warmup=1, **extra)
+        phase = run_hybrid(p, **kw)
+        spmd = run_hybrid(p, driver="spmd", **kw)
         for name in phase:
             np.testing.assert_array_equal(phase[name], spmd[name])

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.comm.backend import World
+from repro.core.assignment import FactorMeta, plan_units
 from repro.core.distributed import PhaseController
 from repro.core.preconditioner import COMM_OPT, HYBRID, LAYER_WISE, KFAC, KFACHyperParams
 from repro.nn.loss import CrossEntropyLoss
@@ -303,7 +304,7 @@ class TestPlannerPolicies:
             build_step_plan(
                 strategy="comm-opt",
                 world_size=2,
-                factor_metas=("f0",),
+                units=plan_units([FactorMeta("l0", "A", 2)], 2),
                 layer_names=("l0",),
             )
 

@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 
 import repro.core.layers as core_layers
-from repro.approx.blockeig import BlockFactorEig
 from repro.comm.backend import World
 from repro.core.assignment import second_order_shapes, wire_elements
 from repro.core.distributed import (
@@ -225,7 +224,7 @@ class TestBlockedEmbedding:
         widest = max(dense, key=lambda m: m.dim)
         layer = next(l for l in kfac.layers if l.name == widest.layer)
         eig = layer.eig_A if widest.kind == "A" else layer.eig_G
-        assert isinstance(eig, BlockFactorEig)
+        assert eig.blocked
         # planner may merge below its minimum block width; it must split
         assert 1 < len(eig.bounds) <= 4
         assert np.isfinite(blocked_loss)
@@ -240,7 +239,7 @@ class TestBlockedEmbedding:
 
     @pytest.mark.parametrize("strategy,frac", [(HYBRID, 0.5), (LAYER_WISE, None)])
     def test_spmd_gather_of_blocked_state_matches_peers_gather(self, strategy, frac):
-        """The allgather path ships a BlockFactorEig as its dense [Q, lam]
+        """The allgather path ships a blocked basis as its dense [Q, lam]
         and the diagonal embedding factor as lam alone — the same bundle
         the in-process peers= gather assembles."""
         kw = dict(steps=3, diag_blocks=2, diag_warmup=1, strategy=strategy,
