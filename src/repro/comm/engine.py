@@ -88,29 +88,36 @@ def estimate_second_order_seconds(factors: Sequence[Any], eigen: bool = True) ->
     return flops / NOMINAL_SECOND_ORDER_FLOPS
 
 
-def estimate_precondition_seconds(layer_dims: Sequence[tuple[int, int]]) -> float:
+def estimate_precondition_seconds(layers: Sequence[tuple[Any, Any]]) -> float:
     """Deterministic simulated seconds to precondition layer gradients.
 
-    ``layer_dims`` are ``(g_dim, a_dim)`` pairs of the layers preconditioned
-    locally between an async launch and its wait.  The eigenbasis path costs
-    two changes of basis plus the rescale — roughly ``4 * (g^2 a + g a^2)``
-    FLOPs per layer — priced at the same nominal throughput as the
-    second-order estimator so graph-scheduler overlap budgets stay
-    machine-independent.
+    ``layers`` are ``(G side, A side)`` pairs of the layers preconditioned
+    locally between an async launch and its wait; a side is its length, or
+    a meta carrying ``dim`` / ``diagonal``.  The eigenbasis path rotates a
+    ``g x a`` gradient into and out of each dense side's basis — ``4 g^2 a``
+    FLOPs for the G side, ``4 g a^2`` for the A side — while a diagonal
+    side is a scaling folded into the rescale, priced at nothing.  The
+    nominal throughput is the second-order estimator's, so graph-scheduler
+    overlap budgets stay machine-independent.
 
     Example
     -------
     >>> from repro.comm.engine import estimate_precondition_seconds
+    >>> from repro.core.assignment import FactorMeta
     >>> t = estimate_precondition_seconds([(10, 20)])
     >>> t == estimate_precondition_seconds([(10, 20)])   # deterministic
     True
     >>> t < estimate_precondition_seconds([(10, 20), (30, 30)])
     True
+    >>> vec = FactorMeta("emb", "A", 20, diagonal=True)
+    >>> estimate_precondition_seconds([(10, vec)]) == 4 * 10**2 * 20 / NOMINAL_SECOND_ORDER_FLOPS
+    True
     """
-    flops = sum(
-        4.0 * (float(g) ** 2 * float(a) + float(g) * float(a) ** 2)
-        for g, a in layer_dims
-    )
+    flops = 0.0
+    for sides in layers:
+        g, a = (float(getattr(s, "dim", s)) for s in sides)
+        dense = [float(getattr(s, "dim", s)) for s in sides if not getattr(s, "diagonal", False)]
+        flops += 4.0 * g * a * sum(dense)
     return flops / NOMINAL_SECOND_ORDER_FLOPS
 
 

@@ -25,9 +25,16 @@ Osawa et al. 2019 symmetry-aware communication trick); since averaging is
 elementwise, reducing packed triangles then mirroring is *bit-identical*
 to reducing the full matrices — provided the inputs are exactly symmetric,
 which :func:`repro.tensor.gram.gram` guarantees by construction.
+
+**The factor wire** (:class:`WirePlan`): the arena positions of all of one
+granularity's packed factor units, so one ``np.take`` packs K-FAC's flat
+factor arena and two scatters write both triangles back.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import Sequence
 
 import numpy as np
 
@@ -37,6 +44,8 @@ from repro.tensor.gram import mirror_upper
 
 __all__ = [
     "FusionBuffer",
+    "WirePlan",
+    "shared_wire_plan",
     "tri_len",
     "tri_pack",
     "tri_unpack",
@@ -126,6 +135,89 @@ def tri_unpack(flat: np.ndarray, d: int, out: np.ndarray | None = None) -> np.nd
     for i in range(d):
         out[i, i:] = flat[offs[i] : offs[i + 1]]
     return mirror_upper(out)
+
+
+class WirePlan:
+    """Where one granularity's factor units sit in an arena and on the wire.
+
+    ``units`` lists, in wire order, ``(offset, side, lo, dim, diagonal)``:
+    the ``dim``-wide diagonal block at row/col ``lo`` of the ``side x side``
+    factor stored row-major at ``arena[offset:]`` (a diagonal factor: its
+    ``side``-vector, ``lo = 0``).  A unit ships its packed upper triangle
+    when ``symmetric``, else its whole block; a diagonal factor its ``dim``
+    elements.  ``offsets[i]:offsets[i + 1]`` is unit ``i``'s wire slice, so
+    a contiguous run of units — a bucket — is a contiguous slice.  The
+    index costs two ``intp`` per wire element, whatever the unit's width.
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> from repro.comm.fusion import WirePlan
+    >>> arena = np.array([1., 2., 2., 3., 7., 8.])   # a 2x2 factor, a 2-vector
+    >>> plan = WirePlan([(0, 2, 0, 2, False), (4, 2, 0, 2, True)], symmetric=True)
+    >>> wire = plan.pack(arena)
+    >>> wire.tolist(), plan.offsets
+    ([1.0, 2.0, 3.0, 7.0, 8.0], (0, 3, 5))
+    >>> plan.unpack(wire[:3] * 10, arena, 0, 1)      # install unit 0 only
+    >>> arena.tolist()
+    [10.0, 20.0, 20.0, 30.0, 7.0, 8.0]
+    """
+
+    def __init__(self, units: Sequence[tuple[int, int, int, int, bool]], symmetric: bool) -> None:
+        gather, mirror, offsets = [], [], [0]
+        for offset, side, lo, dim, diag in units:
+            if diag:
+                upper = lower = np.arange(offset, offset + dim)
+            else:
+                if symmetric:
+                    rows, cols = np.triu_indices(dim)
+                else:
+                    rows, cols = np.indices((dim, dim)).reshape(2, -1)
+                upper = offset + (lo + rows) * side + lo + cols
+                lower = offset + (lo + cols) * side + lo + rows
+            gather.append(upper)
+            mirror.append(lower)
+            offsets.append(offsets[-1] + upper.size)
+        self.offsets = tuple(offsets)
+        #: arena position of each wire element, in wire order; the scatter
+        #: writes the lower triangle through the transposed ``mirror``
+        self.gather = np.concatenate(gather or [[]]).astype(np.intp)
+        self.mirror = np.concatenate(mirror or [[]]).astype(np.intp) if symmetric else None
+        for index in (self.gather, self.mirror):
+            if index is not None:
+                index.setflags(write=False)  # plans are shared (shared_wire_plan)
+
+    def pack(self, arena: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
+        """The wire — or its ``where`` elements — gathered from ``arena``."""
+        index = self.gather if where is None else self.gather[where]
+        # positions are valid by construction; "wrap" skips the bounds pass
+        return np.take(arena, index, mode="wrap")
+
+    def unpack(
+        self, wire: np.ndarray, arena: np.ndarray, first: int, last: int,
+        where: np.ndarray | None = None,
+    ) -> None:
+        """Write ``wire``, the slice of units ``[first, last)`` (or its
+        ``where`` elements), into both triangles of each unit in ``arena`` —
+        and nowhere else (a block's off-block entries stay as they are)."""
+        a, b = self.offsets[first], self.offsets[last]
+        if wire.shape != (b - a,):
+            raise ValueError(
+                f"units [{first}, {last}) span {b - a} wire elements, got {wire.shape}"
+            )
+        if where is not None:
+            wire = wire[where]
+        for index in (self.gather, self.mirror):
+            if index is not None:
+                arena[index[a:b] if where is None else index[a:b][where]] = wire
+
+
+@functools.lru_cache(maxsize=8)
+def shared_wire_plan(units: tuple, symmetric: bool) -> WirePlan:
+    """The :class:`WirePlan` of a layout, built once per process: the
+    replicas of one model hold identical arenas, so one index set serves
+    them all."""
+    return WirePlan(units, symmetric)
 
 
 class FusionBuffer:

@@ -101,6 +101,11 @@ class FactorMeta:
         return key if self.block is None else f"{key}#{self.block}"
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """Shape of the array held for it: ``(dim,)`` when diagonal."""
+        return (self.dim,) if self.diagonal else (self.dim, self.dim)
+
+    @property
     def n_elements(self) -> int:
         return self.dim if self.diagonal else self.dim * self.dim
 
@@ -134,9 +139,7 @@ def second_order_shapes(meta: FactorMeta, eigen: bool) -> tuple[tuple[int, ...],
     >>> second_order_shapes(FactorMeta("emb", "A", 4, diagonal=True), eigen=True)
     ((4,),)
     """
-    if meta.diagonal:
-        return ((meta.dim,),)
-    return ((meta.dim, meta.dim), (meta.dim,)) if eigen else ((meta.dim, meta.dim),)
+    return (meta.shape, (meta.dim,)) if eigen and not meta.diagonal else (meta.shape,)
 
 
 def eig_cost(meta: FactorMeta) -> float:

@@ -19,7 +19,7 @@ The launch/wait protocol
 Every collective is a *launch* followed by a *wait* (SPD-KFAC style), so
 the generator can interleave local compute with in-flight communication:
 
-1. ``yield AllReduceLaunch(tensors, op, phase, tag)`` (or
+1. ``yield AllReduceLaunch(tensor, op, phase, tag)`` (or
    :class:`AllGatherLaunch`, :class:`GroupAllGatherLaunch`,
    :class:`GroupBroadcastLaunch`) — the driver starts the collective and
    resumes the generator immediately with ``None``.  ``tag`` must be
@@ -30,9 +30,9 @@ the generator can interleave local compute with in-flight communication:
    *deterministic* estimate of the simulated seconds spent (see
    :func:`repro.comm.engine.estimate_second_order_seconds`).
 3. ``yield WaitRequest(tag, compute_seconds)`` — the driver resolves the
-   matching launch and responds with the collective's result: the list
-   of reduced tensors for an allreduce, ``[contribution_rank0, ...]`` for
-   an allgather.  ``compute_seconds`` is the local compute performed
+   matching launch and responds with the collective's result: the
+   reduced tensor for an allreduce, ``[contribution_rank0, ...]`` for an
+   allgather.  ``compute_seconds`` is the local compute performed
    since the previous wait; the world credits ``min(compute_seconds
    across ranks)`` of the op's cost as *hidden* (overlapped) rather than
    exposed time.
@@ -57,22 +57,16 @@ via ``np.result_type``); a float64 factor crossing a worker boundary comes
 back float64 — the historical hard-coded ``float32`` downcast silently
 degraded multi-worker precision relative to single-worker runs.
 
-:func:`pack_symmetric`/:func:`unpack_symmetric` are the symmetry-aware
-variant used by the factor allreduce: each ``d x d`` factor travels as its
-``d*(d+1)/2``-element upper triangle and is mirrored back on arrival —
-lossless for the exactly-symmetric factors the syrk Gram kernel produces,
-and a ~2x reduction in factor-stage bytes.  A *diagonal* factor (held as
-its ``(d,)`` vector) ships those ``d`` elements in either format.
+The factor allreduce ships no list of tensors: each launch carries one
+flat slice of the factor wire (see :class:`repro.comm.fusion.WirePlan`),
+so the drivers reduce it as is, with nothing to fuse or split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from repro.comm.fusion import tri_pack, tri_unpack
 
 __all__ = [
     "AllReduceLaunch",
@@ -82,23 +76,21 @@ __all__ = [
     "WaitRequest",
     "pack_arrays",
     "unpack_arrays",
-    "pack_symmetric",
-    "unpack_symmetric",
 ]
 
 
 @dataclass
 class AllReduceLaunch:
-    """Start averaging (or summing) each tensor across all workers.
+    """Start averaging (or summing) one tensor across all workers.
 
-    ``tensors`` is this rank's contribution; the driver responds ``None``
-    immediately and the matching :class:`WaitRequest` receives the list of
-    reduced tensors in the same order/shapes.  Drivers fuse the list into
-    one flat buffer (Horovod fusion-buffer behaviour).  ``tag`` identifies
-    the op within the step and must match across ranks.
+    ``tensor`` is this rank's contribution — already one fused buffer, as
+    a Horovod fusion buffer would hold it; the driver responds ``None``
+    immediately and the matching :class:`WaitRequest` receives the reduced
+    tensor, same shape.  ``tag`` identifies the op within the step and
+    must match across ranks.
     """
 
-    tensors: list[np.ndarray]
+    tensor: np.ndarray
     op: str = "average"
     phase: str = "allreduce"
     tag: str = ""
@@ -186,19 +178,6 @@ def pack_arrays(arrays: list[np.ndarray], dtype: str | np.dtype | None = None) -
     if dtype is None:
         dtype = np.result_type(*arrays)
     return np.concatenate([np.ascontiguousarray(a, dtype=dtype).reshape(-1) for a in arrays])
-
-
-def pack_symmetric(factors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Triangular-pack each square symmetric factor for transport; a 1-D
-    (diagonal) factor already is its ``dim`` wire elements."""
-    return [f if f.ndim == 1 else tri_pack(f) for f in factors]
-
-
-def unpack_symmetric(flats: Sequence[np.ndarray], dims: Sequence[int]) -> list[np.ndarray]:
-    """Rebuild full symmetric factors from packed triangles."""
-    if len(flats) != len(dims):
-        raise ValueError(f"got {len(flats)} packed factors for {len(dims)} dims")
-    return [tri_unpack(flat, d) for flat, d in zip(flats, dims)]
 
 
 def unpack_arrays(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

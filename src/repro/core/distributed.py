@@ -5,8 +5,9 @@ Two transports, one protocol, one algorithm:
 - :class:`PhaseController` — lockstep execution of P replicas' step
   generators against a :class:`repro.comm.World` (deterministic; used by
   the data-parallel trainer and all experiments).  Each matched allreduce
-  launch is fused into a single flat ring-allreduce, reproducing
-  Horovod's fusion-buffer behaviour for factor communication.
+  launch carries one flat buffer — a bucket's slice of the factor wire,
+  fused as Horovod's fusion buffer would — reduced by a single ring
+  allreduce.
 - :class:`SPMDDriver` — executes a single rank's generator inside a
   threaded SPMD program via matched named collectives (what the
   Listing 1-style quickstart uses).
@@ -41,8 +42,6 @@ from repro.core.comm_ops import (
     GroupAllGatherLaunch,
     GroupBroadcastLaunch,
     WaitRequest,
-    pack_arrays,
-    unpack_arrays,
 )
 from repro.core.preconditioner import KFAC
 from repro.utils.logging import NULL_LOGGER, Logger
@@ -245,16 +244,15 @@ class PhaseController:
 
         members: tuple[int, ...] | None = None
         if isinstance(first, AllReduceLaunch):
-            shapes = [t.shape for t in first.tensors]
             for r, req in enumerate(reqs):
-                if [t.shape for t in req.tensors] != shapes:
+                if req.tensor.shape != first.tensor.shape:
                     raise RuntimeError(f"rank {r} launch {tag!r} shapes diverged")
-            fused = [pack_arrays(req.tensors) for req in reqs]
             start = partial(
                 self.world.allreduce_async,
-                fused, op=first.op, phase=phase, codec=first.comm_dtype,
+                [req.tensor for req in reqs], op=first.op, phase=phase,
+                codec=first.comm_dtype,
             )
-            finalize = lambda result: [unpack_arrays(flat, shapes) for flat in result]  # noqa: E731
+            finalize = lambda result: result  # noqa: E731
         elif isinstance(first, AllGatherLaunch):
             contributions = [req.tensor for req in reqs]
             start = partial(self.world.allgather_async, contributions, phase=phase)
@@ -380,8 +378,8 @@ class SPMDDriver:
         gen = self.kfac.step_generator()
         req = _advance(gen, first=True)
         world = self.hvd._view.world
-        # tag -> (handle, phase, allreduce tensor shapes or None)
-        pending: dict[str, tuple[Handle, str, list[tuple[int, ...]] | None]] = {}
+        # tag -> (handle, phase)
+        pending: dict[str, tuple[Handle, str]] = {}
         while req is not None:
             if isinstance(req, _LAUNCHES):
                 if req.tag in pending:
@@ -391,13 +389,11 @@ class SPMDDriver:
             elif isinstance(req, WaitRequest):
                 if req.tag not in pending:
                     raise RuntimeError(f"wait on unknown tag {req.tag!r} (never launched?)")
-                handle, phase, shapes = pending.pop(req.tag)
+                handle, phase = pending.pop(req.tag)
                 result = _retry(
                     self, world, (self.kfac.rank,), phase,
                     lambda: handle.wait(req.compute_seconds),
                 )
-                if shapes is not None and not isinstance(result, CollectiveFailed):
-                    result = unpack_arrays(result, shapes)
                 req = _advance(gen, result)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown request type {type(req)}")
@@ -407,18 +403,16 @@ class SPMDDriver:
     def _launch(
         self,
         req: AllReduceLaunch | AllGatherLaunch | GroupAllGatherLaunch | GroupBroadcastLaunch,
-    ) -> tuple[Handle, str, list[tuple[int, ...]] | None]:
+    ) -> tuple[Handle, str]:
         """Start this rank's side of one collective (nothing blocks yet)."""
         hvd = self.hvd
         rank = self.kfac.rank
         phase = req.phase
-        shapes = None
         if isinstance(req, AllReduceLaunch):
             # matched op names must be identical across ranks, so key
             # world ops by tag (deterministic)
-            shapes = [t.shape for t in req.tensors]
             handle = hvd.allreduce_async(
-                pack_arrays(req.tensors),
+                req.tensor,
                 name=f"kfac:{phase}:{req.tag}",
                 op=req.op,
                 phase=phase,
@@ -450,4 +444,4 @@ class SPMDDriver:
                 payload, name=f"kfac:{phase}:root{req.root}",
                 root=req.root, ranks=req.ranks, phase=phase,
             )
-        return handle, phase, shapes
+        return handle, phase

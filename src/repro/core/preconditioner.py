@@ -49,6 +49,7 @@ from repro.approx.adaptive import AdaptiveDamping, DriftTrigger
 from repro.approx.blocks import plan_block_bounds
 from repro.comm.compression import ErrorFeedback, get_codec
 from repro.comm.faults import StaleEigenbasisError
+from repro.comm.fusion import WirePlan, shared_wire_plan
 from repro.core.assignment import (
     FactorMeta,
     FactorUnits,
@@ -145,7 +146,7 @@ class KFACHyperParams:
     comm_dtype:
         Wire precision of the factor allreduce: ``None`` (dtype-preserving,
         the default), ``"fp16"`` or ``"bf16"``.  Compressed transport uses
-        fp32 reduction accumulators and per-factor error-feedback
+        fp32 reduction accumulators and per-unit error-feedback
         residuals, halves factor-stage bytes *again* on top of
         ``symmetric_comm``, and composes with both the synchronous and
         pipelined routes.  Lossy (unlike ``symmetric_comm``) but bounded:
@@ -448,6 +449,35 @@ class KFAC:
                 [m.diagonal for m in self._factor_metas],
             )
             self._units.append(plan_units(*placed, bounds))
+        #: factor key -> (offset, side) of its slot in the factor arenas
+        #: (factor-meta order; see _factor_arenas)
+        ends = np.cumsum([0] + [m.n_elements for m in self._factor_metas]).tolist()
+        self._arena_slots = {m.key: (lo, m.dim) for m, lo in zip(self._factor_metas, ends)}
+        self._arena_size: int = ends[-1]
+        #: itemsize -> the arena of that dtype; per arena element, the
+        #: itemsize of the arena its factor lives in
+        self._arenas: dict[int, np.ndarray] = {}
+        self._home = np.empty(0, np.int8)
+        #: each granularity's units as wire-plan spans (shared_wire_plan)
+        self._wire_spans = [
+            tuple((*self._arena_slots[m.factor_key], m.lo, m.dim, m.diagonal) for m in u.metas)
+            for u in self._units
+        ]
+        #: granularity (0 exact, -1 blocked) whose EF residual was banked last
+        self._ef_units: int | None = None
+        n = len(self.layers)
+        #: layer name -> its (A, G) factor metas
+        self._metas_of = {
+            l.name: (self._factor_metas[i], self._factor_metas[n + i])
+            for i, l in enumerate(self.layers)
+        }
+        #: layer name -> the shape of each array its checkpoint entry holds
+        self._entry_shapes: dict[str, dict] = {l.name: {} for l in self.layers}
+        for m in self._factor_metas:
+            eig, k = second_order_shapes(m, eigen=True), m.kind
+            self._entry_shapes[m.layer].update(
+                {k: m.shape, f"inv_{k}": m.shape, f"eig_{k}_Q": eig[0], f"eig_{k}_lam": eig[-1]}
+            )
         #: gradient-worker placement (HYBRID strategy only): per-layer
         #: groups, broadcast roots, and the within-group factor assignment
         self._placement: GroupPlacement | None = self._units[0].placement
@@ -803,20 +833,120 @@ class KFAC:
         self._plans[key] = plan
         return plan
 
-    def _compress_factor_tensors(
-        self, tensors: list[np.ndarray], metas: Sequence[FactorMeta]
-    ) -> list[np.ndarray]:
-        """Quantize factor payloads for compressed transport, with EF.
+    def _factor_arenas(self) -> dict[int, np.ndarray]:
+        """The flat buffers the running-average factors live in, by itemsize.
 
-        A no-op without ``comm_dtype``.  Residuals are keyed by comm unit
-        (factor, or block past warmup) so what fp16/bf16 rounds away this
-        exchange is re-injected into the next one; the yielded arrays are
-        wire-precision fp32 values (the driver's codec round-trips them
-        losslessly and charges wire bytes).
+        Adopted at the first factor exchange: each factor is copied into the
+        arena of its dtype — one arena unless the factors' dtypes differ — and
+        ``layer.A`` / ``layer.G`` become views of it, which the in-place EMA
+        updates and the wire plans gather from and scatter into.
         """
+        if not self._arenas:
+            factors = [self._factor(m) for m in self._factor_metas]
+            assert all(f is not None for f in factors), "factor exchange before factor update"
+            self._home = np.empty(self._arena_size, np.int8)
+            for meta, factor in zip(self._factor_metas, factors):
+                self._rehome(meta, factor.dtype)[...] = factor
+        return self._arenas
+
+    def _rehome(self, meta: FactorMeta, dtype: np.dtype) -> np.ndarray:
+        """Bind the factor of ``meta`` to its slot in the ``dtype`` arena."""
+        arena = self._arenas.get(dtype.itemsize)
+        if arena is None:
+            arena = self._arenas[dtype.itemsize] = np.empty(self._arena_size, dtype)
+        lo = self._arena_slots[meta.factor_key][0]
+        hi = lo + meta.n_elements
+        self._home[lo:hi] = dtype.itemsize
+        view = arena[lo:hi].reshape(meta.shape)
+        setattr(self._layers_by_name[meta.layer], meta.kind, view)
+        return view
+
+    def _wire_plan(self, units: FactorUnits) -> WirePlan:
+        """The arena <-> wire index plan of ``units`` (shared by every step
+        plan of that granularity, and every replica of the same model)."""
+        g = 0 if units is self._units[0] else -1
+        return shared_wire_plan(self._wire_spans[g], self.hp.symmetric_comm)
+
+    def _pack_factor_wire(self, units: FactorUnits) -> tuple[np.ndarray, np.ndarray | None]:
+        """The factor wire of ``units``, EF-compressed under ``comm_dtype``.
+
+        Factors of several dtypes ship at the widest, exactly; without a
+        codec each element's own itemsize comes with the wire (else
+        ``None``), since a bucket travels at the widest of its own.
+        """
+        plan, arenas = self._wire_plan(units), self._factor_arenas()
+        if len(arenas) == 1:
+            wire, widths = plan.pack(*arenas.values()), None
+        else:
+            widths = self._home.take(plan.gather)
+            wire = np.empty(widths.size, arenas[max(arenas)].dtype)
+            for width, arena in arenas.items():
+                where = widths == width
+                wire[where] = plan.pack(arena, where)
         if self._comm_ef is None:
-            return tensors
-        return [self._comm_ef.apply(meta.key, t) for meta, t in zip(metas, tensors)]
+            return wire, widths
+        return self._compress_factor_wire(wire, widths, units), None
+
+    def _install_factor_wire(
+        self, units: FactorUnits, first: int, last: int, reduced: np.ndarray
+    ) -> None:
+        """Scatter the reduced wire of units ``[first, last)`` into the arenas.
+
+        A whole factor is replaced, so it takes the wire's dtype (moving to
+        that arena); a block is written in place and its off-block entries
+        stay local (they are never read once blocks are active).
+        """
+        plan, arenas = self._wire_plan(units), self._arenas
+        if list(arenas) != [reduced.dtype.itemsize]:
+            for meta in units.metas[first:last]:
+                if meta.block is None and self._factor(meta).dtype != reduced.dtype:
+                    self._rehome(meta, reduced.dtype)
+            for width in set(arenas) - set(np.unique(self._home)):
+                del arenas[width]  # no factor lives there any more
+        span = plan.gather[plan.offsets[first] : plan.offsets[last]]
+        widths = self._home.take(span) if len(arenas) > 1 else None
+        for width, arena in arenas.items():
+            plan.unpack(reduced, arena, first, last, None if widths is None else widths == width)
+
+    def _compress_factor_wire(
+        self, wire: np.ndarray, widths: np.ndarray | None, units: FactorUnits
+    ) -> np.ndarray:
+        """Quantize the factor wire of ``units`` for compressed transport, with EF.
+
+        Each granularity banks one wire-shaped residual, unit ``i``'s at its
+        wire slice, so what fp16/bf16 rounds away this exchange is
+        re-injected into the next elementwise as a residual per unit would
+        be.  Returns wire-precision fp32 values (the driver's codec
+        round-trips them losslessly).
+        """
+        ef = self._comm_ef
+        g = 0 if units is self._units[0] else -1
+        last, self._ef_units = self._ef_units, g
+        prev = None if last in (None, g) else ef.residual(last)
+        if prev is not None:
+            # a unit both granularities share (a factor left whole) keeps its
+            # residual across the switch; -0.0, the additive identity, at
+            # width 0 leaves the units with nothing banked as they are
+            offs = self._wire_plan(self._units[last]).offsets
+            was = {m.key: slice(a, b) for m, a, b in zip(self._units[last].metas, offs, offs[1:])}
+            offs = self._wire_plan(units).offsets
+            shared = [
+                (slice(a, b), was[m.key])
+                for m, a, b in zip(units.metas, offs, offs[1:])
+                if m.key in was
+            ]
+            if shared:
+                old = ef.residual(g)
+                if old is None:
+                    res, res_w = np.full(wire.size, -0.0, prev.dtype), np.zeros(wire.size, np.int8)
+                else:
+                    res = old.astype(np.result_type(old, prev))
+                    res_w = np.broadcast_to(ef.widths(g), res.shape).astype(np.int8)
+                prev_w = np.broadcast_to(ef.widths(last), prev.shape)
+                for dst, src in shared:
+                    res[dst], res_w[dst] = prev[src], prev_w[src]
+                ef.seed(g, res, res_w)
+        return ef.apply(g, wire, widths)
 
     def _install_second_order(
         self, flat: np.ndarray, metas: Sequence[FactorMeta]
@@ -963,7 +1093,11 @@ class KFAC:
         if a non-portable snapshot was taken under a different placement
         (world size, strategy, ``grad_worker_frac``, assignment policy, or
         inverse method).  ``strict=False`` restores the intersection and
-        skips the placement check.
+        skips the placement check.  An entry whose factor or second-order
+        arrays do not fit its layer raises ``ValueError`` naming the layer,
+        the key and both shapes, before anything is restored.  Factors load
+        into the existing arena views in place when their dtypes match (see
+        :meth:`_factor_arenas`).
 
         A *portable* bundle (``portable: True``, from
         :func:`repro.elastic.gather_state_dict`) carries every layer's
@@ -1004,6 +1138,21 @@ class KFAC:
                     "repro.elastic.gather_state_dict() to resume across world "
                     "sizes, or pass strict=False"
                 )
+        # every entry is checked before anything is restored
+        entries: dict[str, dict] = {}
+        for name, entry in state["layers"].items():
+            if name not in by_name:
+                continue  # tolerated under strict=False
+            if by_name[name].diagonal_A:
+                entry = _diagonal_A_entry(name, entry)
+            want = self._entry_shapes[name]
+            for key, arr in entry.items():
+                if arr.shape != want.get(key) and key in want:
+                    raise ValueError(
+                        f"checkpoint {key} of K-FAC layer {name!r} has shape "
+                        f"{arr.shape}, but the layer's is {want[key]}"
+                    )
+            entries[name] = entry
         self.steps = int(state["steps"])
         self.lr = float(state["lr"])
         self.damping = float(state["damping"])
@@ -1016,15 +1165,19 @@ class KFAC:
         # the saved bases are blocked iff their refresh ran past the warmup
         past_warmup = self.n_second_order_updates > self.hp.diag_warmup
         bounds = self._units[-1].bounds if past_warmup else {}
-        for name, entry in state["layers"].items():
-            if name not in by_name:
-                continue  # tolerated under strict=False
+        for name, entry in entries.items():
             layer = by_name[name]
-            if layer.diagonal_A:
-                entry = _diagonal_A_entry(name, entry)
-            if "A" in entry:
-                layer.A = entry["A"].copy()
-                layer.G = entry["G"].copy()
+            if (
+                "A" in entry
+                and self._arenas
+                and layer.A.dtype == entry["A"].dtype
+                and layer.G.dtype == entry["G"].dtype
+            ):
+                layer.A[...] = entry["A"]  # in place: arena views, plans, indices stay
+                layer.G[...] = entry["G"]
+            elif "A" in entry:  # standalone at their dtypes; arenas adopted at the next exchange
+                self._arenas = {}
+                layer.A, layer.G = entry["A"].copy(), entry["G"].copy()
             # portable bundles are redistributed: second-order state
             # hydrates only where the *current* placement wants it
             if portable and not self.is_grad_worker(name):

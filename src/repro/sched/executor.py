@@ -31,7 +31,6 @@ from repro.comm.engine import (
     estimate_second_order_seconds,
 )
 from repro.comm.faults import CollectiveFailed
-from repro.comm.fusion import tri_unpack
 from repro.core.assignment import factor_block
 from repro.core.clipping import kl_clip_factor
 from repro.core.comm_ops import (
@@ -41,7 +40,6 @@ from repro.core.comm_ops import (
     GroupBroadcastLaunch,
     WaitRequest,
     pack_arrays,
-    pack_symmetric,
     unpack_arrays,
 )
 from repro.core.inverse import eigendecompose, explicit_damped_inverse
@@ -93,8 +91,11 @@ class GraphExecutor:
         self._computed: dict[str, list[np.ndarray]] = {}
         self._pre: dict[str, np.ndarray] = {}
         self._raw: dict[str, np.ndarray] = {}
-        self._wire: list[np.ndarray] | None = None
-        self._transport_dtype: np.dtype | None = None
+        #: the step's factor wire, its unit offsets and — factors of several
+        #: dtypes, uncompressed — each element's itemsize
+        self._wire: np.ndarray | None = None
+        self._offsets: tuple[int, ...] = ()
+        self._widths: np.ndarray | None = None
         #: the plan's comm/eig units (whole factors, or their diagonal
         #: blocks): task payloads index into these metas
         self._metas = plan.units.metas
@@ -185,65 +186,50 @@ class GraphExecutor:
     # FactorComm
     # ------------------------------------------------------------------
     def _prepare_wire(self) -> None:
-        """Build the factor wire payloads (tri-packed, EF-compressed).
+        """Gather the whole factor wire from the arenas, EF-compressed.
 
-        A block meta ships only its diagonal block — the off-block
-        entries never travel (that is where the byte savings come from);
-        a whole-factor meta packs the whole factor.  A diagonal factor
-        ships its ``dim`` elements under either packing.
+        One buffer per step: every unit's packed upper triangle (a block
+        unit's block only — off-block entries never travel; a diagonal
+        factor its ``dim`` elements), in unit order, so each bucket is a
+        slice of it.
         """
         kfac = self.kfac
-        tensors = []
-        for meta in self._metas:
-            factor = kfac._factor(meta)
-            assert factor is not None, "wire built before factor update"
-            tensors.append(np.ascontiguousarray(factor_block(factor, meta)))
-        if kfac.hp.symmetric_comm:
-            tensors = pack_symmetric(tensors)
-        self._wire = tensors = kfac._compress_factor_tensors(tensors, self._metas)
-        # same promotion rule as pack_arrays(dtype=None), pinned explicitly
-        # because ranks owning nothing in a share chunk still contribute an
-        # empty buffer of the matching dtype
-        self._transport_dtype = np.result_type(*tensors)
+        self._offsets = kfac._wire_plan(self.plan.units).offsets
+        self._wire, self._widths = kfac._pack_factor_wire(self.plan.units)
 
     def _run_factor_comm(self, task: Any) -> Generator[Any, Any, None]:
         kfac = self.kfac
         b = task.payload["bucket"]
-        idxs = tuple(self.plan.buckets[b])
+        idxs = self.plan.buckets[b]
+        first, last = idxs[0], idxs[-1] + 1  # buckets are contiguous unit runs
+        lo, hi = self._offsets[first], self._offsets[last]
         assert self._wire is not None
-        tensors = [self._wire[i] for i in idxs]
+        tensor = self._wire[lo:hi]
+        if self._widths is not None:
+            # factors of several dtypes: a bucket fuses at the widest of its own
+            tensor = tensor.astype(f"f{self._widths[lo:hi].max()}", copy=False)
         yield from self._collective(
             task,
             AllReduceLaunch(
-                tensors=tensors,
+                tensor=tensor,
                 op="average",
                 phase="factor_comm",
                 tag=f"fac:{b}",
                 comm_dtype=kfac.hp.comm_dtype,
             ),
-            lambda reduced: self._install_factors(idxs, reduced),
-            {"bucket": b, "bytes": float(sum(t.nbytes for t in tensors))},
+            lambda reduced: self._install_factors(first, last, reduced),
+            {"bucket": b, "bytes": float(tensor.nbytes)},
         )
 
-    def _install_factors(self, idxs: Sequence[int], reduced: Sequence[np.ndarray]) -> None:
+    def _install_factors(self, first: int, last: int, reduced: np.ndarray) -> None:
+        """Scatter a reduced bucket — units ``[first, last)`` — into the arenas."""
         kfac = self.kfac
         if isinstance(reduced, CollectiveFailed):
             # exchange lost past the retry budget: keep the local running
             # averages for this refresh (graceful degradation)
-            kfac._note_factor_comm_failure([self._metas[i] for i in idxs])
+            kfac._note_factor_comm_failure(self._metas[first:last])
             return
-        for i, arr in zip(idxs, reduced):
-            meta = self._metas[i]
-            if kfac.hp.symmetric_comm and not meta.diagonal:
-                arr = tri_unpack(arr, meta.dim)
-            if meta.block is not None:
-                # write the averaged block in place; off-block entries stay
-                # local (they are never read once blocks are active)
-                factor_block(kfac._factor(meta), meta)[...] = arr
-            elif meta.kind == "A":
-                kfac._layer_by_name(meta.layer).A = arr
-            else:
-                kfac._layer_by_name(meta.layer).G = arr
+        kfac._install_factor_wire(self.plan.units, first, last, reduced)
 
     # ------------------------------------------------------------------
     # Eig
@@ -300,9 +286,7 @@ class GraphExecutor:
                     f"Eig:{name}",
                     "task",
                     kfac.rank,
-                    estimate_second_order_seconds(
-                        [m for m in kfac.factor_metas if m.layer == name], eigen
-                    ),
+                    estimate_second_order_seconds(kfac._metas_of[name], eigen),
                     attrs={"layer": name},
                 )
 
@@ -320,7 +304,9 @@ class GraphExecutor:
         kfac = self.kfac
         metas = [self._metas[i] for i in task.payload["metas"]]
         payload = [a for m in metas for a in self._computed.get(m.key, [])]
-        dtype = self._transport_dtype if self.plan.pipelined else None
+        # the wire's dtype, pinned because ranks owning nothing in a share
+        # chunk still contribute an empty buffer of the matching dtype
+        dtype = self._wire.dtype if self.plan.pipelined else None
         flat = pack_arrays(payload, dtype=dtype)
 
         def install(gathered: Sequence[np.ndarray]) -> None:
@@ -411,7 +397,8 @@ class GraphExecutor:
         self._pre[name] = layer.precondition(
             raw, kfac.damping, kfac.hp.use_eigen_decomp
         )
-        seconds = estimate_precondition_seconds([(layer.g_dim, layer.a_dim)])
+        meta_A, meta_G = kfac._metas_of[name]
+        seconds = estimate_precondition_seconds([(meta_G, meta_A)])
         self._pending_compute += seconds
         if self.tracer.enabled:
             self.tracer.span(

@@ -26,8 +26,9 @@ from hypothesis import strategies as st
 
 from repro.comm.backend import World
 from repro.comm.engine import symmetric_payload_nbytes
-from repro.comm.fusion import tri_len, tri_pack, tri_unpack
-from repro.core.comm_ops import AllReduceLaunch, pack_symmetric, unpack_symmetric
+from repro.comm.fusion import WirePlan, tri_len, tri_pack, tri_unpack
+from repro.core.assignment import wire_elements
+from repro.core.comm_ops import AllReduceLaunch
 from repro.core.distributed import PhaseController
 from repro.core.factors import (
     append_bias_column,
@@ -171,14 +172,19 @@ class TestTriPack:
             tri_unpack(np.ones(5, dtype=np.float32), 3)
 
     def test_pack_symmetric_helpers(self):
+        """The wire plan packs factors as concatenated triangles and
+        installs them back, both triangles, bit for bit."""
         mats = [_random_symmetric(d, np.float32, d) for d in (3, 8)]
-        flats = pack_symmetric(mats)
-        assert [f.shape for f in flats] == [(6,), (36,)]
-        back = unpack_symmetric(flats, [3, 8])
-        for m, b in zip(mats, back):
-            assert np.array_equal(m, b)
+        arena = np.concatenate([m.reshape(-1) for m in mats])
+        plan = WirePlan([(0, 3, 0, 3, False), (9, 8, 0, 8, False)], symmetric=True)
+        wire = plan.pack(arena)
+        assert plan.offsets == (0, 6, 42)
+        assert np.array_equal(wire, np.concatenate([tri_pack(m) for m in mats]))
+        back = np.zeros_like(arena)
+        plan.unpack(wire, back, 0, 2)
+        assert np.array_equal(back, arena)
         with pytest.raises(ValueError):
-            unpack_symmetric(flats, [3])
+            plan.unpack(wire[:6], back, 0, 2)
 
     def test_symmetric_payload_nbytes(self):
         assert symmetric_payload_nbytes([3, 8], itemsize=4) == [24, 144]
@@ -248,15 +254,18 @@ class TestCachedPatches:
 # 4. packed payload on the wire (sync + pipelined)
 # ---------------------------------------------------------------------------
 class RecordingController(PhaseController):
-    """PhaseController that records every factor_comm tensor shape."""
+    """PhaseController that records every factor_comm tensor size (and, by
+    tag, which bucket it was)."""
 
     def __init__(self, kfacs, world):
         super().__init__(kfacs, world)
-        self.factor_shapes: list[tuple[int, ...]] = []
+        self.factor_sizes: list[int] = []
+        self.factor_tags: list[str] = []
 
     def _launch(self, reqs, pending):
         if isinstance(reqs[0], AllReduceLaunch) and reqs[0].phase == "factor_comm":
-            self.factor_shapes.extend(t.shape for t in reqs[0].tensors)
+            self.factor_sizes.append(reqs[0].tensor.size)
+            self.factor_tags.append(reqs[0].tag)
         return super()._launch(reqs, pending)
 
 
@@ -289,39 +298,48 @@ def _run_steps_recording(world_size=2, steps=2, **kfac_kw):
 
 
 class TestPackedPayload:
-    def _expected(self, kfac, packed: bool) -> list[tuple[int, ...]]:
-        metas = kfac.factor_metas
-        if packed:
-            return [(tri_len(m.dim),) for m in metas]
-        return [(m.dim, m.dim) for m in metas]
+    """Each factor_comm launch is one bucket's slice of the wire: the
+    slices add up to d*(d+1)/2 elements per d x d factor (packed) or d*d."""
+
+    def _expected(self, kfac, packed: bool) -> int:
+        return sum(tri_len(m.dim) if packed else m.dim**2 for m in kfac.factor_metas)
 
     def test_sync_path_ships_triangles(self):
         kfac, ctrl = _run_steps_recording(symmetric_comm=True, steps=2)
-        expected = self._expected(kfac, packed=True)
-        assert ctrl.factor_shapes == expected * 2  # one exchange per step
-        # exactly d*(d+1)/2 elements per d x d factor
-        for meta, shape in zip(kfac.factor_metas * 2, ctrl.factor_shapes):
-            assert shape == (meta.dim * (meta.dim + 1) // 2,)
+        # one exchange per step, one launch per exchange
+        assert ctrl.factor_sizes == [self._expected(kfac, packed=True)] * 2
 
     def test_sync_path_full_when_disabled(self):
         kfac, ctrl = _run_steps_recording(symmetric_comm=False, steps=1)
-        assert ctrl.factor_shapes == self._expected(kfac, packed=False)
+        assert ctrl.factor_sizes == [self._expected(kfac, packed=False)]
+
+    def _assert_bucket_slices(self, kfac, ctrl, symmetric: bool) -> None:
+        """Every launch is exactly its bucket's units: a boundary shifted by
+        one unit between two buckets changes two of these sizes."""
+        (plan,) = kfac._plans.values()
+        assert len(ctrl.factor_sizes) == len(plan.buckets) > 1
+        metas = kfac.units.metas
+        for tag, size in zip(ctrl.factor_tags, ctrl.factor_sizes):
+            bucket = plan.buckets[int(tag.split(":")[1])]
+            assert size == sum(wire_elements(metas[i], symmetric) for i in bucket)
 
     def test_pipelined_path_ships_triangles(self):
         kfac, ctrl = _run_steps_recording(
             symmetric_comm=True, scheduler="graph", bucket_bytes=1 << 12, steps=1
         )
-        assert sorted(ctrl.factor_shapes) == sorted(self._expected(kfac, packed=True))
+        self._assert_bucket_slices(kfac, ctrl, symmetric=True)
+        assert sum(ctrl.factor_sizes) == self._expected(kfac, packed=True)
 
     def test_pipelined_path_full_when_disabled(self):
         kfac, ctrl = _run_steps_recording(
             symmetric_comm=False, scheduler="graph", bucket_bytes=1 << 12, steps=1
         )
-        assert sorted(ctrl.factor_shapes) == sorted(self._expected(kfac, packed=False))
+        self._assert_bucket_slices(kfac, ctrl, symmetric=False)
+        assert sum(ctrl.factor_sizes) == self._expected(kfac, packed=False)
 
     def test_packed_halves_wire_elements(self):
         kfac, ctrl = _run_steps_recording(symmetric_comm=True, steps=1)
-        packed = sum(np.prod(s) for s in ctrl.factor_shapes)
+        packed = sum(ctrl.factor_sizes)
         full = sum(m.dim**2 for m in kfac.factor_metas)
         assert packed < 0.51 * full + len(kfac.factor_metas)
 

@@ -8,6 +8,7 @@ import pytest
 from repro.comm.backend import World
 from repro.core.distributed import PhaseController
 from repro.core.preconditioner import COMM_OPT, KFAC, LAYER_WISE
+from repro.nn import Linear, Sequential
 from repro.nn.loss import CrossEntropyLoss
 from tests.conftest import build_tiny_cnn
 
@@ -163,6 +164,29 @@ class TestCheckpoint:
         fresh = KFAC(build_tiny_cnn(seed=1), damping=0.01)
         with pytest.raises(KeyError):
             fresh.load_state_dict(state)
+
+    @pytest.mark.parametrize("key", ["A", "G", "eig_A_Q", "eig_G_lam", "inv_A"])
+    def test_wrong_shape_rejected_before_restoring(self, key):
+        """A checkpoint from Linear(4, 3) does not load into Linear(5, 3):
+        it used to, leaving A (5, 5) where a_dim is 6, and the next step
+        died in ema_update."""
+        x = np.random.default_rng(0).normal(size=(6, 4)).astype(np.float32)
+        src = Sequential(Linear(4, 3))
+        k_src = KFAC(src, damping=0.01, kfac_update_freq=1, use_eigen_decomp=key != "inv_A")
+        one_step(src, k_src, x, np.arange(6) % 3, CrossEntropyLoss())
+        state = k_src.state_dict()
+        dst = KFAC(Sequential(Linear(4, 3)), damping=0.01, use_eigen_decomp=key != "inv_A")
+        entry = state["layers"]["m0"]
+        good = entry[key].shape
+        entry[key] = np.zeros(tuple(d + 1 for d in good), dtype=entry[key].dtype)
+        n = good[0]
+        msg = rf"{key} of K-FAC layer 'm0' has shape \({n + 1},.*is \({n},"
+        with pytest.raises(ValueError, match=msg):
+            dst.load_state_dict(state)
+        assert dst.steps == 0 and dst.layers[0].A is None  # nothing restored
+        entry[key] = np.zeros(good, dtype=entry[key].dtype)  # fits Linear(4, 3) again
+        with pytest.raises(ValueError, match=r"A of K-FAC layer 'm0' has shape \(5, 5\)"):
+            KFAC(Sequential(Linear(5, 3)), damping=0.01).load_state_dict(state, strict=False)
 
     def test_state_dict_is_deep_copy(self):
         x, y = self._data()

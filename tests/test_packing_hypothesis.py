@@ -1,7 +1,7 @@
 """Property-based tests for symmetric factor packing across dtypes.
 
-``tri_pack``/``tri_unpack`` (and the list-level ``pack_symmetric``/
-``unpack_symmetric``) promise *losslessness* — for an exactly-symmetric
+``tri_pack``/``tri_unpack`` (and the factor wire's index plan,
+``WirePlan``) promise *losslessness* — for an exactly-symmetric
 matrix the packed round trip is bit-identical — and *dtype preservation*
 in every precision the stack ships: fp16 working copies, bf16-on-fp32
 grids, fp32 and fp64.  Hypothesis drives odd shapes (d = 1, primes,
@@ -15,8 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.comm.fusion import tri_len, tri_pack, tri_unpack
-from repro.core.comm_ops import pack_symmetric, unpack_symmetric
+from repro.comm.fusion import WirePlan, tri_len, tri_pack, tri_unpack
 from repro.tensor.amp import quantize_bf16
 
 DTYPES = ("float16", "bfloat16-as-fp32", "float32", "float64")
@@ -60,12 +59,15 @@ def test_tri_roundtrip_lossless_and_dtype_preserving(d, dtype, seed):
 )
 def test_pack_symmetric_list_roundtrip(dims, dtype, seed):
     factors = [_symmetric(d, dtype, seed + i) for i, d in enumerate(dims)]
-    flats = pack_symmetric(factors)
-    assert [f.shape for f in flats] == [(tri_len(d),) for d in dims]
-    back = unpack_symmetric(flats, dims)
-    for original, restored in zip(factors, back):
-        assert restored.dtype == original.dtype
-        np.testing.assert_array_equal(restored, original)
+    arena = np.concatenate([f.reshape(-1) for f in factors])
+    starts = np.concatenate([[0], np.cumsum([d * d for d in dims])])
+    plan = WirePlan([(int(o), d, 0, d, False) for o, d in zip(starts, dims)], symmetric=True)
+    wire = plan.pack(arena)
+    assert wire.dtype == arena.dtype
+    assert np.diff(plan.offsets).tolist() == [tri_len(d) for d in dims]
+    restored = np.zeros_like(arena)
+    plan.unpack(wire, restored, 0, len(dims))
+    np.testing.assert_array_equal(restored, arena)
 
 
 @settings(max_examples=40, deadline=None)
@@ -96,5 +98,6 @@ def test_averaging_triangles_commutes_with_mirroring(d, dtype, seed):
 
 
 def test_mismatched_lengths_raise():
-    with pytest.raises(ValueError, match="packed factors"):
-        unpack_symmetric([np.zeros(3, dtype=np.float32)], [2, 3])
+    plan = WirePlan([(0, 2, 0, 2, False), (4, 3, 0, 3, False)], symmetric=True)
+    with pytest.raises(ValueError, match="wire elements"):
+        plan.unpack(np.zeros(3, dtype=np.float32), np.zeros(13, np.float32), 0, 2)

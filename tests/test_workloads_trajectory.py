@@ -31,6 +31,7 @@ import pytest
 
 import repro.core.layers as core_layers
 from repro.comm.backend import World
+from repro.comm.engine import NOMINAL_SECOND_ORDER_FLOPS
 from repro.core.assignment import second_order_shapes, wire_elements
 from repro.core.distributed import (
     HorovodContext,
@@ -45,6 +46,7 @@ from repro.nn.loss import CrossEntropyLoss
 from repro.nn.layers import BatchNorm2d, Conv2d, Flatten, Linear, ReLU
 from repro.nn.container import Sequential
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import Tracer
 from repro.optim.sgd import SGD
 from repro.perfmodel.specs import transformer_spec
 from repro.utils.logging import Logger
@@ -387,6 +389,30 @@ class TestDiagonalFactorOracles:
         # the e2e transformer_p2_wide shape: per-replica factor bytes per step
         e2e = transformer_spec(vocab_size=1024, seq_len=16, dim=32, depth=2)
         assert e2e.factor_payload_bytes(packed=True) == 109_988
+
+    def test_precondition_budget_prices_the_diagonal_side_as_a_scaling(self):
+        """A graph run's Precondition span of the embedding is the G-side
+        rotation alone (4 g^2 a FLOPs): its diagonal A side is a scaling,
+        not a dense a x a rotation."""
+        tracer = Tracer()
+        models = [build_tiny_transformer() for _ in range(2)]
+        kfacs = [
+            KFAC(m, rank=r, world_size=2, damping=0.01, scheduler="graph")
+            for r, m in enumerate(models)
+        ]
+        for k in kfacs:
+            k.tracer = tracer
+        x, y = make_batch()
+        for m in models:
+            loss_fn = MarginSoftmaxLoss()
+            loss_fn(m(x), y)
+            m.backward(loss_fn.backward())
+        PhaseController(kfacs, World(2)).step()
+        spans = tracer.spans(name="Precondition:tok_embed")
+        assert len(spans) == 2
+        g_side = 4.0 * DIM**2 * VOCAB / NOMINAL_SECOND_ORDER_FLOPS
+        for span in spans:
+            assert span.duration == pytest.approx(g_side, rel=1e-9)
 
     def test_legacy_dense_checkpoint_entry_normalises_on_load(self):
         _, kfac = _train_local(steps=2)
