@@ -206,7 +206,7 @@ class MultiHeadAttention(Module):
         q = self._split_heads(self.q_proj(flat), n, t)
         k = self._split_heads(self.k_proj(flat), n, t)
         v = self._split_heads(self.v_proj(flat), n, t)
-        scale = 1.0 / np.sqrt(self.head_dim)
+        scale = float(1.0 / np.sqrt(self.head_dim))
         scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
         attn = softmax(scores)
         ctx = np.matmul(attn, v)  # (N, heads, T, head_dim)
@@ -224,7 +224,7 @@ class MultiHeadAttention(Module):
         dv = np.matmul(attn.transpose(0, 1, 3, 2), dctx)
         # softmax Jacobian along the key axis
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores = dscores * (1.0 / np.sqrt(self.head_dim))
+        dscores = dscores * float(1.0 / np.sqrt(self.head_dim))
         dq = np.matmul(dscores, k)
         dk = np.matmul(dscores.transpose(0, 1, 3, 2), q)
 

@@ -15,9 +15,6 @@ Locks down :class:`repro.comm.fusion.WirePlan` and the arenas it reads:
 4. every ``layer.A`` / ``layer.G`` is a view of the arena of its dtype
    after a step, after a load (which keeps the arenas, the step plans and
    the wire plans) and after a failed exchange (which writes nothing);
-5. factors of mixed dtypes keep the dtypes a wire of one tensor per
-   factor gave them: a whole factor takes the dtype its bucket was fused
-   at, a block keeps its factor's.
 """
 
 from __future__ import annotations
@@ -120,8 +117,7 @@ def test_pack_and_install_roundtrip(factors, dtype, cuts, seed):
 # 3. error feedback: one flat residual == one residual per unit key
 # ---------------------------------------------------------------------------
 def _transformer_fleet(p, **kw):
-    """A float32 TinyTransformer: its attention path hands some factors
-    float64 readings, so the factor dtypes mix (under either default)."""
+    """A float32 TinyTransformer: dense, diagonal and blocked units."""
     models = [
         TinyTransformer(24, 6, dim=16, num_heads=2, depth=1, num_classes=3,
                         rng=np.random.default_rng(5)).cast_(np.float32)
@@ -204,16 +200,12 @@ def test_flat_residual_equals_per_key_over_alternating_bucket_plans(codec):
 
 def test_diagonal_unit_keeps_its_residual_across_the_switch_to_blocks():
     """The embedding's diagonal A is a unit of both granularities: its
-    residual survives the warmup-to-blocks switch, as a per-key one does.
-    The attention G factors start float64 in this float32 model, so the
-    wire mixes widths and the residual keeps each unit's own."""
+    residual survives the warmup-to-blocks switch, as a per-key one does."""
     models, kfacs, x, y = _transformer_fleet(2, comm_dtype="fp16", diag_blocks=2, diag_warmup=1)
     calls = _record_wire(kfacs[0])
     _lockstep(models, kfacs, x, y, steps=4, loss_cls=MarginSoftmaxLoss)
     exact, blocked = kfacs[0]._units
     assert [c[3] for c in calls] == [exact, blocked, blocked, blocked]
-    assert calls[0][1] is not None and set(np.unique(calls[0][1])) == {4, 8}
-    assert kfacs[0]._comm_ef._widths  # float64 residuals beside float32 ones
     shared = {m.key for m in exact.metas} & {m.key for m in blocked.metas}
     assert "tok_embed/A" in shared
     _replay_per_key(calls, "fp16")
@@ -352,35 +344,3 @@ def test_failed_exchange_writes_nothing(monkeypatch):
     assert controller.comm_fallbacks == 1 and kfacs[0].n_factor_comm_failures == 1
     assert len(installs) == 2  # nothing scattered
     assert kfacs[0]._arenas == arenas and _in_arena(kfacs[0])
-
-
-# ---------------------------------------------------------------------------
-# 5. mixed factor dtypes: the dtypes a wire of one tensor per factor gives
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("diag_blocks", [1, 4])
-def test_mixed_dtype_factors_take_their_buckets_dtype(diag_blocks):
-    """The attention path hands some factors float64 readings in a float32
-    model.  A bucket fuses at the widest dtype among its factors, so a
-    whole factor leaves the exchange at that dtype; a block keeps its
-    factor's dtype; every factor stays a view of its dtype's arena."""
-    models, kfacs, x, y = _transformer_fleet(
-        2, scheduler="graph", bucket_bytes=2048, diag_blocks=diag_blocks, diag_warmup=0
-    )
-    kfac = kfacs[0]
-    seen = []
-    pack = kfac._pack_factor_wire
-    kfac._pack_factor_wire = lambda units: (
-        seen.append({m.key: kfac._factor(m).dtype for m in units.metas}), pack(units)
-    )[1]
-    _lockstep(models, kfacs, x, y, steps=1, loss_cls=MarginSoftmaxLoss)
-    (before,) = seen
-    assert set(before.values()) == {np.dtype(np.float32), np.dtype(np.float64)}
-    (plan,) = kfac._plans.values()
-    assert len(plan.buckets) > 1
-    metas = kfac.units.metas
-    for bucket in plan.buckets:
-        fused = max(before[metas[i].key] for i in bucket)
-        for i in bucket:
-            want = before[metas[i].key] if metas[i].block is not None else fused
-            assert kfac._factor(metas[i]).dtype == want, metas[i].key
-    assert len(kfac._arenas) == 2 and _in_arena(kfac)

@@ -117,7 +117,7 @@ def _manual_attention_rows(mha, x, g):
     q = split(_manual_linear(mha.q_proj, flat))
     k = split(_manual_linear(mha.k_proj, flat))
     v = split(_manual_linear(mha.v_proj, flat))
-    scale = 1.0 / np.sqrt(hd)
+    scale = float(1.0 / np.sqrt(hd))  # a Python float: no NEP 50 promotion
     attn = softmax(np.matmul(q, k.transpose(0, 1, 3, 2)) * scale)
     ctx_flat = merge(np.matmul(attn, v))
 
