@@ -12,7 +12,9 @@ verifies the workload-tier invariants on the live preconditioner:
    as the identity basis, never widened to ``(vocab, vocab)``;
 3. ``diag_blocks`` leaves that factor whole and blocks the widest
    *dense* factor (a blocked ``FactorEig``) past the warmup;
-4. no parameterized layer was silently skipped.
+4. no parameterized layer was silently skipped;
+5. a float32 model is float32 end to end: every factor and eigenbasis
+   carries the preconditioner's one factor dtype, float32.
 
 Run:  python examples/transformer.py [--workers 2] [--steps 8]
                                      [--vocab 40] [--seq-len 6] [--dim 16]
@@ -63,7 +65,7 @@ def main() -> None:
     model = TinyTransformer(
         args.vocab, args.seq_len, dim=args.dim, num_heads=args.heads,
         depth=args.depth, num_classes=4, rng=np.random.default_rng(5),
-    )
+    ).cast_(np.float32)
     kfac = KFAC(
         model, damping=0.01, kfac_update_freq=2, fac_update_freq=1, lr=0.1,
         scheduler="graph", comm_dtype="fp16", diag_blocks=4, diag_warmup=1,
@@ -91,12 +93,19 @@ def main() -> None:
         widths = [hi - lo for lo, hi in eig.bounds]
         print(f"widest dense factor {widest.key} is blocked: widths {widths}")
 
+    # an np.float64 scalar in attention once promoted everything after it
+    dtypes = {kfac._factor(m).dtype for m in kfac.factor_metas}
+    dtypes |= {a.dtype for l in kfac.layers for e in (l.eig_A, l.eig_G) for a in e.arrays()}
+    assert kfac.factor_dtype == np.float32 and dtypes == {np.dtype(np.float32)}, dtypes
+    print(f"all {len(kfac.factor_metas)} factors and their eigenbases are float32")
+
     reg = MetricsRegistry()
     reg.collect_kfacs([kfac])
     n_unsupported = reg.gauge("kfac.unsupported_layers").value()
     print(
         f"captured layers: {len(kfac.layers)}; "
-        f"unsupported (first-order-only) layers: {int(n_unsupported)}"
+        f"unsupported (first-order-only) layers: {int(n_unsupported)}; "
+        f"readings cast at capture: {int(reg.counter('kfac.capture_casts').value())}"
     )
 
 

@@ -118,58 +118,36 @@ def wire_nbytes(x: np.ndarray, codec: WireCodec | None) -> int:
 
 
 class ErrorFeedback:
-    """Per-key quantization residuals re-injected before the next send.
-
-    A payload may carry values of several float widths held at its widest
-    dtype (``widths``: each element's itemsize).  Each element then sums
-    and banks at the wider of its own and its residual's width — bit for
-    bit what one payload per width would give.
-    """
+    """Per-key quantization residuals re-injected before the next send."""
 
     def __init__(self, codec: WireCodec) -> None:
         self.codec = codec
         self._residuals: dict[object, np.ndarray] = {}
-        #: key -> per-element widths of a residual not all at its own width
-        self._widths: dict[object, np.ndarray] = {}
 
-    def apply(self, key: object, value: np.ndarray, widths: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, key: object, value: np.ndarray) -> np.ndarray:
         """Quantize ``value`` plus the key's residual; bank the new error.
 
         Returns a fresh array of wire-precision fp32 values — the caller's
         ``value`` is never mutated.
         """
         residual = self._residuals.get(key)
-        widths = value.dtype.itemsize if widths is None else widths
-        if residual is None:
-            adjusted = value
-        else:
-            widths = np.maximum(widths, self.widths(key))
-            adjusted = _round_to(value + residual, widths)
+        adjusted = value if residual is None else value + residual
         with np.errstate(invalid="ignore"):
             quantized = self.codec.quantize(adjusted)
-            widths = np.maximum(widths, quantized.dtype.itemsize)
-            error = _round_to(adjusted - quantized, widths)
+            error = adjusted - quantized
         if not np.isfinite(error).all():
             # overflow steps (scaled AMP gradients) must not bank inf/nan
             # residuals: the step will be skipped, the error forgotten
             error = np.nan_to_num(error, nan=0.0, posinf=0.0, neginf=0.0)
-        self.seed(key, error, widths)
+        self._residuals[key] = error
         return quantized
 
     def residual(self, key: object) -> np.ndarray | None:
         return self._residuals.get(key)
 
-    def widths(self, key: object) -> np.ndarray | int:
-        """The float width (itemsize) of each element of ``key``'s residual."""
-        return self._widths.get(key, self._residuals[key].dtype.itemsize)
-
-    def seed(self, key: object, residual: np.ndarray, widths: np.ndarray | int = 0) -> None:
-        """Bank ``residual``, its elements at ``widths``, as :meth:`apply` would."""
+    def seed(self, key: object, residual: np.ndarray) -> None:
+        """Bank ``residual`` for ``key``, as :meth:`apply` would."""
         self._residuals[key] = residual
-        if np.ndim(widths) and (widths < residual.dtype.itemsize).any():
-            self._widths[key] = widths
-        else:
-            self._widths.pop(key, None)
 
     def rescale(self, factor: float) -> None:
         """Multiply every banked residual by ``factor``.
@@ -185,13 +163,3 @@ class ErrorFeedback:
 
     def reset(self) -> None:
         self._residuals.clear()
-        self._widths.clear()
-
-
-def _round_to(x: np.ndarray, widths: np.ndarray | int) -> np.ndarray:
-    """``x``, each element rounded in place to the float width ``widths`` gives it."""
-    if np.ndim(widths):
-        for width in np.unique(widths[widths < x.dtype.itemsize]):
-            where = widths == width
-            x[where] = x[where].astype(f"f{width}")
-    return x

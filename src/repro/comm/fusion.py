@@ -187,29 +187,23 @@ class WirePlan:
             if index is not None:
                 index.setflags(write=False)  # plans are shared (shared_wire_plan)
 
-    def pack(self, arena: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
-        """The wire — or its ``where`` elements — gathered from ``arena``."""
-        index = self.gather if where is None else self.gather[where]
+    def pack(self, arena: np.ndarray) -> np.ndarray:
+        """The wire, gathered from ``arena``."""
         # positions are valid by construction; "wrap" skips the bounds pass
-        return np.take(arena, index, mode="wrap")
+        return np.take(arena, self.gather, mode="wrap")
 
-    def unpack(
-        self, wire: np.ndarray, arena: np.ndarray, first: int, last: int,
-        where: np.ndarray | None = None,
-    ) -> None:
-        """Write ``wire``, the slice of units ``[first, last)`` (or its
-        ``where`` elements), into both triangles of each unit in ``arena`` —
-        and nowhere else (a block's off-block entries stay as they are)."""
+    def unpack(self, wire: np.ndarray, arena: np.ndarray, first: int, last: int) -> None:
+        """Write ``wire``, the slice of units ``[first, last)``, into both
+        triangles of each unit in ``arena`` (cast to its dtype) — and nowhere
+        else (a block's off-block entries stay as they are)."""
         a, b = self.offsets[first], self.offsets[last]
         if wire.shape != (b - a,):
             raise ValueError(
                 f"units [{first}, {last}) span {b - a} wire elements, got {wire.shape}"
             )
-        if where is not None:
-            wire = wire[where]
         for index in (self.gather, self.mirror):
             if index is not None:
-                arena[index[a:b] if where is None else index[a:b][where]] = wire
+                arena[index[a:b]] = wire
 
 
 @functools.lru_cache(maxsize=8)

@@ -43,6 +43,7 @@ from repro.nn.transformer import Embedding, LayerNorm
 from repro.tensor.workspace import Workspace, default_workspace
 
 __all__ = [
+    "factor_dtype",
     "KFACLayer",
     "LinearKFACLayer",
     "Conv2dKFACLayer",
@@ -52,19 +53,47 @@ __all__ = [
 ]
 
 
+def factor_dtype(model: Module) -> np.dtype:
+    """The dtype K-FAC keeps ``model``'s factors in: float32, or its widest
+    parameter dtype when wider (float64 storage).  fp16 working copies and
+    bf16 compute still accumulate factors in float32.
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> from repro.core.layers import factor_dtype
+    >>> from repro.nn import Linear
+    >>> factor_dtype(Linear(2, 2).cast_(np.float16))
+    dtype('float32')
+    """
+    return np.result_type(np.float32, *(p.data.dtype for p in model.parameters()))
+
+
 class KFACLayer:
-    """Base K-FAC handler for one module."""
+    """Base K-FAC handler for one module.
+
+    Every captured ``a`` / ``g`` reading is cast to ``dtype`` (the owning
+    ``KFAC``'s :func:`factor_dtype`) before its Gram product, so factors,
+    eigenbases and the factor wire have that one dtype; ``capture_casts``
+    counts the readings that needed it.
+    """
 
     #: ``A`` is exactly diagonal and held as its ``(a_dim,)`` diagonal
     #: (``FactorMeta.diagonal`` carries this to every consumer)
     diagonal_A = False
 
     def __init__(
-        self, name: str, module: Module, workspace: Workspace | None = None
+        self,
+        name: str,
+        module: Module,
+        workspace: Workspace | None = None,
+        dtype: np.dtype | None = None,
     ) -> None:
         self.name = name
         self.module = module
         self.workspace = workspace if workspace is not None else default_workspace()
+        self.dtype = np.dtype(dtype) if dtype is not None else factor_dtype(module)
+        self.capture_casts = 0
         self.a_input: np.ndarray | None = None
         self.g_output: np.ndarray | None = None
         self.A: np.ndarray | None = None  # running-average activation factor
@@ -98,6 +127,13 @@ class KFACLayer:
         self.g_output = g
 
     # -- factor math ------------------------------------------------------
+    def _reading(self, x: np.ndarray) -> np.ndarray:
+        """A captured activation / output-gradient at the factor dtype."""
+        if x.dtype == self.dtype:
+            return x
+        self.capture_casts += 1
+        return x.astype(self.dtype)
+
     def compute_A(self) -> np.ndarray:
         raise NotImplementedError
 
@@ -245,27 +281,22 @@ class KFACLayer:
 class LinearKFACLayer(KFACLayer):
     """Handler for :class:`repro.nn.layers.Linear`."""
 
-    def __init__(
-        self, name: str, module: Linear, workspace: Workspace | None = None
-    ) -> None:
-        super().__init__(name, module, workspace)
-        self._module: Linear = module
-
     @property
     def a_dim(self) -> int:
-        return self._module.in_features + (1 if self.has_bias else 0)
+        return self.module.in_features + (1 if self.has_bias else 0)
 
     @property
     def g_dim(self) -> int:
-        return self._module.out_features
+        return self.module.out_features
 
     def compute_A(self) -> np.ndarray:
         assert self.a_input is not None
-        return linear_factor_A(self.a_input, self.has_bias, self.workspace)
+        return linear_factor_A(self._reading(self.a_input), self.has_bias, self.workspace)
 
     def compute_G(self) -> np.ndarray:
         assert self.g_output is not None
-        return linear_factor_G(self.g_output, batch_averaged=True, workspace=self.workspace)
+        g = self._reading(self.g_output)
+        return linear_factor_G(g, batch_averaged=True, workspace=self.workspace)
 
 
 class Conv2dKFACLayer(KFACLayer):
@@ -277,24 +308,20 @@ class Conv2dKFACLayer(KFACLayer):
     recycled into the module's workspace once the factor is folded in.
     """
 
-    def __init__(
-        self, name: str, module: Conv2d, workspace: Workspace | None = None
-    ) -> None:
-        super().__init__(name, module, workspace)
-        self._module: Conv2d = module
-        self._input_is_patches = False
+    #: the claimed forward patch matrix is ``a_input`` (else the raw input)
+    _input_is_patches = False
 
     @property
     def a_dim(self) -> int:
-        kh, kw = self._module.kernel_size
-        return self._module.in_channels * kh * kw + (1 if self.has_bias else 0)
+        kh, kw = self.module.kernel_size
+        return self.module.in_channels * kh * kw + (1 if self.has_bias else 0)
 
     @property
     def g_dim(self) -> int:
-        return self._module.out_channels
+        return self.module.out_channels
 
     def save_input(self, x: np.ndarray) -> None:
-        cols = self._module.claim_patches()
+        cols = self.module.claim_patches()
         if cols is not None:
             self.a_input = cols
             self._input_is_patches = True
@@ -304,26 +331,26 @@ class Conv2dKFACLayer(KFACLayer):
 
     def compute_A(self) -> np.ndarray:
         assert self.a_input is not None
+        a = self._reading(self.a_input)
         if self._input_is_patches:
-            return conv2d_factor_A_from_patches(
-                self.a_input, self.has_bias, self.workspace
-            )
+            return conv2d_factor_A_from_patches(a, self.has_bias, self.workspace)
         return conv2d_factor_A(
-            self.a_input,
-            self._module.kernel_size,
-            self._module.stride,
-            self._module.padding,
+            a,
+            self.module.kernel_size,
+            self.module.stride,
+            self.module.padding,
             self.has_bias,
             self.workspace,
         )
 
     def compute_G(self) -> np.ndarray:
         assert self.g_output is not None
-        return conv2d_factor_G(self.g_output, batch_averaged=True, workspace=self.workspace)
+        g = self._reading(self.g_output)
+        return conv2d_factor_G(g, batch_averaged=True, workspace=self.workspace)
 
     def _release_captures(self) -> None:
         if self._input_is_patches and self.a_input is not None:
-            self._module.workspace.release(self.a_input)
+            self.module.workspace.release(self.a_input)
         self._input_is_patches = False
         super()._release_captures()
 
@@ -346,38 +373,32 @@ class EmbeddingKFACLayer(KFACLayer):
 
     diagonal_A = True
 
-    def __init__(
-        self, name: str, module: Embedding, workspace: Workspace | None = None
-    ) -> None:
-        super().__init__(name, module, workspace)
-        self._module: Embedding = module
-
     @property
     def a_dim(self) -> int:
-        return self._module.num_embeddings
+        return self.module.num_embeddings
 
     @property
     def g_dim(self) -> int:
-        return self._module.embedding_dim
+        return self.module.embedding_dim
 
     def compute_A(self) -> np.ndarray:
         assert self.a_input is not None
         return embedding_factor_A(
             self.a_input,
-            self._module.num_embeddings,
-            dtype=self._module.weight.data.dtype,
+            self.module.num_embeddings,
+            dtype=self.dtype,
             workspace=self.workspace,
         )
 
     def compute_G(self) -> np.ndarray:
         assert self.g_output is not None
         g = np.ascontiguousarray(
-            self.g_output.reshape(-1, self._module.embedding_dim)
+            self._reading(self.g_output).reshape(-1, self.module.embedding_dim)
         )
         return linear_factor_G(g, batch_averaged=True, workspace=self.workspace)
 
     def get_grad_matrix(self) -> np.ndarray:
-        return np.ascontiguousarray(self._module.weight.grad.T)
+        return np.ascontiguousarray(self.module.weight.grad.T)
 
     def set_grad_matrix(self, mat: np.ndarray) -> None:
         if mat.shape != (self.g_dim, self.a_dim):
@@ -385,7 +406,7 @@ class EmbeddingKFACLayer(KFACLayer):
                 f"layer {self.name}: grad matrix {mat.shape} != "
                 f"({self.g_dim}, {self.a_dim})"
             )
-        self._module.weight.grad[...] = mat.T
+        self.module.weight.grad[...] = mat.T
 
 
 class LayerNormKFACLayer(KFACLayer):
@@ -400,43 +421,37 @@ class LayerNormKFACLayer(KFACLayer):
     ``2d`` free parameters (see ``docs/workloads.md``).
     """
 
-    def __init__(
-        self, name: str, module: LayerNorm, workspace: Workspace | None = None
-    ) -> None:
-        super().__init__(name, module, workspace)
-        self._module: LayerNorm = module
-
     @property
     def a_dim(self) -> int:
-        return self._module.dim + 1  # weight diagonal + bias column
+        return self.module.dim + 1  # weight diagonal + bias column
 
     @property
     def g_dim(self) -> int:
-        return self._module.dim
+        return self.module.dim
 
     def save_input(self, x: np.ndarray) -> None:
         # the hook hands us the pre-normalization input; the affine
         # parameters act on x_hat, which the module caches in forward
-        x_hat = self._module.cached_normalized
+        x_hat = self.module.cached_normalized
         self.a_input = x_hat if x_hat is not None else x
 
     def compute_A(self) -> np.ndarray:
         assert self.a_input is not None
-        a = np.ascontiguousarray(self.a_input.reshape(-1, self._module.dim))
+        a = np.ascontiguousarray(self._reading(self.a_input).reshape(-1, self.module.dim))
         return linear_factor_A(a, has_bias=True, workspace=self.workspace)
 
     def compute_G(self) -> np.ndarray:
         assert self.g_output is not None
-        g = np.ascontiguousarray(self.g_output.reshape(-1, self._module.dim))
+        g = np.ascontiguousarray(self._reading(self.g_output).reshape(-1, self.module.dim))
         return linear_factor_G(g, batch_averaged=True, workspace=self.workspace)
 
     def get_grad_matrix(self) -> np.ndarray:
-        d = self._module.dim
-        w_grad = self._module.weight.grad
+        d = self.module.dim
+        w_grad = self.module.weight.grad
         mat = np.zeros((d, d + 1), dtype=w_grad.dtype)
         idx = np.arange(d)
         mat[idx, idx] = w_grad
-        mat[:, d] = self._module.bias.grad
+        mat[:, d] = self.module.bias.grad
         return mat
 
     def set_grad_matrix(self, mat: np.ndarray) -> None:
@@ -445,22 +460,22 @@ class LayerNormKFACLayer(KFACLayer):
                 f"layer {self.name}: grad matrix {mat.shape} != "
                 f"({self.g_dim}, {self.a_dim})"
             )
-        d = self._module.dim
+        d = self.module.dim
         idx = np.arange(d)
-        self._module.weight.grad[...] = mat[idx, idx]
-        self._module.bias.grad[...] = mat[:, d]
+        self.module.weight.grad[...] = mat[idx, idx]
+        self.module.bias.grad[...] = mat[:, d]
 
 
 def make_kfac_layer(
-    name: str, module: Module, workspace: Workspace | None = None
+    name: str, module: Module, workspace: Workspace | None = None, dtype: np.dtype | None = None
 ) -> KFACLayer | None:
     """Return a handler for supported module types, else ``None``."""
-    if isinstance(module, Linear):
-        return LinearKFACLayer(name, module, workspace)
-    if isinstance(module, Conv2d):
-        return Conv2dKFACLayer(name, module, workspace)
-    if isinstance(module, Embedding):
-        return EmbeddingKFACLayer(name, module, workspace)
-    if isinstance(module, LayerNorm):
-        return LayerNormKFACLayer(name, module, workspace)
+    for kind, handler in (
+        (Linear, LinearKFACLayer),
+        (Conv2d, Conv2dKFACLayer),
+        (Embedding, EmbeddingKFACLayer),
+        (LayerNorm, LayerNormKFACLayer),
+    ):
+        if isinstance(module, kind):
+            return handler(name, module, workspace, dtype)
     return None

@@ -62,7 +62,7 @@ from repro.core.assignment import (
 )
 from repro.core.comm_ops import unpack_arrays
 from repro.core.inverse import FactorEig
-from repro.core.layers import KFACLayer, make_kfac_layer
+from repro.core.layers import KFACLayer, factor_dtype, make_kfac_layer
 from repro.nn.module import Module
 from repro.obs.tracer import NULL_TRACER
 from repro.utils.logging import Logger
@@ -299,19 +299,22 @@ def _diagonal_A_entry(name: str, entry: dict) -> dict:
 
 
 def _restored_eig(
-    q: np.ndarray | None, lam: np.ndarray, bounds: tuple[tuple[int, int], ...] | None
+    q: np.ndarray | None,
+    lam: np.ndarray,
+    bounds: tuple[tuple[int, int], ...] | None,
+    dtype: np.dtype,
 ) -> FactorEig:
-    """A checkpointed basis (copied): blocked again under ``bounds`` when
-    ``q`` is exactly block-diagonal there — the dense form a blocked basis
-    checkpoints as — else as stored."""
+    """A checkpointed basis (copied, at ``dtype``): blocked again under
+    ``bounds`` when ``q`` is exactly block-diagonal there — the dense form a
+    blocked basis checkpoints as — else as stored."""
     if q is not None and bounds is not None:
         off_block = q.copy()
         for lo, hi in bounds:
             off_block[lo:hi, lo:hi] = 0
         if not off_block.any():
-            blocks = tuple(q[lo:hi, lo:hi].copy() for lo, hi in bounds)
-            return FactorEig(None, lam.copy(), blocks, bounds)
-    return FactorEig(None if q is None else q.copy(), lam.copy())
+            blocks = tuple(q[lo:hi, lo:hi].astype(dtype) for lo, hi in bounds)
+            return FactorEig(None, lam.astype(dtype), blocks, bounds)
+    return FactorEig(None if q is None else q.astype(dtype), lam.astype(dtype))
 
 
 class KFAC:
@@ -394,6 +397,9 @@ class KFAC:
         self.kfac_update_freq = base.kfac_update_freq
 
         self.logger = logger if logger is not None else Logger("kfac", stream=sys.stderr)
+        #: the one dtype of every factor reading, running average, eigenbasis
+        #: and the factor wire: float32, or the parameters' when wider
+        self.factor_dtype = factor_dtype(model)
         self.layers: list[KFACLayer] = []
         self._layers_by_name: dict[str, KFACLayer] = {}
         self._hook_removers: list = []
@@ -401,7 +407,7 @@ class KFAC:
         for name, module in model.named_modules():
             if any(s in name for s in base.skip_layers):
                 continue
-            handler = make_kfac_layer(name, module)
+            handler = make_kfac_layer(name, module, dtype=self.factor_dtype)
             if handler is None:
                 if module._parameters:
                     # parameterized but unhandled: the layer trains
@@ -449,15 +455,12 @@ class KFAC:
                 [m.diagonal for m in self._factor_metas],
             )
             self._units.append(plan_units(*placed, bounds))
-        #: factor key -> (offset, side) of its slot in the factor arenas
-        #: (factor-meta order; see _factor_arenas)
+        #: factor key -> (offset, side) of its slot in the factor arena
+        #: (factor-meta order; see _factor_arena)
         ends = np.cumsum([0] + [m.n_elements for m in self._factor_metas]).tolist()
         self._arena_slots = {m.key: (lo, m.dim) for m, lo in zip(self._factor_metas, ends)}
         self._arena_size: int = ends[-1]
-        #: itemsize -> the arena of that dtype; per arena element, the
-        #: itemsize of the arena its factor lives in
-        self._arenas: dict[int, np.ndarray] = {}
-        self._home = np.empty(0, np.int8)
+        self._arena: np.ndarray | None = None
         #: each granularity's units as wire-plan spans (shared_wire_plan)
         self._wire_spans = [
             tuple((*self._arena_slots[m.factor_key], m.lo, m.dim, m.diagonal) for m in u.metas)
@@ -561,6 +564,12 @@ class KFAC:
         for layer in self.layers:
             metas.append(FactorMeta(layer.name, "G", layer.g_dim))
         return metas
+
+    @property
+    def n_capture_casts(self) -> int:
+        """Captured readings cast to :attr:`factor_dtype` (data whose dtype is
+        not the model's, such as float32 images into a float64 model)."""
+        return sum(layer.capture_casts for layer in self.layers)
 
     @property
     def factor_metas(self) -> list[FactorMeta]:
@@ -786,8 +795,6 @@ class KFAC:
         ``"sync"`` plans an immediate wait after every launch.  With
         ``bucket_bytes=None`` the pipeline chunk size comes from the
         cost-model rates (:func:`repro.sched.planner.choose_bucket_bytes`).
-        Factors must exist when a factor exchange is planned (the wire
-        partition is derived from their dtypes).
         """
         from repro.sched.planner import build_step_plan
 
@@ -809,12 +816,8 @@ class KFAC:
             # blocks are active): triangular packing and compressed
             # transport shrink the payloads the partition actually sees
             codec = get_codec(self.hp.comm_dtype)
-            wire = []
-            for meta in units.metas:
-                factor = self._factor(meta)
-                assert factor is not None, "plan built before factor update"
-                itemsize = codec.itemsize if codec is not None else factor.dtype.itemsize
-                wire.append(wire_elements(meta, self.hp.symmetric_comm) * itemsize)
+            itemsize = codec.itemsize if codec is not None else self.factor_dtype.itemsize
+            wire = [wire_elements(m, self.hp.symmetric_comm) * itemsize for m in units.metas]
         bcast_entries = tuple(
             (root, [l.name for l in layers_r]) for root, layers_r, _ in self._bcast_plan
         )
@@ -833,33 +836,24 @@ class KFAC:
         self._plans[key] = plan
         return plan
 
-    def _factor_arenas(self) -> dict[int, np.ndarray]:
-        """The flat buffers the running-average factors live in, by itemsize.
+    def _factor_arena(self) -> np.ndarray:
+        """The flat buffer the running-average factors live in.
 
-        Adopted at the first factor exchange: each factor is copied into the
-        arena of its dtype — one arena unless the factors' dtypes differ — and
-        ``layer.A`` / ``layer.G`` become views of it, which the in-place EMA
-        updates and the wire plans gather from and scatter into.
+        Adopted at the first factor exchange: each factor is copied into its
+        slot and ``layer.A`` / ``layer.G`` become views of it, which the
+        in-place EMA updates and the wire plans gather from and scatter into.
         """
-        if not self._arenas:
-            factors = [self._factor(m) for m in self._factor_metas]
-            assert all(f is not None for f in factors), "factor exchange before factor update"
-            self._home = np.empty(self._arena_size, np.int8)
-            for meta, factor in zip(self._factor_metas, factors):
-                self._rehome(meta, factor.dtype)[...] = factor
-        return self._arenas
-
-    def _rehome(self, meta: FactorMeta, dtype: np.dtype) -> np.ndarray:
-        """Bind the factor of ``meta`` to its slot in the ``dtype`` arena."""
-        arena = self._arenas.get(dtype.itemsize)
-        if arena is None:
-            arena = self._arenas[dtype.itemsize] = np.empty(self._arena_size, dtype)
-        lo = self._arena_slots[meta.factor_key][0]
-        hi = lo + meta.n_elements
-        self._home[lo:hi] = dtype.itemsize
-        view = arena[lo:hi].reshape(meta.shape)
-        setattr(self._layers_by_name[meta.layer], meta.kind, view)
-        return view
+        if self._arena is None:
+            arena = np.empty(self._arena_size, self.factor_dtype)
+            for meta in self._factor_metas:
+                factor = self._factor(meta)
+                assert factor is not None, "factor exchange before factor update"
+                lo = self._arena_slots[meta.key][0]
+                view = arena[lo : lo + meta.n_elements].reshape(meta.shape)
+                view[...] = factor
+                setattr(self._layers_by_name[meta.layer], meta.kind, view)
+            self._arena = arena
+        return self._arena
 
     def _wire_plan(self, units: FactorUnits) -> WirePlan:
         """The arena <-> wire index plan of ``units`` (shared by every step
@@ -867,50 +861,23 @@ class KFAC:
         g = 0 if units is self._units[0] else -1
         return shared_wire_plan(self._wire_spans[g], self.hp.symmetric_comm)
 
-    def _pack_factor_wire(self, units: FactorUnits) -> tuple[np.ndarray, np.ndarray | None]:
-        """The factor wire of ``units``, EF-compressed under ``comm_dtype``.
-
-        Factors of several dtypes ship at the widest, exactly; without a
-        codec each element's own itemsize comes with the wire (else
-        ``None``), since a bucket travels at the widest of its own.
-        """
-        plan, arenas = self._wire_plan(units), self._factor_arenas()
-        if len(arenas) == 1:
-            wire, widths = plan.pack(*arenas.values()), None
-        else:
-            widths = self._home.take(plan.gather)
-            wire = np.empty(widths.size, arenas[max(arenas)].dtype)
-            for width, arena in arenas.items():
-                where = widths == width
-                wire[where] = plan.pack(arena, where)
-        if self._comm_ef is None:
-            return wire, widths
-        return self._compress_factor_wire(wire, widths, units), None
+    def _pack_factor_wire(self, units: FactorUnits) -> np.ndarray:
+        """The factor wire of ``units``, EF-compressed under ``comm_dtype``."""
+        wire = self._wire_plan(units).pack(self._factor_arena())
+        return wire if self._comm_ef is None else self._compress_factor_wire(wire, units)
 
     def _install_factor_wire(
         self, units: FactorUnits, first: int, last: int, reduced: np.ndarray
     ) -> None:
-        """Scatter the reduced wire of units ``[first, last)`` into the arenas.
+        """Scatter the reduced wire of units ``[first, last)`` into the arena.
 
-        A whole factor is replaced, so it takes the wire's dtype (moving to
-        that arena); a block is written in place and its off-block entries
-        stay local (they are never read once blocks are active).
+        The wire is cast to the factor dtype (a compressed wire reduces in
+        fp32); a block writes only its block, and its off-block entries stay
+        local (they are never read once blocks are active).
         """
-        plan, arenas = self._wire_plan(units), self._arenas
-        if list(arenas) != [reduced.dtype.itemsize]:
-            for meta in units.metas[first:last]:
-                if meta.block is None and self._factor(meta).dtype != reduced.dtype:
-                    self._rehome(meta, reduced.dtype)
-            for width in set(arenas) - set(np.unique(self._home)):
-                del arenas[width]  # no factor lives there any more
-        span = plan.gather[plan.offsets[first] : plan.offsets[last]]
-        widths = self._home.take(span) if len(arenas) > 1 else None
-        for width, arena in arenas.items():
-            plan.unpack(reduced, arena, first, last, None if widths is None else widths == width)
+        self._wire_plan(units).unpack(reduced, self._arena, first, last)
 
-    def _compress_factor_wire(
-        self, wire: np.ndarray, widths: np.ndarray | None, units: FactorUnits
-    ) -> np.ndarray:
+    def _compress_factor_wire(self, wire: np.ndarray, units: FactorUnits) -> np.ndarray:
         """Quantize the factor wire of ``units`` for compressed transport, with EF.
 
         Each granularity banks one wire-shaped residual, unit ``i``'s at its
@@ -925,8 +892,8 @@ class KFAC:
         prev = None if last in (None, g) else ef.residual(last)
         if prev is not None:
             # a unit both granularities share (a factor left whole) keeps its
-            # residual across the switch; -0.0, the additive identity, at
-            # width 0 leaves the units with nothing banked as they are
+            # residual across the switch; -0.0, the additive identity, leaves
+            # the units with nothing banked as they are
             offs = self._wire_plan(self._units[last]).offsets
             was = {m.key: slice(a, b) for m, a, b in zip(self._units[last].metas, offs, offs[1:])}
             offs = self._wire_plan(units).offsets
@@ -936,17 +903,13 @@ class KFAC:
                 if m.key in was
             ]
             if shared:
-                old = ef.residual(g)
-                if old is None:
-                    res, res_w = np.full(wire.size, -0.0, prev.dtype), np.zeros(wire.size, np.int8)
-                else:
-                    res = old.astype(np.result_type(old, prev))
-                    res_w = np.broadcast_to(ef.widths(g), res.shape).astype(np.int8)
-                prev_w = np.broadcast_to(ef.widths(last), prev.shape)
+                res = ef.residual(g)
+                if res is None:
+                    res = np.full(wire.size, -0.0, prev.dtype)
                 for dst, src in shared:
-                    res[dst], res_w[dst] = prev[src], prev_w[src]
-                ef.seed(g, res, res_w)
-        return ef.apply(g, wire, widths)
+                    res[dst] = prev[src]
+                ef.seed(g, res)
+        return ef.apply(g, wire)
 
     def _install_second_order(
         self, flat: np.ndarray, metas: Sequence[FactorMeta]
@@ -1095,9 +1058,10 @@ class KFAC:
         inverse method).  ``strict=False`` restores the intersection and
         skips the placement check.  An entry whose factor or second-order
         arrays do not fit its layer raises ``ValueError`` naming the layer,
-        the key and both shapes, before anything is restored.  Factors load
-        into the existing arena views in place when their dtypes match (see
-        :meth:`_factor_arenas`).
+        the key and both shapes, before anything is restored.  Every array
+        is cast to :attr:`factor_dtype`; factors load into the existing
+        views in place (the arena of :meth:`_factor_arena`, the step plans
+        and the wire plans all stay).
 
         A *portable* bundle (``portable: True``, from
         :func:`repro.elastic.gather_state_dict`) carries every layer's
@@ -1165,32 +1129,28 @@ class KFAC:
         # the saved bases are blocked iff their refresh ran past the warmup
         past_warmup = self.n_second_order_updates > self.hp.diag_warmup
         bounds = self._units[-1].bounds if past_warmup else {}
+        dtype = self.factor_dtype
         for name, entry in entries.items():
             layer = by_name[name]
-            if (
-                "A" in entry
-                and self._arenas
-                and layer.A.dtype == entry["A"].dtype
-                and layer.G.dtype == entry["G"].dtype
-            ):
-                layer.A[...] = entry["A"]  # in place: arena views, plans, indices stay
-                layer.G[...] = entry["G"]
-            elif "A" in entry:  # standalone at their dtypes; arenas adopted at the next exchange
-                self._arenas = {}
-                layer.A, layer.G = entry["A"].copy(), entry["G"].copy()
+            if "A" in entry and layer.A is None:  # the arena adopts them at the next exchange
+                layer.A, layer.G = entry["A"].astype(dtype), entry["G"].astype(dtype)
+            elif "A" in entry:  # cast in place: the arena and every plan stay
+                layer.A[...], layer.G[...] = entry["A"], entry["G"]
             # portable bundles are redistributed: second-order state
             # hydrates only where the *current* placement wants it
             if portable and not self.is_grad_worker(name):
                 continue
             if "eig_A_lam" in entry:
                 q_A = None if layer.diagonal_A else entry["eig_A_Q"]
-                layer.eig_A = _restored_eig(q_A, entry["eig_A_lam"], bounds.get(f"{name}/A"))
+                layer.eig_A = _restored_eig(
+                    q_A, entry["eig_A_lam"], bounds.get(f"{name}/A"), dtype
+                )
                 layer.eig_G = _restored_eig(
-                    entry["eig_G_Q"], entry["eig_G_lam"], bounds.get(f"{name}/G")
+                    entry["eig_G_Q"], entry["eig_G_lam"], bounds.get(f"{name}/G"), dtype
                 )
             if "inv_A" in entry:
-                layer.inv_A = entry["inv_A"].copy()
-                layer.inv_G = entry["inv_G"].copy()
+                layer.inv_A = entry["inv_A"].astype(dtype)
+                layer.inv_G = entry["inv_G"].astype(dtype)
 
     # ------------------------------------------------------------------
     # convenience: run the step with no communication (world of one)

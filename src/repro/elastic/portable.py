@@ -34,10 +34,6 @@ _SECOND_ORDER_KEYS = frozenset(
     ("eig_A_Q", "eig_A_lam", "eig_G_Q", "eig_G_lam", "inv_A", "inv_G")
 )
 
-#: wire codes for the original dtype of a gathered shard (0 = absent);
-#: shards travel as float64 (exact for every code) and are cast back
-_DTYPE_CODES = {1: np.float32, 2: np.float64, 3: np.float16}
-
 
 def redistribution_plan(
     layer_names: Sequence[str],
@@ -106,8 +102,8 @@ def gather_state_dict(
     - ``peers=[kfac_rank0, kfac_rank1, ...]`` (phase-style drivers, all
       replicas in one process): merged directly from the peer objects.
     - ``hvd=HorovodContext`` (SPMD): two allgathers — a per-factor
-      presence/dtype flag vector, then the owned shards packed as
-      ``float64`` (exact for every supported dtype) and cast back.  This
+      presence flag vector, then the owned shards packed at the factor
+      dtype (``KFAC.factor_dtype``, which every eigenbasis carries).  This
       is a collective: **every** rank must call it.
 
     Example
@@ -201,13 +197,6 @@ def _entry_keys(kfac: Any, meta: Any) -> tuple[str, ...]:
     return keys[-1:] if meta.diagonal else keys  # diagonal: one vector, no Q
 
 
-def _dtype_code(dtype: np.dtype) -> int:
-    for code, dt in _DTYPE_CODES.items():
-        if np.dtype(dt) == np.dtype(dtype):
-            return code
-    raise TypeError(f"cannot transport second-order shards of dtype {dtype}")
-
-
 def _allgather_shards(kfac: Any, state: dict, hvd: Any) -> None:
     metas = kfac.factor_metas
     owner = {m.key: _factor_owner(kfac, m) for m in metas}
@@ -216,17 +205,10 @@ def _allgather_shards(kfac: Any, state: dict, hvd: Any) -> None:
     chunks: list[np.ndarray] = []
     for meta in owned:
         arrays = _local_arrays(kfac, meta)
-        if arrays is None:
-            flags.append(0.0)
-            continue
-        flags.append(float(_dtype_code(np.result_type(*arrays))))
-        chunks.extend(
-            np.ascontiguousarray(a, dtype=np.float64).reshape(-1) for a in arrays
-        )
+        flags.append(float(arrays is not None))
+        chunks.extend(a.reshape(-1) for a in arrays or ())
     flags_buf = np.asarray(flags, dtype=np.float64)
-    payload = (
-        np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.float64)
-    )
+    payload = np.concatenate(chunks) if chunks else np.zeros(0, kfac.factor_dtype)
     all_flags = hvd.allgather(flags_buf, name="elastic:gather:flags")
     all_payloads = hvd.allgather(payload, name="elastic:gather:shards")
     for r in range(kfac.world_size):
@@ -234,15 +216,11 @@ def _allgather_shards(kfac: Any, state: dict, hvd: Any) -> None:
         r_flags, buf = all_flags[r], all_payloads[r]
         offset = 0
         for meta, flag in zip(r_owned, r_flags):
-            code = int(flag)
-            if code == 0:
+            if not flag:
                 continue
-            dtype = _DTYPE_CODES[code]
             entry = state["layers"].setdefault(meta.layer, {})
             shapes = second_order_shapes(meta, kfac.hp.use_eigen_decomp)
             for key, shape in zip(_entry_keys(kfac, meta), shapes):
                 size = int(np.prod(shape))
-                entry[key] = (
-                    buf[offset : offset + size].reshape(shape).astype(dtype)
-                )
+                entry[key] = buf[offset : offset + size].reshape(shape).copy()
                 offset += size

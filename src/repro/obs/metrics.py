@@ -281,6 +281,10 @@ class MetricsRegistry:
             self.counter("kfac.drift_skips").inc(
                 getattr(first, "n_drift_skips", 0)
             )
+            # a/g readings cast to the factor dtype at capture: 0 unless the
+            # data's dtype differs from the model's, so a silent promotion
+            # shows up here as a count
+            self.counter("kfac.capture_casts").inc(getattr(first, "n_capture_casts", 0))
             # parameterized-but-unpreconditioned layers (identical across
             # replicas): total plus a per-type breakdown
             unsupported = getattr(first, "unsupported_layers", ())

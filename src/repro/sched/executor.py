@@ -91,11 +91,9 @@ class GraphExecutor:
         self._computed: dict[str, list[np.ndarray]] = {}
         self._pre: dict[str, np.ndarray] = {}
         self._raw: dict[str, np.ndarray] = {}
-        #: the step's factor wire, its unit offsets and — factors of several
-        #: dtypes, uncompressed — each element's itemsize
+        #: the step's factor wire and its unit offsets
         self._wire: np.ndarray | None = None
         self._offsets: tuple[int, ...] = ()
-        self._widths: np.ndarray | None = None
         #: the plan's comm/eig units (whole factors, or their diagonal
         #: blocks): task payloads index into these metas
         self._metas = plan.units.metas
@@ -186,7 +184,7 @@ class GraphExecutor:
     # FactorComm
     # ------------------------------------------------------------------
     def _prepare_wire(self) -> None:
-        """Gather the whole factor wire from the arenas, EF-compressed.
+        """Gather the whole factor wire from the arena, EF-compressed.
 
         One buffer per step: every unit's packed upper triangle (a block
         unit's block only — off-block entries never travel; a diagonal
@@ -195,7 +193,7 @@ class GraphExecutor:
         """
         kfac = self.kfac
         self._offsets = kfac._wire_plan(self.plan.units).offsets
-        self._wire, self._widths = kfac._pack_factor_wire(self.plan.units)
+        self._wire = kfac._pack_factor_wire(self.plan.units)
 
     def _run_factor_comm(self, task: Any) -> Generator[Any, Any, None]:
         kfac = self.kfac
@@ -205,9 +203,6 @@ class GraphExecutor:
         lo, hi = self._offsets[first], self._offsets[last]
         assert self._wire is not None
         tensor = self._wire[lo:hi]
-        if self._widths is not None:
-            # factors of several dtypes: a bucket fuses at the widest of its own
-            tensor = tensor.astype(f"f{self._widths[lo:hi].max()}", copy=False)
         yield from self._collective(
             task,
             AllReduceLaunch(
@@ -222,7 +217,7 @@ class GraphExecutor:
         )
 
     def _install_factors(self, first: int, last: int, reduced: np.ndarray) -> None:
-        """Scatter a reduced bucket — units ``[first, last)`` — into the arenas."""
+        """Scatter a reduced bucket — units ``[first, last)`` — into the arena."""
         kfac = self.kfac
         if isinstance(reduced, CollectiveFailed):
             # exchange lost past the retry budget: keep the local running
@@ -304,10 +299,9 @@ class GraphExecutor:
         kfac = self.kfac
         metas = [self._metas[i] for i in task.payload["metas"]]
         payload = [a for m in metas for a in self._computed.get(m.key, [])]
-        # the wire's dtype, pinned because ranks owning nothing in a share
-        # chunk still contribute an empty buffer of the matching dtype
-        dtype = self._wire.dtype if self.plan.pipelined else None
-        flat = pack_arrays(payload, dtype=dtype)
+        # pinned: ranks owning nothing in a share chunk still contribute an
+        # empty buffer of the matching dtype
+        flat = pack_arrays(payload, dtype=kfac.factor_dtype)
 
         def install(gathered: Sequence[np.ndarray]) -> None:
             if isinstance(gathered, CollectiveFailed):

@@ -211,7 +211,7 @@ def test_blocked_basis_decomposes_the_block_diagonal(d, k, seed):
 def test_block_install_flips_only_when_complete():
     """Blocks arriving in any order stage until the last one lands; a
     factor never preconditions with a half-new basis."""
-    layer = KFACLayer("fc", module=None)
+    layer = KFACLayer("fc", module=None, dtype=np.float64)  # no module to derive it from
     old = eigendecompose(np.eye(4))
     layer.eig_A = old
     bounds = ((0, 2), (2, 4))

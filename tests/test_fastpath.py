@@ -230,7 +230,7 @@ class TestCachedPatches:
 
     def test_kfac_capture_consumes_cached_patches(self):
         """End to end through KFAC hooks: A from cached patches equals A
-        from a from-scratch im2col, bit for bit."""
+        from a from-scratch im2col at the factor dtype, bit for bit."""
         model = build_tiny_cnn(seed=7)
         x = np.random.default_rng(5).normal(size=(8, 1, 8, 8)).astype(np.float32)
         y = np.random.default_rng(6).integers(0, 3, size=8).astype(np.int64)
@@ -240,7 +240,7 @@ class TestCachedPatches:
         conv_handlers = [h for h in kfac.layers if isinstance(h.module, Conv2d)]
         assert conv_handlers and all(h._input_is_patches for h in conv_handlers)
         expected = {
-            h.name: conv2d_factor_A_from_patches(h.a_input.copy(), h.has_bias)
+            h.name: conv2d_factor_A_from_patches(h.a_input.astype(h.dtype), h.has_bias)
             for h in conv_handlers
         }
         model.backward(loss.backward())

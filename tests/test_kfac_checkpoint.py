@@ -8,7 +8,7 @@ import pytest
 from repro.comm.backend import World
 from repro.core.distributed import PhaseController
 from repro.core.preconditioner import COMM_OPT, KFAC, LAYER_WISE
-from repro.nn import Linear, Sequential
+from repro.nn import Linear, Sequential, TinyTransformer
 from repro.nn.loss import CrossEntropyLoss
 from tests.conftest import build_tiny_cnn
 
@@ -258,3 +258,49 @@ class TestBlockedDistributedResume:
         for a, b in zip(m1, m3):
             for (name, pa), (_, pb) in zip(a.named_parameters(), b.named_parameters()):
                 np.testing.assert_array_equal(pb.data, pa.data, err_msg=name)
+
+
+def test_float64_checkpoint_casts_into_the_float32_arena():
+    """Transformer checkpoints written while attention promoted to float64
+    hold float64 factors and bases.  Loading one into a float32 KFAC casts
+    every array in place: the arena views, the step plans and the wire plans
+    stay the same objects, and the next step runs in float32."""
+    p = 2
+    rng = np.random.default_rng(0)
+    x, y = rng.integers(0, 24, (8, 6)), rng.integers(0, 3, 8)
+    models = [
+        TinyTransformer(24, 6, dim=16, num_heads=2, depth=1, num_classes=3,
+                        rng=np.random.default_rng(5)).cast_(np.float32)
+        for _ in range(p)
+    ]
+    kfacs = [KFAC(m, rank=r, world_size=p, damping=0.01, kfac_update_freq=1)
+             for r, m in enumerate(models)]
+    world = World(p)
+    _phase_steps(models, kfacs, world, x, y, 2)
+    kfac = kfacs[0]
+    arena, plans = kfac._arena, kfac._plans
+    step_plans, wire_plan = dict(plans), kfac._wire_plan(kfac.units)
+    states = []
+    for k in kfacs:
+        state = k.state_dict()
+        state["layers"] = {
+            name: {key: arr.astype(np.float64) for key, arr in entry.items()}
+            for name, entry in state["layers"].items()
+        }
+        states.append(state)
+        k._arena[...] = 0.0
+    for k, state in zip(kfacs, states):
+        k.load_state_dict(state)
+    assert kfac._arena is arena and arena.dtype == np.float32
+    for meta in kfac.factor_metas:
+        factor = kfac._factor(meta)
+        assert np.shares_memory(factor, arena) and factor.dtype == np.float32, meta.key
+        saved = states[0]["layers"][meta.layer][meta.kind]
+        np.testing.assert_array_equal(factor, saved.astype(np.float32), err_msg=meta.key)
+    for layer in kfac.layers:
+        for eig in (layer.eig_A, layer.eig_G):
+            assert {a.dtype for a in eig.arrays()} == {np.dtype(np.float32)}, layer.name
+    assert kfac._plans is plans and all(plans[k] is v for k, v in step_plans.items())
+    assert kfac._wire_plan(kfac.units) is wire_plan
+    _phase_steps(models, kfacs, world, x, y, 1)
+    assert kfac._arena is arena and np.isfinite(arena).all() and kfac.steps == 3

@@ -1,6 +1,6 @@
-"""The factor wire: one arena per factor dtype, one index plan per granularity.
+"""The factor wire: one arena per KFAC, one index plan per granularity.
 
-Locks down :class:`repro.comm.fusion.WirePlan` and the arenas it reads:
+Locks down :class:`repro.comm.fusion.WirePlan` and the arena it reads:
 
 1. packing equals the concatenation of per-unit ``tri_pack(factor_block)``
    for any mix of dense, diagonal and blocked units;
@@ -10,11 +10,11 @@ Locks down :class:`repro.comm.fusion.WirePlan` and the arenas it reads:
 3. the flat error-feedback residual equals one residual per unit key —
    over steps alternating a two-bucket pipelined plan with the one-bucket
    plan, in fp16 and bf16, across a switch from whole factors to blocks
-   that a diagonal unit survives, with factors of mixed dtypes, and
-   keeping a first exchange's -0.0;
-4. every ``layer.A`` / ``layer.G`` is a view of the arena of its dtype
-   after a step, after a load (which keeps the arenas, the step plans and
-   the wire plans) and after a failed exchange (which writes nothing);
+   that a diagonal unit survives, and keeping a first exchange's -0.0;
+4. every ``layer.A`` / ``layer.G`` is a view of the arena, at the factor
+   dtype, after a step, after a load (which keeps the arena, the step plans
+   and the wire plans) and after a failed exchange (which writes nothing);
+   a compressed wire is cast into a float64 arena, not the other way.
 """
 
 from __future__ import annotations
@@ -132,15 +132,15 @@ def _transformer_fleet(p, **kw):
 
 
 def _record_wire(kfac):
-    """Wrap ``kfac._compress_factor_wire``: log (wire in, its widths, wire
-    out, units, unit offsets)."""
+    """Wrap ``kfac._compress_factor_wire``: log (wire in, wire out, units,
+    unit offsets)."""
     calls = []
     inner = kfac._compress_factor_wire
 
-    def record(wire, widths, units):
+    def record(wire, units):
         before = wire.copy()
-        out = inner(wire, widths, units)
-        calls.append((before, widths, out.copy(), units, kfac._wire_plan(units).offsets))
+        out = inner(wire, units)
+        calls.append((before, out.copy(), units, kfac._wire_plan(units).offsets))
         return out
 
     kfac._compress_factor_wire = record
@@ -148,13 +148,10 @@ def _record_wire(kfac):
 
 
 def _replay_per_key(calls, codec):
-    """One residual per unit key, each unit's payload at its own dtype."""
+    """One residual per unit key."""
     ref = ErrorFeedback(get_codec(codec))
-    for wire, widths, out, units, offs in calls:
-        unit = [
-            wire[a:b] if widths is None else wire[a:b].astype(f"f{widths[a]}")
-            for a, b in zip(offs, offs[1:])
-        ]
+    for wire, out, units, offs in calls:
+        unit = [wire[a:b] for a, b in zip(offs, offs[1:])]
         expect = np.concatenate([ref.apply(m.key, t) for m, t in zip(units.metas, unit)])
         assert _bits(expect) == _bits(out)
 
@@ -205,43 +202,17 @@ def test_diagonal_unit_keeps_its_residual_across_the_switch_to_blocks():
     calls = _record_wire(kfacs[0])
     _lockstep(models, kfacs, x, y, steps=4, loss_cls=MarginSoftmaxLoss)
     exact, blocked = kfacs[0]._units
-    assert [c[3] for c in calls] == [exact, blocked, blocked, blocked]
+    assert [c[2] for c in calls] == [exact, blocked, blocked, blocked]
     shared = {m.key for m in exact.metas} & {m.key for m in blocked.metas}
     assert "tok_embed/A" in shared
     _replay_per_key(calls, "fp16")
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5),
-    codec=st.sampled_from(["fp16", "bf16"]),
-    data=st.data(),
-)
-def test_mixed_width_payload_equals_one_payload_per_width(sizes, codec, data):
-    """Payloads of float32 and float64 parts held at float64: every
-    element sums and banks at its own and its residual's wider width, as
-    one residual per part does — while the parts change width over steps
-    (an fp16 install turns a float64 factor into a float32 one)."""
-    flat, per_part = ErrorFeedback(get_codec(codec)), ErrorFeedback(get_codec(codec))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-    for _ in range(data.draw(st.integers(1, 5))):
-        wide = data.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
-        parts = [
-            (rng.normal(size=n) * 10.0 ** rng.integers(-6, 3)).astype(np.float64 if w else np.float32)
-            for n, w in zip(sizes, wide)
-        ]
-        parts[0][0] = -0.0
-        widths = np.repeat([p.dtype.itemsize for p in parts], sizes).astype(np.int8)
-        out = flat.apply("wire", np.concatenate(parts), widths if len(set(wide)) > 1 else None)
-        expect = np.concatenate([per_part.apply(i, p) for i, p in enumerate(parts)])
-        assert _bits(out) == _bits(expect)
 
 
 @pytest.mark.parametrize("codec", ["fp16", "bf16"])
 def test_first_exchange_ships_negative_zero(codec):
     kfac = KFAC(build_tiny_cnn(seed=1), rank=0, world_size=2, comm_dtype=codec)
     wire = np.array([-0.0, 0.0, 1.5, -2.25], dtype=np.float32)
-    out = kfac._compress_factor_wire(wire, None, kfac.units)
+    out = kfac._compress_factor_wire(wire, kfac.units)
     assert _bits(out) == _bits(ErrorFeedback(get_codec(codec)).apply("unit", wire))
     assert np.signbit(out[0]) and not np.signbit(out[1])
 
@@ -250,17 +221,14 @@ def test_first_exchange_ships_negative_zero(codec):
 # 4. arena invariants
 # ---------------------------------------------------------------------------
 def _in_arena(kfac):
-    """Every factor is a view of the arena of its dtype, where the home map
-    places it."""
-    for l in kfac.layers:
-        for kind in "AG":
-            meta = next(m for m in kfac.factor_metas if m.key == f"{l.name}/{kind}")
-            factor, lo = getattr(l, kind), kfac._arena_slots[meta.key][0]
-            width = factor.dtype.itemsize
-            if not np.shares_memory(factor, kfac._arenas[width]):
-                return False
-            if set(kfac._home[lo : lo + meta.n_elements]) != {width}:
-                return False
+    """Every factor is a view of its slot of the arena, at the factor dtype."""
+    arena = kfac._arena
+    for meta in kfac.factor_metas:
+        factor, lo = kfac._factor(meta), kfac._arena_slots[meta.key][0]
+        if factor.dtype != kfac.factor_dtype or arena.dtype != kfac.factor_dtype:
+            return False
+        if factor.base is not arena or factor.ctypes.data != arena[lo:].ctypes.data:
+            return False
     return True
 
 
@@ -281,7 +249,7 @@ def test_single_worker_builds_no_arena():
         loss_fn(models[0](x), y)
         models[0].backward(loss_fn.backward())
         kfacs[0].step()
-    assert kfacs[0]._arenas == {} and kfacs[0]._home.size == 0
+    assert kfacs[0]._arena is None
 
 
 @pytest.mark.parametrize(
@@ -293,32 +261,33 @@ def test_views_survive_steps_and_load(kw):
     _lockstep(models, kfacs, x, y, steps=3)
     kfac = kfacs[0]
     assert _in_arena(kfac)
-    arenas = dict(kfac._arenas)  # several under REPRO_DEFAULT_DTYPE=float64
+    arena = kfac._arena
     plans, wire_plan = kfac._plans, kfac._wire_plan(kfac.units)
     step_plans = dict(plans)
     state = kfac.state_dict()
-    before = {w: a.copy() for w, a in arenas.items()}
-    for arena in arenas.values():
-        arena[...] = 0.0
+    before = arena.copy()
+    arena[...] = 0.0
     kfac.load_state_dict(state)
-    assert kfac._arenas == arenas and _in_arena(kfac)
-    assert all(kfac._arenas[w] is a for w, a in arenas.items())
-    for w, arena in arenas.items():
-        live = kfac._home == w  # a slot no factor of this dtype uses stays 0
-        assert _bits(arena[live]) == _bits(before[w][live])
+    assert kfac._arena is arena and _in_arena(kfac)
+    assert _bits(arena) == _bits(before)
     assert kfac._plans is plans and plans == step_plans
     assert kfac._wire_plan(kfac.units) is wire_plan
 
 
-def test_whole_factors_take_the_wire_dtype():
-    """A float64 model on an fp16 wire installs fp32 factors, as the
-    per-factor wire did: each whole factor moves to the float32 arena."""
-    models, kfacs = _cnn_fleet(2, comm_dtype="fp16")
-    for m in models:
-        m.cast_(np.float64)
+@pytest.mark.parametrize("codec", ["fp16", "bf16"])
+def test_float64_factors_stay_float64_on_a_half_wire(codec):
+    """A float64 model keeps float64 factors on a compressed wire: the
+    codec's fp32 values are cast into the float64 arena (they used to move
+    every whole factor to a float32 one)."""
+    models = [build_tiny_cnn(seed=42).cast_(np.float64) for _ in range(2)]
+    kfacs = [
+        KFAC(m, rank=r, world_size=2, damping=0.01, kfac_update_freq=1, comm_dtype=codec)
+        for r, m in enumerate(models)
+    ]
     x, y = _cnn_batch()
     _lockstep(models, kfacs, x.astype(np.float64), y, steps=2)
-    assert list(kfacs[0]._arenas) == [4] and _in_arena(kfacs[0])
+    assert kfacs[0].factor_dtype == np.float64 and _in_arena(kfacs[0])
+    assert all(l.eig_A.Q.dtype == l.eig_G.Q.dtype == np.float64 for l in kfacs[0].layers)
 
 
 def test_failed_exchange_writes_nothing(monkeypatch):
@@ -331,7 +300,7 @@ def test_failed_exchange_writes_nothing(monkeypatch):
     x, y = _cnn_batch()
     controller = _lockstep(models, kfacs, x, y, steps=1)
     assert len(installs) == 2  # one bucket per replica
-    arenas = dict(kfacs[0]._arenas)
+    arena = kfacs[0]._arena
     controller.world.fault_plan = FaultPlan(
         failures=(CollectiveFailure(phase="factor_comm", count=None),)
     )
@@ -343,4 +312,4 @@ def test_failed_exchange_writes_nothing(monkeypatch):
     controller.step()
     assert controller.comm_fallbacks == 1 and kfacs[0].n_factor_comm_failures == 1
     assert len(installs) == 2  # nothing scattered
-    assert kfacs[0]._arenas == arenas and _in_arena(kfacs[0])
+    assert kfacs[0]._arena is arena and _in_arena(kfacs[0])

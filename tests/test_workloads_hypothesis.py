@@ -164,12 +164,14 @@ def test_attention_projection_factors_match_unrolled_linear(
     a_rows, g_rows = _manual_attention_rows(mha, x, g)
     assert {l.name for l in kfac.layers} == set(a_rows)
     for handler in kfac.layers:
-        expect_A = linear_factor_A(a_rows[handler.name], has_bias=True)
+        # readings are cast to the factor dtype (float64 data under
+        # REPRO_DEFAULT_DTYPE=float64 meets these float32 inputs)
+        expect_A = linear_factor_A(a_rows[handler.name].astype(handler.dtype), has_bias=True)
         np.testing.assert_array_equal(
             handler.compute_A(), expect_A,
             err_msg=f"{handler.name} A-factor != unrolled Linear capture",
         )
-        expect_G = linear_factor_G(g_rows[handler.name], batch_averaged=True)
+        expect_G = linear_factor_G(g_rows[handler.name].astype(handler.dtype), batch_averaged=True)
         np.testing.assert_array_equal(
             handler.compute_G(), expect_G,
             err_msg=f"{handler.name} G-factor != unrolled Linear capture",
@@ -199,12 +201,12 @@ def test_layernorm_capture_uses_normalized_activations(rows, t, d, seed):
 
     (handler,) = kfac.layers
     np.testing.assert_array_equal(handler.a_input, x_hat)
-    expect_A = linear_factor_A(
-        np.ascontiguousarray(x_hat.reshape(-1, d)), has_bias=True
+    expect_A = linear_factor_A(  # at the factor dtype, as the capture casts
+        np.ascontiguousarray(x_hat.reshape(-1, d), dtype=handler.dtype), has_bias=True
     )
     np.testing.assert_array_equal(handler.compute_A(), expect_A)
     expect_G = linear_factor_G(
-        np.ascontiguousarray(g.reshape(-1, d)), batch_averaged=True
+        np.ascontiguousarray(g.reshape(-1, d), dtype=handler.dtype), batch_averaged=True
     )
     np.testing.assert_array_equal(handler.compute_G(), expect_G)
 
