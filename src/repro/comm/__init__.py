@@ -9,21 +9,22 @@ buffer (§II-D, §V-A).  This package reproduces those semantics for
   deadlock detection, byte/time accounting;
 - :mod:`repro.comm.collectives` — data-moving ring allreduce/allgather,
   binomial-tree broadcast, reduce-scatter (bit-level testable);
+- :mod:`repro.comm.handles` — the one :class:`~repro.comm.handles.Handle`
+  every collective launch returns (a blocking call is launch + wait);
 - :mod:`repro.comm.costmodel` — alpha-beta cost functions for the same
   algorithms (drives the paper's scaling results);
 - :mod:`repro.comm.fusion` — Horovod's fusion buffer (accumulate small
   tensors, flush as one bandwidth-bound allreduce);
-- :mod:`repro.comm.engine` — the pipelined async engine: persistent fusion
-  buffers, a shared bucketing policy, async launch/wait, and exposed vs.
-  hidden communication-time accounting (SPD-KFAC-style overlap);
+- :mod:`repro.comm.engine` — the pipelining policy: factor-exchange
+  bucketing, deterministic compute-overlap budgets, and exposed vs. hidden
+  communication time keyed by scheduler task (SPD-KFAC-style overlap);
 - :mod:`repro.comm.horovod` — a ``hvd``-flavoured per-rank frontend
-  (``size``/``rank``/``allreduce_async_``/``synchronize``/
-  ``broadcast_parameters``/``DistributedOptimizer``).
+  (``size``/``rank``/``allreduce``/``allgather``/``broadcast``/``barrier``/
+  ``broadcast_parameters``, and ``DistributedOptimizer``).
 """
 
 from repro.comm.backend import OverlapStats, World
 from repro.comm.engine import (
-    CommEngine,
     estimate_second_order_seconds,
     partition_buckets,
     symmetric_payload_nbytes,
@@ -39,7 +40,6 @@ from repro.comm.costmodel import (
     allgather_time,
     allreduce_time,
     broadcast_time,
-    reduce_scatter_time,
 )
 from repro.comm.fusion import (
     FusionBuffer,
@@ -52,7 +52,6 @@ from repro.comm.horovod import Average, DistributedOptimizer, HorovodContext, Su
 __all__ = [
     "World",
     "OverlapStats",
-    "CommEngine",
     "estimate_second_order_seconds",
     "partition_buckets",
     "symmetric_payload_nbytes",
@@ -67,7 +66,6 @@ __all__ = [
     "allreduce_time",
     "allgather_time",
     "broadcast_time",
-    "reduce_scatter_time",
     "FusionBuffer",
     "HorovodContext",
     "DistributedOptimizer",

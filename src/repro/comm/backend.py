@@ -2,17 +2,21 @@
 
 Two usage styles, sharing the same collective algorithms and cost model:
 
-1. **Phase-style (synchronous)** — the caller holds all ranks' buffers and
+1. **Phase-style (lockstep)** — the caller holds all ranks' buffers and
    invokes ``world.allreduce([buf_0, ..., buf_{p-1}])``.  Deterministic and
    fast; used by the data-parallel trainer and the distributed K-FAC
    implementation.
 
 2. **SPMD-style (threaded)** — ``world.run_spmd(program)`` launches one
-   thread per rank; each thread's :class:`RankView` offers *blocking*
+   thread per rank; each thread's :class:`RankView` offers
    ``allreduce``/``allgather``/``broadcast``/``barrier`` calls matched by
    operation name, exactly like Horovod ops are matched by tensor name.
    Mismatched or missing posts raise :class:`DeadlockError` instead of
    hanging forever.
+
+In both styles each collective has one launch, returning a
+:class:`repro.comm.handles.Handle`, and its blocking form is
+``launch(...).wait()``.
 
 Every collective charges simulated seconds (from
 :mod:`repro.comm.costmodel`) and payload bytes to per-phase accounting, so
@@ -29,12 +33,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.comm.collectives import (
-    binomial_broadcast,
-    ring_allgather,
-    ring_allreduce,
-    ring_reduce_scatter,
-)
+from repro.comm.collectives import binomial_broadcast, ring_allgather, ring_allreduce
 from repro.comm.compression import WireCodec, get_codec, wire_nbytes
 from repro.comm.faults import CollectiveError, FaultPlan
 from repro.comm.costmodel import (
@@ -43,9 +42,8 @@ from repro.comm.costmodel import (
     allgather_time,
     allreduce_time,
     broadcast_time,
-    reduce_scatter_time,
 )
-from repro.comm.handles import InFlightHandle, LaunchedHandle
+from repro.comm.handles import Handle
 from repro.obs.tracer import NULL_TRACER
 from repro.utils.timer import TimerRegistry
 
@@ -78,9 +76,9 @@ class CommStats:
 class OverlapStats:
     """Exposed vs. hidden communication seconds, per phase.
 
-    Every collective's simulated cost lands here exactly once: synchronous
-    calls are fully *exposed*; asynchronous calls launched through the
-    engine split into ``exposed = max(0, t - overlap_budget)`` plus the
+    Every collective's simulated cost lands here exactly once, when its
+    handle is waited on: a blocking call is fully *exposed*; a wait with an
+    overlap budget splits into ``exposed = max(0, t - overlap_budget)`` plus the
     ``hidden`` remainder (comm time masked by concurrent local compute,
     the SPD-KFAC pipelining gain).
 
@@ -145,15 +143,7 @@ class World:
         self.overlap = OverlapStats()
         # SPMD matching state
         self._lock = threading.Condition()
-        self._pending: dict[str, dict[int, np.ndarray]] = {}
-        self._results: dict[str, list[Any]] = {}
-        self._consumed: dict[str, int] = {}
-        self._op_meta: dict[str, tuple[str, Any, tuple[int, ...]]] = {}
-        self._overlap_budget: dict[str, float] = {}
-        # per (kind, name, rank) repost counter so op names can be reused
-        # across iterations without racing slow consumers
-        self._generation: dict[tuple[str, str, int], int] = {}
-        self._spmd_failed: BaseException | None = None
+        self._reset_matching()
         # fault/straggler injection (repro.comm.faults); None = clean fleet
         self.fault_plan: FaultPlan | None = None
         self.current_step = 0
@@ -240,34 +230,49 @@ class World:
                 },
             )
 
-    def _charge(
+    def _launched(
         self,
+        result: Any,
         phase: str,
         seconds: float,
-        nbytes: float,
-        group: Sequence[int] | None = None,
-    ) -> None:
-        self.timers.charge(phase, seconds)
-        self.stats.record(phase, nbytes)
-        self.overlap.record(phase, seconds, 0.0)
-        if self.tracer.enabled:
-            self._trace_comm(phase, seconds, seconds, 0.0, nbytes, group)
-
-    def _settle_async(
-        self,
-        phase: str,
-        seconds: float,
-        overlap_seconds: float,
         nbytes: float = 0.0,
         group: Sequence[int] | None = None,
-    ) -> None:
-        """Split an async op's cost into exposed + hidden and account it."""
-        hidden = min(seconds, max(0.0, overlap_seconds))
-        exposed = seconds - hidden
-        self.timers.charge(phase, exposed)
-        self.overlap.record(phase, exposed, hidden)
-        if self.tracer.enabled:
-            self._trace_comm(phase, seconds, exposed, hidden, nbytes, group)
+    ) -> Handle:
+        """A handle whose wait settles ``seconds`` and returns ``result``.
+
+        The wait's ``overlap_seconds`` hides up to that much of the cost;
+        the rest is charged as exposed (the whole cost for a blocking call).
+        """
+
+        def settle(overlap_seconds: float) -> Any:
+            hidden = min(seconds, max(0.0, overlap_seconds))
+            exposed = seconds - hidden
+            self.timers.charge(phase, exposed)
+            self.overlap.record(phase, exposed, hidden)
+            if self.tracer.enabled:
+                self._trace_comm(phase, seconds, exposed, hidden, nbytes, group)
+            return result
+
+        return Handle(settle)
+
+    def _alone(self, result: Any, phase: str, extra: float, group: tuple[int, ...]) -> Handle:
+        """A singleton group's op: no data moves, only fault delay is charged.
+
+        Only an explicit group takes this path; a world op on ``World(1)``
+        still records its op and bytes.
+        """
+        if extra:
+            return self._launched(result, phase, extra, 0.0, group)
+        return Handle(lambda overlap_seconds: result)
+
+    def _group(self, ranks: Sequence[int] | None) -> tuple[int, ...]:
+        """The member ranks of an op (``None`` = the whole world), validated."""
+        if ranks is None:
+            return tuple(range(self.size))
+        group = tuple(ranks)
+        if len(set(group)) != len(group) or any(not 0 <= r < self.size for r in group):
+            raise ValueError(f"invalid group ranks {group} for world size {self.size}")
+        return group
 
     def allreduce(
         self,
@@ -285,8 +290,8 @@ class World:
         op: str = "average",
         phase: str = "allreduce",
         codec: WireCodec | str | None = None,
-    ) -> InFlightHandle[list[np.ndarray]]:
-        """Non-blocking ring allreduce.
+    ) -> Handle[list[np.ndarray]]:
+        """Launch a ring allreduce.
 
         The data movement happens eagerly (the phase-style world is
         deterministic); the simulated cost is settled at
@@ -323,9 +328,7 @@ class World:
                 out = [codec.quantize(o) for o in out]
         t = allreduce_time(nbytes, self.size, self.net) + extra
         self.stats.record(phase, nbytes)
-        return InFlightHandle(
-            out, t, lambda ov: self._settle_async(phase, t, ov, nbytes)
-        )
+        return self._launched(out, phase, t, nbytes)
 
     def allgather(
         self, contributions: Sequence[np.ndarray], phase: str = "allgather"
@@ -335,93 +338,47 @@ class World:
 
     def allgather_async(
         self, contributions: Sequence[np.ndarray], phase: str = "allgather"
-    ) -> InFlightHandle[list[list[np.ndarray]]]:
-        """Non-blocking ring allgather (see :meth:`allreduce_async`)."""
-        contribs = list(contributions)
-        if len(contribs) != self.size:
-            raise ValueError(f"expected {self.size} contributions, got {len(contribs)}")
-        extra = self._fault_gate(phase)
-        total = float(sum(c.nbytes for c in contribs))
-        out = ring_allgather(contribs)
-        t = allgather_time(total, self.size, self.net) + extra
-        self.stats.record(phase, total)
-        return InFlightHandle(
-            out, t, lambda ov: self._settle_async(phase, t, ov, total)
-        )
-
-    def broadcast(
-        self, value: np.ndarray, root: int = 0, phase: str = "broadcast"
-    ) -> list[np.ndarray]:
-        """Binomial broadcast from ``root``; returns one copy per rank."""
-        extra = self._fault_gate(phase)
-        out = binomial_broadcast(value, self.size, root)
-        t = broadcast_time(value.nbytes, self.size, self.net) + extra
-        self._charge(phase, t, value.nbytes)
-        return out
-
-    def group_allgather(
-        self,
-        contributions: Sequence[np.ndarray],
-        ranks: Sequence[int],
-        phase: str = "allgather",
-    ) -> list[list[np.ndarray]]:
-        """Ring allgather restricted to a rank subset (a worker group).
-
-        ``contributions`` is ordered as ``ranks``; each member receives
-        the full list of member contributions.  Cost and bytes are those
-        of a ``len(ranks)``-rank ring — the gradient-worker-fraction
-        strategy's cheaper eigenbasis exchange.
-        """
-        return self.group_allgather_async(contributions, ranks, phase=phase).wait()
+    ) -> Handle[list[list[np.ndarray]]]:
+        """Launch a ring allgather over the world (see :meth:`allreduce_async`)."""
+        return self._allgather(contributions, None, phase)
 
     def group_allgather_async(
         self,
         contributions: Sequence[np.ndarray],
         ranks: Sequence[int],
         phase: str = "allgather",
-    ) -> InFlightHandle[list[list[np.ndarray]]]:
-        """Non-blocking group allgather (see :meth:`allreduce_async`).
+    ) -> Handle[list[list[np.ndarray]]]:
+        """Launch a ring allgather restricted to a rank subset (a worker group).
 
-        A singleton group moves no data and charges nothing, matching the
-        blocking shortcut.
+        ``contributions`` is ordered as ``ranks``; each member receives
+        the full list of member contributions.  Cost and bytes are those
+        of a ``len(ranks)``-rank ring — the gradient-worker-fraction
+        strategy's cheaper eigenbasis exchange.  A singleton group moves
+        no data and charges nothing but injected fault delay.
         """
-        group = tuple(ranks)
+        return self._allgather(contributions, ranks, phase)
+
+    def _allgather(
+        self, contributions: Sequence[np.ndarray], ranks: Sequence[int] | None, phase: str
+    ) -> Handle[list[list[np.ndarray]]]:
+        group = self._group(ranks)
         contribs = list(contributions)
         if len(contribs) != len(group):
             raise ValueError(f"expected {len(group)} contributions, got {len(contribs)}")
-        if len(set(group)) != len(group) or any(not 0 <= r < self.size for r in group):
-            raise ValueError(f"invalid group ranks {group} for world size {self.size}")
         extra = self._fault_gate(phase, group)
-        if len(group) == 1:
-            if extra:
-                return InFlightHandle(
-                    [[contribs[0]]],
-                    extra,
-                    lambda ov: self._settle_async(phase, extra, ov, 0.0, group),
-                )
-            return InFlightHandle([[contribs[0]]], 0.0, lambda ov: None)
+        if ranks is not None and len(group) == 1:
+            return self._alone([[contribs[0]]], phase, extra, group)
         total = float(sum(c.nbytes for c in contribs))
         out = ring_allgather(contribs)
         t = allgather_time(total, len(group), self.net) + extra
         self.stats.record(phase, total)
-        return InFlightHandle(
-            out, t, lambda ov: self._settle_async(phase, t, ov, total, group)
-        )
+        return self._launched(out, phase, t, total, group)
 
-    def group_broadcast(
-        self,
-        value: np.ndarray,
-        root: int,
-        ranks: Sequence[int],
-        phase: str = "broadcast",
+    def broadcast(
+        self, value: np.ndarray, root: int = 0, phase: str = "broadcast"
     ) -> list[np.ndarray]:
-        """Binomial broadcast from ``root`` to the subset ``ranks``.
-
-        Returns one copy per listed rank (ordered as ``ranks``).  The
-        simulated tree spans only the group, so a broadcast to few ranks
-        is proportionally cheaper than a world broadcast.
-        """
-        return self.group_broadcast_async(value, root, ranks, phase=phase).wait()
+        """Binomial broadcast from ``root``; returns one copy per rank."""
+        return self._broadcast(value, root, None, phase).wait()
 
     def group_broadcast_async(
         self,
@@ -429,44 +386,28 @@ class World:
         root: int,
         ranks: Sequence[int],
         phase: str = "broadcast",
-    ) -> InFlightHandle[list[np.ndarray]]:
-        """Non-blocking group broadcast (see :meth:`allreduce_async`)."""
-        group = tuple(ranks)
+    ) -> Handle[list[np.ndarray]]:
+        """Launch a binomial broadcast from ``root`` to the subset ``ranks``.
+
+        Resolves to one copy per listed rank (ordered as ``ranks``).  The
+        simulated tree spans only the group, so a broadcast to few ranks
+        is proportionally cheaper than a world broadcast.
+        """
+        return self._broadcast(value, root, ranks, phase)
+
+    def _broadcast(
+        self, value: np.ndarray, root: int, ranks: Sequence[int] | None, phase: str
+    ) -> Handle[list[np.ndarray]]:
+        group = self._group(ranks)
         if root not in group:
             raise ValueError(f"root {root} not in group {group}")
-        if len(set(group)) != len(group) or any(not 0 <= r < self.size for r in group):
-            raise ValueError(f"invalid group ranks {group} for world size {self.size}")
         extra = self._fault_gate(phase, group)
-        if len(group) == 1:
-            if extra:
-                return InFlightHandle(
-                    [value],
-                    extra,
-                    lambda ov: self._settle_async(phase, extra, ov, 0.0, group),
-                )
-            return InFlightHandle([value], 0.0, lambda ov: None)
+        if ranks is not None and len(group) == 1:
+            return self._alone([value], phase, extra, group)
         out = binomial_broadcast(value, len(group), group.index(root))
         t = broadcast_time(value.nbytes, len(group), self.net) + extra
         self.stats.record(phase, float(value.nbytes))
-        return InFlightHandle(
-            out,
-            t,
-            lambda ov: self._settle_async(phase, t, ov, float(value.nbytes), group),
-        )
-
-    def reduce_scatter(
-        self, buffers: Sequence[np.ndarray], phase: str = "reduce_scatter"
-    ) -> list[np.ndarray]:
-        """Ring reduce-scatter; rank ``r`` receives summed chunk ``r``."""
-        bufs = list(buffers)
-        if len(bufs) != self.size:
-            raise ValueError(f"expected {self.size} buffers, got {len(bufs)}")
-        extra = self._fault_gate(phase)
-        nbytes = bufs[0].nbytes
-        out = ring_reduce_scatter(bufs)
-        t = reduce_scatter_time(nbytes, self.size, self.net) + extra
-        self._charge(phase, t, nbytes)
-        return out
+        return self._launched(out, phase, t, float(value.nbytes), group)
 
     # ------------------------------------------------------------------
     # SPMD-style threaded API
@@ -478,17 +419,17 @@ class World:
     ) -> list[Any]:
         """Run ``program(rank_view)`` on every rank in its own thread.
 
-        Returns the per-rank return values.  Any exception in any rank is
-        re-raised in the caller (other ranks are unblocked and drained).
+        Returns the per-rank return values.  The first exception any rank
+        raises is re-raised in the caller (the other ranks are unblocked
+        and drained).  The matching state is cleared when the program
+        ends, so a failed program leaves nothing behind for the next one.
         """
         results: list[Any] = [None] * self.size
-        errors: list[BaseException | None] = [None] * self.size
 
         def runner(r: int) -> None:
             try:
                 results[r] = program(RankView(self, r, timeout))
             except BaseException as exc:  # noqa: BLE001 - propagated below
-                errors[r] = exc
                 with self._lock:
                     if self._spmd_failed is None:
                         self._spmd_failed = exc
@@ -504,11 +445,24 @@ class World:
                     self._spmd_failed = DeadlockError("rank thread failed to terminate")
                     self._lock.notify_all()
                 raise DeadlockError("SPMD program did not terminate (deadlock?)")
-        self._spmd_failed = None
-        first_error = next((e for e in errors if e is not None), None)
-        if first_error is not None:
-            raise first_error
+        with self._lock:
+            failed = self._spmd_failed
+            self._reset_matching()
+        if failed is not None:
+            raise failed
         return results
+
+    def _reset_matching(self) -> None:
+        """Forget every posted, matched and failed SPMD op."""
+        self._pending: dict[str, dict[int, np.ndarray]] = {}
+        self._results: dict[str, dict[int, Any]] = {}
+        self._consumed: dict[str, int] = {}
+        self._op_meta: dict[str, tuple[str, Any, tuple[int, ...]]] = {}
+        self._overlap_budget: dict[str, float] = {}
+        # per (kind, name, rank) repost counter so op names can be reused
+        # across iterations without racing slow consumers
+        self._generation: dict[tuple[str, str, int], int] = {}
+        self._spmd_failed: BaseException | None = None
 
     def _post_matched(
         self,
@@ -559,7 +513,7 @@ class World:
                 ordered = [pending[r] for r in group]
                 try:
                     values = self._execute(
-                        kind, ordered, meta, self._overlap_budget.pop(key, 0.0)
+                        kind, ordered, meta, ranks, self._overlap_budget.pop(key, 0.0)
                     )
                 except CollectiveError as exc:
                     # deliver the failure to every member in lockstep: each
@@ -596,35 +550,40 @@ class World:
             return result
 
     def _execute(
-        self, kind: str, ordered: list[np.ndarray], meta: Any, overlap_seconds: float = 0.0
+        self,
+        kind: str,
+        ordered: list[np.ndarray],
+        meta: Any,
+        ranks: tuple[int, ...] | None,
+        overlap_seconds: float,
     ) -> list[Any]:
         if kind == "allreduce":
-            codec = meta[2] if len(meta) > 2 else None
-            return self.allreduce_async(
-                ordered, op=meta[0], phase=meta[1], codec=codec
-            ).wait(overlap_seconds)
-        if kind == "allgather":
-            return self.allgather_async(ordered, phase=meta[1]).wait(overlap_seconds)
-        if kind == "broadcast":
-            root = meta[0]
-            return self.broadcast(ordered[root], root=root, phase=meta[1])
-        if kind == "group_allgather":
-            ranks, phase = meta
-            return self.group_allgather_async(ordered, ranks, phase=phase).wait(
-                overlap_seconds
-            )
-        if kind == "group_broadcast":
-            root, ranks, phase = meta
-            return self.group_broadcast_async(
-                ordered[ranks.index(root)], root, ranks, phase=phase
-            ).wait(overlap_seconds)
-        if kind == "barrier":
+            op, phase, codec = meta
+            handle = self.allreduce_async(ordered, op=op, phase=phase, codec=codec)
+        elif kind == "allgather":
+            handle = self._allgather(ordered, ranks, meta)
+        elif kind == "broadcast":
+            root, phase = meta
+            position = root if ranks is None else ranks.index(root)
+            handle = self._broadcast(ordered[position], root, ranks, phase)
+        else:  # barrier: matching is the whole op
             return [None] * len(ordered)
-        raise ValueError(f"unknown collective kind {kind!r}")
+        return handle.wait(overlap_seconds)
 
 
 class RankView:
-    """One rank's blocking view of the world (SPMD style)."""
+    """One rank's view of the world (SPMD style).
+
+    Every collective is matched across ranks by ``name``, exactly like
+    Horovod ops are matched by tensor name.  ``*_async`` launches post
+    nothing yet: the blocking matched post happens at
+    ``handle.wait(overlap_seconds=...)``, which forwards this rank's
+    compute-overlap budget (the op's hidden time is bounded by the
+    minimum budget across ranks).  The blocking forms are launch + wait.
+    ``ranks`` restricts an allgather or broadcast to a worker group that
+    this rank belongs to; only listed ranks post, and the results are
+    ordered as ``ranks``.
+    """
 
     def __init__(self, world: World, rank: int, timeout: float = 60.0) -> None:
         self.world = world
@@ -644,6 +603,21 @@ class RankView:
         """
         self.world.begin_step(step)
 
+    def _launch(
+        self,
+        kind: str,
+        name: str,
+        tensor: np.ndarray,
+        meta: Any,
+        ranks: Sequence[int] | None = None,
+    ) -> Handle:
+        group = None if ranks is None else tuple(ranks)
+        return Handle(
+            lambda overlap_seconds: self.world._post_matched(
+                kind, name, self.rank, tensor, meta, self.timeout, overlap_seconds, group
+            )
+        )
+
     def allreduce(
         self,
         tensor: np.ndarray,
@@ -658,9 +632,7 @@ class RankView:
         part of the matched metadata, so every rank must request the same
         transport precision.
         """
-        return self.world._post_matched(
-            "allreduce", name, self.rank, tensor, (op, phase, codec), self.timeout
-        )
+        return self.allreduce_async(tensor, name, op=op, phase=phase, codec=codec).wait()
 
     def allreduce_async(
         self,
@@ -669,112 +641,52 @@ class RankView:
         op: str = "average",
         phase: str = "allreduce",
         codec: str | None = None,
-    ) -> LaunchedHandle[np.ndarray]:
-        """Non-blocking named allreduce; the matched post happens at wait.
+    ) -> Handle[np.ndarray]:
+        """Launch a named allreduce; the matched post happens at wait."""
+        return self._launch("allreduce", name, tensor, (op, phase, codec))
 
-        ``wait(overlap_seconds=...)`` forwards this rank's compute-overlap
-        budget; the op's hidden time is bounded by the minimum budget
-        across ranks.
-        """
-        return LaunchedHandle(
-            lambda ov: self.world._post_matched(
-                "allreduce", name, self.rank, tensor, (op, phase, codec), self.timeout, ov
-            )
-        )
-
-    def allgather(self, tensor: np.ndarray, name: str, phase: str = "allgather") -> list[np.ndarray]:
-        """Blocking named allgather; returns all ranks' contributions."""
-        return self.world._post_matched(
-            "allgather", name, self.rank, tensor, (None, phase), self.timeout
-        )
+    def allgather(
+        self,
+        tensor: np.ndarray,
+        name: str,
+        phase: str = "allgather",
+        ranks: Sequence[int] | None = None,
+    ) -> list[np.ndarray]:
+        """Blocking named allgather; returns the members' contributions."""
+        return self.allgather_async(tensor, name, phase=phase, ranks=ranks).wait()
 
     def allgather_async(
-        self, tensor: np.ndarray, name: str, phase: str = "allgather"
-    ) -> LaunchedHandle[list[np.ndarray]]:
-        """Non-blocking named allgather (see :meth:`allreduce_async`)."""
-        return LaunchedHandle(
-            lambda ov: self.world._post_matched(
-                "allgather", name, self.rank, tensor, (None, phase), self.timeout, ov
-            )
-        )
+        self,
+        tensor: np.ndarray,
+        name: str,
+        phase: str = "allgather",
+        ranks: Sequence[int] | None = None,
+    ) -> Handle[list[np.ndarray]]:
+        """Launch a named allgather (see :meth:`allreduce_async`)."""
+        return self._launch("allgather", name, tensor, phase, ranks)
 
     def broadcast(
-        self, tensor: np.ndarray, name: str, root: int = 0, phase: str = "broadcast"
-    ) -> np.ndarray:
-        """Blocking named broadcast from ``root``."""
-        return self.world._post_matched(
-            "broadcast", name, self.rank, tensor, (root, phase), self.timeout
-        )
-
-    def group_allgather(
         self,
         tensor: np.ndarray,
         name: str,
-        ranks: Sequence[int],
-        phase: str = "allgather",
-    ) -> list[np.ndarray]:
-        """Blocking allgather among a rank subset (this rank must be in it).
-
-        Only ranks listed in ``ranks`` may post; the op completes once all
-        of them have.  Returns the members' contributions ordered as
-        ``ranks``.
-        """
-        group = tuple(ranks)
-        return self.world._post_matched(
-            "group_allgather", name, self.rank, tensor, (group, phase),
-            self.timeout, ranks=group,
-        )
-
-    def group_allgather_async(
-        self,
-        tensor: np.ndarray,
-        name: str,
-        ranks: Sequence[int],
-        phase: str = "allgather",
-    ) -> LaunchedHandle[list[np.ndarray]]:
-        """Non-blocking group allgather (see :meth:`allreduce_async`)."""
-        group = tuple(ranks)
-        return LaunchedHandle(
-            lambda ov: self.world._post_matched(
-                "group_allgather", name, self.rank, tensor, (group, phase),
-                self.timeout, ov, ranks=group,
-            )
-        )
-
-    def group_broadcast(
-        self,
-        tensor: np.ndarray,
-        name: str,
-        root: int,
-        ranks: Sequence[int],
+        root: int = 0,
         phase: str = "broadcast",
+        ranks: Sequence[int] | None = None,
     ) -> np.ndarray:
-        """Blocking broadcast from ``root`` to the subset ``ranks``."""
-        group = tuple(ranks)
-        return self.world._post_matched(
-            "group_broadcast", name, self.rank, tensor, (root, group, phase),
-            self.timeout, ranks=group,
-        )
+        """Blocking named broadcast of ``root``'s tensor."""
+        return self.broadcast_async(tensor, name, root=root, phase=phase, ranks=ranks).wait()
 
-    def group_broadcast_async(
+    def broadcast_async(
         self,
         tensor: np.ndarray,
         name: str,
-        root: int,
-        ranks: Sequence[int],
+        root: int = 0,
         phase: str = "broadcast",
-    ) -> LaunchedHandle[np.ndarray]:
-        """Non-blocking group broadcast (see :meth:`allreduce_async`)."""
-        group = tuple(ranks)
-        return LaunchedHandle(
-            lambda ov: self.world._post_matched(
-                "group_broadcast", name, self.rank, tensor, (root, group, phase),
-                self.timeout, ov, ranks=group,
-            )
-        )
+        ranks: Sequence[int] | None = None,
+    ) -> Handle[np.ndarray]:
+        """Launch a named broadcast (see :meth:`allreduce_async`)."""
+        return self._launch("broadcast", name, tensor, (root, phase), ranks)
 
     def barrier(self, name: str = "barrier") -> None:
         """Block until every rank reaches the barrier."""
-        self.world._post_matched(
-            "barrier", name, self.rank, np.zeros(0, dtype=np.float32), (None, "barrier"), self.timeout
-        )
+        self._launch("barrier", name, np.zeros(0, dtype=np.float32), None).wait()

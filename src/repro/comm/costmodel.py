@@ -23,7 +23,6 @@ from dataclasses import dataclass
 __all__ = [
     "NetworkProfile",
     "allreduce_time",
-    "reduce_scatter_time",
     "allgather_time",
     "broadcast_time",
     "scatter_broadcast_time",
@@ -103,22 +102,6 @@ def allreduce_time(nbytes: float, p: int, net: NetworkProfile) -> float:
         return 0.0
     steps = 2 * (p - 1)
     return steps * net.latency + 2.0 * nbytes * (p - 1) / p / net.bandwidth
-
-
-def reduce_scatter_time(nbytes: float, p: int, net: NetworkProfile) -> float:
-    """Ring reduce-scatter time (``nbytes`` = full input payload).
-
-    Example
-    -------
-    >>> from repro.comm.costmodel import EDR_LIKE, allreduce_time, reduce_scatter_time
-    >>> rs = reduce_scatter_time(1 << 20, 8, EDR_LIKE)
-    >>> rs * 2 == allreduce_time(1 << 20, 8, EDR_LIKE)   # half the ring
-    True
-    """
-    _check(nbytes, p)
-    if p == 1 or nbytes == 0:
-        return 0.0
-    return (p - 1) * net.latency + nbytes * (p - 1) / p / net.bandwidth
 
 
 def allgather_time(total_nbytes: float, p: int, net: NetworkProfile) -> float:

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.comm.backend import RankView
 from repro.comm.compression import ErrorFeedback, get_codec
-from repro.comm.handles import DeferredHandle, Handle, LaunchedHandle
 from repro.nn.module import Module, Parameter
 from repro.optim.base import Optimizer
 
@@ -42,6 +41,10 @@ Sum = "sum"
 
 class HorovodContext:
     """Per-rank communication API bound to a :class:`RankView`.
+
+    It carries only the ``hvd`` names Listing 1, :class:`DistributedOptimizer`
+    and :mod:`repro.elastic` use; a driver that launches collectives
+    asynchronously does so on :attr:`view`.
 
     Example
     -------
@@ -57,13 +60,13 @@ class HorovodContext:
     """
 
     def __init__(self, view: RankView) -> None:
-        self._view = view
+        self.view = view
 
     def rank(self) -> int:
-        return self._view.rank
+        return self.view.rank
 
     def size(self) -> int:
-        return self._view.size
+        return self.view.size
 
     def allreduce(
         self,
@@ -78,103 +81,16 @@ class HorovodContext:
         ``codec`` compresses the wire (``"fp16"``/``"bf16"``, mirroring
         ``hvd.Compression.fp16``); every rank must pass the same value.
         """
-        return self._view.allreduce(tensor, name=name, op=op, phase=phase, codec=codec)
-
-    def allreduce_async_(
-        self, tensor: np.ndarray, name: str, op: str = Average, phase: str = "allreduce"
-    ) -> Handle[np.ndarray]:
-        """Handle-returning allreduce (resolved on ``synchronize``)."""
-        return DeferredHandle(lambda: self.allreduce(tensor, name, op, phase))
-
-    def allreduce_async(
-        self,
-        tensor: np.ndarray,
-        name: str,
-        op: str = Average,
-        phase: str = "allreduce",
-        codec: str | None = None,
-    ) -> LaunchedHandle[np.ndarray]:
-        """Non-blocking allreduce whose wait accepts an overlap budget.
-
-        ``handle.wait(overlap_seconds=t)`` reports ``t`` simulated seconds
-        of local compute performed since the launch; the world hides up to
-        the minimum budget across ranks from the op's accounted time.
-        """
-        return self._view.allreduce_async(
-            tensor, name=name, op=op, phase=phase, codec=codec
-        )
+        return self.view.allreduce(tensor, name=name, op=op, phase=phase, codec=codec)
 
     def allgather(self, tensor: np.ndarray, name: str, phase: str = "allgather") -> list[np.ndarray]:
-        return self._view.allgather(tensor, name=name, phase=phase)
-
-    def allgather_async(
-        self, tensor: np.ndarray, name: str, phase: str = "allgather"
-    ) -> LaunchedHandle[list[np.ndarray]]:
-        """Non-blocking allgather (see :meth:`allreduce_async`)."""
-        return self._view.allgather_async(tensor, name=name, phase=phase)
+        return self.view.allgather(tensor, name=name, phase=phase)
 
     def broadcast(self, tensor: np.ndarray, name: str, root: int = 0) -> np.ndarray:
-        return self._view.broadcast(tensor, name=name, root=root)
-
-    def group_allgather(
-        self,
-        tensor: np.ndarray,
-        name: str,
-        ranks: tuple[int, ...],
-        phase: str = "allgather",
-    ) -> list[np.ndarray]:
-        """Blocking allgather among a rank subset (this rank must belong).
-
-        Used by the gradient-worker-fraction strategy to share
-        eigendecompositions inside a group instead of across the world.
-        """
-        return self._view.group_allgather(tensor, name=name, ranks=ranks, phase=phase)
-
-    def group_allgather_async(
-        self,
-        tensor: np.ndarray,
-        name: str,
-        ranks: tuple[int, ...],
-        phase: str = "allgather",
-    ) -> LaunchedHandle[list[np.ndarray]]:
-        """Non-blocking group allgather (see :meth:`allreduce_async`)."""
-        return self._view.group_allgather_async(
-            tensor, name=name, ranks=ranks, phase=phase
-        )
-
-    def group_broadcast(
-        self,
-        tensor: np.ndarray,
-        name: str,
-        root: int,
-        ranks: tuple[int, ...],
-        phase: str = "broadcast",
-    ) -> np.ndarray:
-        """Blocking broadcast from ``root`` to the subset ``ranks``."""
-        return self._view.group_broadcast(
-            tensor, name=name, root=root, ranks=ranks, phase=phase
-        )
-
-    def group_broadcast_async(
-        self,
-        tensor: np.ndarray,
-        name: str,
-        root: int,
-        ranks: tuple[int, ...],
-        phase: str = "broadcast",
-    ) -> LaunchedHandle[np.ndarray]:
-        """Non-blocking group broadcast (see :meth:`allreduce_async`)."""
-        return self._view.group_broadcast_async(
-            tensor, name=name, root=root, ranks=ranks, phase=phase
-        )
+        return self.view.broadcast(tensor, name=name, root=root)
 
     def barrier(self, name: str = "barrier") -> None:
-        self._view.barrier(name)
-
-    @staticmethod
-    def synchronize(handle: Handle[np.ndarray]) -> np.ndarray:
-        """Resolve a handle (mirrors ``hvd.synchronize``)."""
-        return handle.wait()
+        self.view.barrier(name)
 
     def broadcast_parameters(self, model: Module, root: int = 0) -> None:
         """Broadcast every parameter and buffer from ``root`` in place."""
@@ -230,7 +146,6 @@ class DistributedOptimizer:
         self._error_feedback = ErrorFeedback(codec) if codec is not None else None
         self._synchronized = False
         self._skip = False
-        self._round = 0
 
     @property
     def lr(self) -> float:
@@ -244,20 +159,22 @@ class DistributedOptimizer:
         self.optimizer.zero_grad()
 
     def synchronize(self) -> None:
-        """Average all parameter gradients across ranks, in place."""
-        tag = self._round
+        """Average all parameter gradients across ranks, in place.
+
+        Each parameter's op name is the same every step: the world's
+        per-name generation counter keeps consecutive steps apart.
+        """
         for name, p in self.named_params:
             g = p.grad
             if self._error_feedback is not None:
                 g = self._error_feedback.apply(name, g)
             p.grad[...] = self.hvd.allreduce(
                 g,
-                name=f"grad:{name}:{tag}",
+                name=f"grad:{name}",
                 op=self.op,
                 phase="grad_allreduce",
                 codec=self.compression,
             )
-        self._round += 1
         self._synchronized = True
 
     def rescale_error_feedback(self, factor: float) -> None:

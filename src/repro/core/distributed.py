@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.comm.backend import World
 from repro.comm.faults import CollectiveError, CollectiveFailed, RetryPolicy
-from repro.comm.handles import Handle, LaunchedHandle
+from repro.comm.handles import Handle
 from repro.comm.horovod import HorovodContext
 from repro.core.comm_ops import (
     AllGatherLaunch,
@@ -377,7 +377,7 @@ class SPMDDriver:
         """
         gen = self.kfac.step_generator()
         req = _advance(gen, first=True)
-        world = self.hvd._view.world
+        world = self.hvd.view.world
         # tag -> (handle, phase)
         pending: dict[str, tuple[Handle, str]] = {}
         while req is not None:
@@ -405,13 +405,13 @@ class SPMDDriver:
         req: AllReduceLaunch | AllGatherLaunch | GroupAllGatherLaunch | GroupBroadcastLaunch,
     ) -> tuple[Handle, str]:
         """Start this rank's side of one collective (nothing blocks yet)."""
-        hvd = self.hvd
+        view = self.hvd.view
         rank = self.kfac.rank
         phase = req.phase
         if isinstance(req, AllReduceLaunch):
             # matched op names must be identical across ranks, so key
             # world ops by tag (deterministic)
-            handle = hvd.allreduce_async(
+            handle = view.allreduce_async(
                 req.tensor,
                 name=f"kfac:{phase}:{req.tag}",
                 op=req.op,
@@ -419,13 +419,13 @@ class SPMDDriver:
                 codec=req.comm_dtype,
             )
         elif isinstance(req, AllGatherLaunch):
-            handle = hvd.allgather_async(
+            handle = view.allgather_async(
                 req.tensor, name=f"kfac:{phase}:{req.tag}", phase=phase
             )
         elif rank not in req.ranks:
             # only group members post.  Non-members never observe a
             # member-side failure either: degradation is member-local
-            handle = LaunchedHandle(lambda ov: None)
+            handle = Handle(lambda overlap_seconds: None)
         elif isinstance(req, GroupAllGatherLaunch):
             # the name must be stable per *logical group* (not per step
             # position) because the world's op-generation counters advance
@@ -433,15 +433,15 @@ class SPMDDriver:
             # whose membership differs between steps.  Contiguous groups
             # have distinct leading ranks, so the leader identifies the group.
             assert req.tensor is not None
-            handle = hvd.group_allgather_async(
+            handle = view.allgather_async(
                 req.tensor, name=f"kfac:{phase}:grp{req.ranks[0]}",
-                ranks=req.ranks, phase=phase,
+                phase=phase, ranks=req.ranks,
             )
         else:
             payload = req.tensor if rank == req.root else np.zeros(0, dtype=np.float32)
             assert payload is not None
-            handle = hvd.group_broadcast_async(
+            handle = view.broadcast_async(
                 payload, name=f"kfac:{phase}:root{req.root}",
-                root=req.root, ranks=req.ranks, phase=phase,
+                root=req.root, phase=phase, ranks=req.ranks,
             )
         return handle, phase

@@ -25,8 +25,9 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.comm.backend import World
-from repro.comm.engine import CommEngine, task_overlap_profile
+from repro.comm.engine import task_overlap_profile
 from repro.comm.faults import FaultPlan, RetryPolicy
+from repro.comm.fusion import FusionBuffer
 from repro.core.distributed import PhaseController
 from repro.core.preconditioner import KFAC, KFACHyperParams
 from repro.data.loader import batch_iterator
@@ -128,7 +129,7 @@ class TrainingHistory:
 
     ``comm_seconds`` holds *exposed* (critical-path) simulated seconds per
     phase; ``comm_hidden_seconds`` the portion masked behind local compute
-    by the pipelined engine (zero for fully synchronous runs).
+    by pipelined launch/wait (zero for fully synchronous runs).
     ``comm_bytes`` counts the true fused payload per phase — what actually
     crossed the (simulated) wire after fusion, not per-tensor bookkeeping.
 
@@ -312,14 +313,14 @@ class DataParallelTrainer:
             for r in range(config.world_size)
         ]
         self._param_names = [n for n, _ in self.replicas[0].named_parameters()]
-        # one persistent engine per trainer: the gradient fusion buffer
-        # lives for the whole run (capacity-respecting flushes across
-        # iterations) instead of being rebuilt every iteration
-        self.comm_engine = CommEngine(
-            self.world, bucket_bytes=config.fusion_capacity_bytes
-        )
-        self._grad_fusion = self.comm_engine.fusion(
-            op="average", phase="grad_allreduce", codec=self.policy.comm_dtype
+        # the gradient fusion buffer lives for the whole run
+        # (capacity-respecting flushes across iterations) instead of being
+        # rebuilt every iteration
+        self._grad_fusion = FusionBuffer(
+            self.world,
+            capacity_bytes=config.fusion_capacity_bytes,
+            phase="grad_allreduce",
+            codec=self.policy.comm_dtype,
         )
         self.stopwatches = {
             name: Stopwatch() for name in ("io", "forward", "backward", "exchange", "update")

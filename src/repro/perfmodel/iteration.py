@@ -93,8 +93,8 @@ class StageProfile:
     """Table V row: per-stage compute and communication seconds.
 
     ``*_tcomm`` is the full (synchronous) communication cost;
-    ``*_tcomm_exposed`` is the critical-path remainder once the pipelined
-    engine hides chunked transfers behind eigendecomposition compute
+    ``*_tcomm_exposed`` is the critical-path remainder once pipelining
+    hides chunked transfers behind eigendecomposition compute
     (equal to ``*_tcomm`` for a synchronous profile).
     ``factor_comm_payload_bytes`` is the per-worker factor-allreduce wire
     payload the profile was computed with — halved under triangular
@@ -728,7 +728,7 @@ class IterationModel:
     ) -> float:
         """Average per-iteration time including amortized K-FAC stages.
 
-        ``pipelined=True`` models the async engine: only the *exposed*
+        ``pipelined=True`` models pipelined launch/wait: only the *exposed*
         factor/eig communication (comm-opt strategy) contributes to the
         critical path; the hidden remainder overlaps eigendecompositions.
         ``symmetric=True`` applies the syrk compute and triangular-packed
@@ -979,7 +979,7 @@ class IterationModel:
         ``factor_tcomp`` is the covariance-GEMM time only, matching what
         Table V instruments (the capture overhead shows up in iteration
         times instead — see hardware.py notes).  With ``pipelined=True``
-        the exposed-communication fields reflect the async engine's
+        the exposed-communication fields reflect pipelined
         overlap; otherwise they equal the synchronous costs.  With
         ``symmetric=True`` the profile uses the syrk compute rate and the
         triangular-packed allreduce payload.  ``precision="fp16"`` applies

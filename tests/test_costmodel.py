@@ -12,7 +12,6 @@ from repro.comm.costmodel import (
     allgather_time,
     allreduce_time,
     broadcast_time,
-    reduce_scatter_time,
 )
 
 
@@ -30,7 +29,7 @@ class TestNetworkProfile:
 
 class TestCollectiveCosts:
     def test_single_rank_is_free(self):
-        for fn in (allreduce_time, allgather_time, broadcast_time, reduce_scatter_time):
+        for fn in (allreduce_time, allgather_time, broadcast_time):
             assert fn(1e9, 1, EDR_LIKE) == 0.0
 
     def test_zero_bytes_is_free(self):
@@ -39,9 +38,9 @@ class TestCollectiveCosts:
     def test_allreduce_is_two_phases(self):
         n, p = 1e8, 8
         ar = allreduce_time(n, p, EDR_LIKE)
-        rs = reduce_scatter_time(n, p, EDR_LIKE)
-        ag = allgather_time(n, p, EDR_LIKE)
-        assert ar == pytest.approx(rs + ag, rel=1e-9)
+        # the reduce-scatter half costs what the allgather half does: the
+        # same p-1 steps of n/p-byte chunks
+        assert ar == pytest.approx(2 * allgather_time(n, p, EDR_LIKE), rel=1e-9)
 
     def test_bandwidth_term_saturates_with_p(self):
         """Ring allreduce bandwidth term -> 2n/beta as p grows (bandwidth

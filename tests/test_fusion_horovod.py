@@ -51,6 +51,10 @@ class TestFusionBuffer:
         with pytest.raises(ValueError):
             fb.add("x", [np.ones(1), np.ones(1)])
 
+    def test_invalid_capacity_raises(self):
+        with pytest.raises(ValueError):
+            FusionBuffer(World(1), capacity_bytes=0)
+
     def test_unknown_pop_raises(self):
         fb = FusionBuffer(World(2), capacity_bytes=100)
         with pytest.raises(KeyError):
@@ -109,20 +113,6 @@ class TestHorovodFrontend:
 
         deltas = w.run_spmd(program, timeout=10)
         np.testing.assert_allclose(deltas[0], np.full((2, 2), 0.5), rtol=1e-6)
-
-    def test_allreduce_async_handle(self):
-        w = World(2)
-
-        def program(view):
-            hvd = HorovodContext(view)
-            h = hvd.allreduce_async_(np.full(2, float(view.rank)), name="h")
-            assert not h.done()
-            out = hvd.synchronize(h)
-            assert h.done()
-            return out
-
-        results = w.run_spmd(program, timeout=10)
-        np.testing.assert_allclose(results[0], np.full(2, 0.5))
 
     def test_broadcast_parameters_syncs_buffers(self):
         w = World(2)

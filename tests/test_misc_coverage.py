@@ -7,24 +7,42 @@ import io
 import numpy as np
 import pytest
 
-from repro.comm.handles import DeferredHandle, ImmediateHandle
+from repro.comm.handles import Handle
 from repro.tensor.dtypes import DEFAULT_DTYPE
 from repro.tensor.initializers import kaiming_normal, kaiming_uniform, xavier_uniform, zeros_init
 from repro.utils.logging import NULL_LOGGER, Logger
 
 
 class TestHandles:
-    def test_immediate(self):
-        h = ImmediateHandle(42)
-        assert h.done() and h.wait() == 42
-
-    def test_deferred_runs_once(self):
+    def test_runs_once_and_caches(self):
         calls = []
-        h = DeferredHandle(lambda: calls.append(1) or len(calls))
-        assert not h.done()
-        assert h.wait() == 1
-        assert h.wait() == 1  # cached
-        assert calls == [1]
+        h = Handle(lambda overlap: calls.append(overlap) or len(calls))
+        assert calls == []  # launching runs nothing
+        assert h.wait(0.25) == 1
+        assert h.wait(7.0) == 1  # cached: the second budget is ignored
+        assert calls == [0.25]
+
+    def test_none_result_is_cached(self):
+        calls = []
+        h = Handle(lambda overlap: calls.append(overlap))
+        assert h.wait() is None and h.wait() is None
+        assert calls == [0.0]
+
+    def test_failed_wait_is_not_cached(self):
+        attempts = []
+
+        def post(overlap):
+            attempts.append(overlap)
+            if len(attempts) == 1:
+                raise RuntimeError("transient")
+            return "ok"
+
+        h = Handle(post)
+        with pytest.raises(RuntimeError):
+            h.wait(1.0)
+        assert h.wait(2.0) == "ok"  # the retry re-posts
+        assert h.wait(3.0) == "ok"
+        assert attempts == [1.0, 2.0]
 
 
 class TestLogger:

@@ -58,7 +58,8 @@ class TestTraining:
         """One fusion buffer per trainer, reused across iterations."""
         tr = make_trainer(small_data, world_size=2, epochs=1)
         fusion_before = tr._grad_fusion
-        assert tr.comm_engine.fusion(op="average", phase="grad_allreduce") is fusion_before
+        assert fusion_before.op == "average" and fusion_before.phase == "grad_allreduce"
+        assert fusion_before.capacity_bytes == tr.config.fusion_capacity_bytes
         hist = tr.train()
         assert tr._grad_fusion is fusion_before  # never rebuilt
         # at least one flush per iteration (capacity may force more)

@@ -47,14 +47,6 @@ class TestPhaseStyle:
         for copy in out:
             np.testing.assert_array_equal(copy, value)
 
-    def test_reduce_scatter(self, rng):
-        w = World(2)
-        bufs = [rng.normal(size=6) for _ in range(2)]
-        out = w.reduce_scatter(bufs)
-        total = bufs[0] + bufs[1]
-        np.testing.assert_allclose(out[0], total[3:], rtol=1e-12)
-        np.testing.assert_allclose(out[1], total[:3], rtol=1e-12)
-
 
 class TestSPMD:
     def test_allreduce_across_threads(self):
@@ -133,3 +125,68 @@ class TestSPMD:
         results = w.run_spmd(program, timeout=10)
         for res in results:
             np.testing.assert_array_equal(res, np.full(2, 7.0))
+
+
+class TestMatchingState:
+    def test_failure_reraises_the_original_and_clears_state(self):
+        w = World(2)
+
+        def bad(view):
+            if view.rank == 1:
+                raise RuntimeError("boom")
+            return view.allreduce(np.ones(1), name="x")
+
+        with pytest.raises(RuntimeError, match="boom") as info:
+            w.run_spmd(bad, timeout=5)
+        assert type(info.value) is RuntimeError  # not rank 0's DeadlockError
+
+        def good(view):
+            return float(view.allreduce(np.array([float(view.rank)]), name="x")[0])
+
+        assert w.run_spmd(good, timeout=5) == [0.5, 0.5]
+
+    def test_program_end_clears_matching_state(self):
+        w = World(2)
+        w.run_spmd(lambda view: view.allreduce(np.ones(1), name="x"), timeout=5)
+        assert w._generation == {} and w._pending == {} and w._op_meta == {}
+
+    def test_gradient_exchange_does_not_grow_matching_state(self):
+        """Op names repeat every step, so the per-name generation counters
+        stay at one entry per (op, rank), and the averaged gradients are
+        exactly the lockstep world's."""
+        from repro.comm.horovod import DistributedOptimizer, HorovodContext
+        from repro.nn.layers import Linear
+        from repro.optim.sgd import SGD
+
+        def local_grads(rank: int, step: int) -> list[np.ndarray]:
+            g = np.random.default_rng(1000 * step + rank)
+            return [g.normal(size=(1, 2)).astype(np.float32), g.normal(size=1).astype(np.float32)]
+
+        w = World(2)
+
+        def program(view):
+            hvd = HorovodContext(view)
+            model = Linear(2, 1, rng=np.random.default_rng(0))
+            opt = DistributedOptimizer(SGD(model.parameters(), lr=0.1), hvd, model.named_parameters())
+            params = [model.weight, model.bias]
+            counts, grads = {}, []
+            for step in range(100):
+                for p, g in zip(params, local_grads(view.rank, step)):
+                    p.grad[...] = g
+                opt.synchronize()
+                grads.append([p.grad.copy() for p in params])
+                if step + 1 in (10, 100):
+                    view.barrier("probe")
+                    counts[step + 1] = len(view.world._generation)
+            return counts, grads
+
+        (counts, grads), (counts1, grads1) = w.run_spmd(program, timeout=30)
+        assert counts[10] == counts[100] == counts1[10] == counts1[100]
+        lockstep = World(2)
+        for step in range(100):
+            per_rank = [local_grads(r, step) for r in range(2)]
+            for i in range(2):
+                dtype = grads[step][i].dtype  # the model's
+                (expected, _) = lockstep.allreduce([g[i].astype(dtype) for g in per_rank])
+                assert grads[step][i].tobytes() == expected.tobytes()
+                assert grads1[step][i].tobytes() == expected.tobytes()
