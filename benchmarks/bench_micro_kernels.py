@@ -1,8 +1,8 @@
 """Microbenchmarks of the hot kernels (real timing, multiple rounds).
 
 These are genuine pytest-benchmark measurements of the library's compute
-primitives: im2col, conv forward/backward, factor computation,
-eigendecomposition, eigen-basis preconditioning, and ring allreduce —
+primitives: im2col, col2im, conv forward/backward, factor computation,
+the Gram triangle mirror, eigendecomposition, eigen-basis preconditioning, and ring allreduce —
 plus the symmetry fast path: syrk-vs-GEMM Gram products and
 triangular-packed vs full factor allreduce at real ResNet-50 factor
 shapes.  CI runs this file as a smoke job and uploads the
@@ -20,8 +20,8 @@ from repro.comm.fusion import tri_pack, tri_unpack
 from repro.core.factors import conv2d_factor_A, conv2d_factor_G
 from repro.core.inverse import eigendecompose, precondition_eigen
 from repro.nn.layers import Conv2d
-from repro.tensor.gram import gram
-from repro.tensor.im2col import im2col
+from repro.tensor.gram import gram, mirror_upper
+from repro.tensor.im2col import col2im, im2col
 
 RNG = np.random.default_rng(0)
 
@@ -41,6 +41,12 @@ R50_FACTOR_DIMS = (576, 2304)
 def test_im2col_kernel(benchmark):
     x = RNG.normal(size=(16, 16, 16, 16)).astype(np.float32)
     benchmark(im2col, x, (3, 3), (1, 1), (1, 1))
+
+
+def test_col2im_kernel(benchmark):
+    x_shape = (16, 16, 16, 16)
+    cols = RNG.normal(size=(16 * 16 * 16, 16 * 3 * 3)).astype(np.float32)
+    benchmark(col2im, cols, x_shape, (3, 3), (1, 1), (1, 1))
 
 
 def test_conv_forward(benchmark):
@@ -72,6 +78,12 @@ def test_conv_factor_A(benchmark):
 def test_conv_factor_G(benchmark):
     g = RNG.normal(size=(16, 32, 12, 12)).astype(np.float32)
     benchmark(conv2d_factor_G, g)
+
+
+def test_mirror_upper(benchmark):
+    # 288 = 32*3*3, a 3x3 conv's A factor side
+    mat = RNG.normal(size=(288, 288)).astype(np.float32)
+    benchmark(mirror_upper, mat)
 
 
 @pytest.mark.parametrize("dim", [64, 256])

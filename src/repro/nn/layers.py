@@ -167,7 +167,8 @@ class Conv2d(Module):
         # the lowering traffic, the Osawa et al. half-precision capture)
         x_c = cast_compute_storage(x)
         cols = self.workspace.request((n * oh * ow, c * kh * kw), x_c.dtype)
-        cols = im2col(x_c, self.kernel_size, self.stride, self.padding, out=cols)
+        with self.workspace.borrow(self._padded_nhwc(self._x_shape), x_c.dtype) as stage:
+            im2col(x_c, self.kernel_size, self.stride, self.padding, out=cols, staging=stage)
         self._cols = cols
         self._cols_claimed = False
         w_mat = self.weight.data.reshape(self.out_channels, -1)
@@ -209,23 +210,23 @@ class Conv2d(Module):
         if not self._cols_claimed:
             self.workspace.release(cols)
         self._cols_claimed = False
-        nc, cc, h, w = self._x_shape
+        scratch = self.workspace.request(self._padded_nhwc(self._x_shape), dcols.dtype)
+        dx = col2im(
+            dcols, self._x_shape, self.kernel_size, self.stride, self.padding,
+            scratch=scratch,
+        )
+        # the NHWC -> NCHW result is usually a copy, but a single channel
+        # with a contiguous interior stays a view of scratch — then the
+        # buffer must escape, not be pooled
+        if not np.shares_memory(dx, scratch):
+            self.workspace.release(scratch)
+        return dx
+
+    def _padded_nhwc(self, x_shape: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+        """Shape of the zero-bordered NHWC buffer im2col/col2im work in."""
+        n, c, h, w = x_shape
         ph, pw = self.padding
-        if ph or pw:
-            scratch = self.workspace.request(
-                (nc, cc, h + 2 * ph, w + 2 * pw), dcols.dtype
-            )
-            dx = col2im(
-                dcols, self._x_shape, self.kernel_size, self.stride, self.padding,
-                scratch=scratch,
-            )
-            # the trimming slice is usually a copy, but a single-sided pad
-            # with leading size-1 dims can stay contiguous — then dx IS a
-            # view of scratch and the buffer must escape, not be pooled
-            if not np.shares_memory(dx, scratch):
-                self.workspace.release(scratch)
-            return dx
-        return col2im(dcols, self._x_shape, self.kernel_size, self.stride, self.padding)
+        return (n, h + 2 * ph, w + 2 * pw, c)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -29,8 +29,8 @@ try:  # SciPy ships with the toolchain; gate anyway so the GEMM path survives
 except ImportError:  # pragma: no cover - scipy is a baked-in dependency
     _SYRK = {}
 
-#: cached strict-lower-triangle index pairs, keyed by matrix side length
-_TRIL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+#: cached strict-lower-triangle masks, keyed by diagonal tile side length
+_TRIL_MASKS: dict[int, np.ndarray] = {}
 
 #: mirror tile side: big enough to amortize the python loop, small enough
 #: that a (tile, tile) block transpose stays cache-resident — measured ~8x
@@ -50,19 +50,18 @@ def has_syrk(dtype: np.dtype | str) -> bool:
     return np.dtype(dtype) in _SYRK
 
 
-def _tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    idx = _TRIL_CACHE.get(n)
-    if idx is None:
-        idx = np.tril_indices(n, -1)
-        _TRIL_CACHE[n] = idx
-    return idx
+def _tril_mask(n: int) -> np.ndarray:
+    mask = _TRIL_MASKS.get(n)
+    if mask is None:
+        mask = _TRIL_MASKS[n] = np.tri(n, k=-1, dtype=bool)
+    return mask
 
 
 def mirror_upper(mat: np.ndarray) -> np.ndarray:
     """Copy the upper triangle into the lower, in place; returns ``mat``.
 
     Tiled: off-diagonal blocks are blockwise transposed copies (cache
-    friendly), only the small diagonal blocks use index pairs.
+    friendly); each diagonal block is one masked copy of its transpose.
 
     Example
     -------
@@ -83,8 +82,7 @@ def mirror_upper(mat: np.ndarray) -> np.ndarray:
             j1 = min(j0 + tile, n)
             mat[i0:i1, j0:j1] = mat[j0:j1, i0:i1].T
         blk = mat[i0:i1, i0:i1]
-        rows, cols = _tril_indices(i1 - i0)
-        blk[rows, cols] = blk.T[rows, cols]
+        np.copyto(blk, blk.T, where=_tril_mask(i1 - i0))
     return mat
 
 

@@ -6,15 +6,16 @@ second moment is the K-FAC ``A`` factor for Conv2d layers: each row is one
 receptive-field patch of shape ``C_in * kh * kw`` at one spatial location of
 one example.
 
-The forward transform uses ``sliding_window_view`` (zero-copy until the
-final reshape); the inverse uses a kernel-position loop of strided
-slice-adds, which is the standard vectorized scatter for overlap-add.
+Both transforms work through a zero-bordered NHWC buffer, so every
+kernel position moves contiguous channel runs: the forward copies ``x``
+into it once and fills the patch matrix with one strided slab copy per
+kernel position; the inverse adds the same slabs into it, in the same
+kernel-position order, and transposes the interior back to NCHW once.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["conv_out_size", "im2col", "col2im"]
 
@@ -45,6 +46,7 @@ def im2col(
     stride: tuple[int, int],
     padding: tuple[int, int],
     out: np.ndarray | None = None,
+    staging: np.ndarray | None = None,
 ) -> np.ndarray:
     """Extract convolution patches.
 
@@ -58,6 +60,10 @@ def im2col(
         Optional preallocated ``(N*OH*OW, C*kh*kw)`` C-contiguous output
         (e.g. a recycled :class:`repro.tensor.workspace.Workspace` buffer);
         contents are overwritten.
+    staging:
+        Optional preallocated ``(N, H+2ph, W+2pw, C)`` buffer for the
+        zero-bordered NHWC copy of ``x``; contents are overwritten, border
+        included.
 
     Returns
     -------
@@ -82,27 +88,36 @@ def im2col(
     ph, pw = padding
     oh = conv_out_size(h, kh, sh, ph)
     ow = conv_out_size(w, kw, sw, pw)
-
-    if ph or pw:
-        x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    # (N, C, H', W') -> windows (N, C, OH_full, OW_full, kh, kw)
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw]
-    assert windows.shape[2] == oh and windows.shape[3] == ow
-    # -> (N, OH, OW, C, kh, kw) -> (N*OH*OW, C*kh*kw)
-    if out is not None:
-        expected = (n * oh * ow, c * kh * kw)
-        if out.shape != expected or out.dtype != x.dtype or not out.flags.c_contiguous:
-            raise ValueError(
-                f"im2col out buffer must be C-contiguous {expected} {x.dtype}, "
-                f"got {out.shape} {out.dtype}"
-            )
-        np.copyto(
-            out.reshape(n, oh, ow, c, kh, kw), windows.transpose(0, 2, 3, 1, 4, 5)
+    expected = (n * oh * ow, c * kh * kw)
+    if out is None:
+        out = np.empty(expected, dtype=x.dtype)
+    elif out.shape != expected or out.dtype != x.dtype or not out.flags.c_contiguous:
+        raise ValueError(
+            f"im2col out buffer must be C-contiguous {expected} {x.dtype}, "
+            f"got {out.shape} {out.dtype}"
         )
-        return out
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols)
+    staging = _nhwc_buffer(staging, (n, h + 2 * ph, w + 2 * pw, c), x.dtype, "staging")
+    staging[:, :ph] = staging[:, ph + h :] = 0
+    staging[:, :, :pw] = staging[:, :, pw + w :] = 0
+    staging[:, ph : ph + h, pw : pw + w] = x.transpose(0, 2, 3, 1)
+    # one slab per kernel position: (N, OH, OW, C) -> the (i, j) column of
+    # every channel's patch, i.e. out viewed as (N, OH, OW, C, kh, kw)
+    patches = out.reshape(n, oh, ow, c, kh, kw)
+    for i in range(kh):
+        for j in range(kw):
+            patches[..., i, j] = staging[:, i : i + sh * oh : sh, j : j + sw * ow : sw]
+    return out
+
+
+def _nhwc_buffer(
+    buf: np.ndarray | None, shape: tuple[int, ...], dtype: np.dtype, name: str
+) -> np.ndarray:
+    """``buf`` checked against ``shape``/``dtype``, or a fresh empty array."""
+    if buf is None:
+        return np.empty(shape, dtype=dtype)
+    if buf.shape != shape or buf.dtype != dtype:
+        raise ValueError(f"{name} must be {shape} {dtype}, got {buf.shape} {buf.dtype}")
+    return buf
 
 
 def col2im(
@@ -122,10 +137,12 @@ def col2im(
     x_shape:
         Shape of the original (unpadded) input.
     scratch:
-        Optional preallocated ``(N, C, H+2ph, W+2pw)`` accumulation buffer
-        (zero-filled here; contents overwritten).  When padding is zero the
-        returned array *is* this buffer, so callers recycling it through a
-        workspace must only release it once the result is dead.
+        Optional preallocated NHWC ``(N, H+2ph, W+2pw, C)`` accumulation
+        buffer (zero-filled here; contents overwritten).  The result is a
+        fresh NCHW copy of its interior unless that interior is already
+        contiguous as NCHW (e.g. ``C == 1`` without padding): then the
+        result is a *view* of this buffer, so callers recycling it through a
+        workspace must check ``np.shares_memory`` before releasing it.
 
     Returns
     -------
@@ -155,24 +172,10 @@ def col2im(
             f"expected {(n * oh * ow, c * kh * kw)}"
         )
 
-    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    # patches: (N, C, kh, kw, OH, OW)
-    padded_shape = (n, c, h + 2 * ph, w + 2 * pw)
-    if scratch is not None:
-        if scratch.shape != padded_shape or scratch.dtype != cols.dtype:
-            raise ValueError(
-                f"col2im scratch must be {padded_shape} {cols.dtype}, "
-                f"got {scratch.shape} {scratch.dtype}"
-            )
-        out = scratch
-        out[...] = 0.0
-    else:
-        out = np.zeros(padded_shape, dtype=cols.dtype)
+    patches = cols.reshape(n, oh, ow, c, kh, kw)
+    acc = _nhwc_buffer(scratch, (n, h + 2 * ph, w + 2 * pw, c), cols.dtype, "col2im scratch")
+    acc[...] = 0
     for i in range(kh):
-        h_end = i + sh * oh
         for j in range(kw):
-            w_end = j + sw * ow
-            out[:, :, i:h_end:sh, j:w_end:sw] += patches[:, :, i, j]
-    if ph or pw:
-        out = out[:, :, ph : ph + h, pw : pw + w]
-    return np.ascontiguousarray(out)
+            acc[:, i : i + sh * oh : sh, j : j + sw * ow : sw] += patches[..., i, j]
+    return np.ascontiguousarray(acc[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))

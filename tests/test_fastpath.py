@@ -498,6 +498,35 @@ class TestWorkspace:
             buf[...] = 0.0
         assert np.array_equal(dx, expected)
 
+    def test_unpadded_conv_accumulator_is_pooled(self):
+        """A 1x1 stride-2 shortcut conv's col2im accumulator is an NHWC
+        workspace buffer that goes back to the pool, like a padded conv's."""
+        requested, released = [], []
+
+        class Recording(Workspace):
+            def request(self, shape, dtype):
+                buf = super().request(shape, dtype)
+                requested.append((tuple(shape), buf))
+                return buf
+
+            def release(self, arr):
+                released.append(arr)
+                super().release(arr)
+
+        ws = Recording()
+        conv = Conv2d(4, 8, 1, stride=2, workspace=ws)
+        x = RNG.normal(size=(2, 4, 6, 6)).astype(np.float32)
+        conv.backward(np.ones_like(conv.forward(x)))  # warm-up
+        misses = ws.misses
+        out = conv.forward(x)
+        requested.clear()
+        released.clear()
+        conv.backward(np.ones_like(out))
+        [(shape, acc)] = requested  # backward's only request
+        assert shape == (2, 6, 6, 4)
+        assert any(buf is acc for buf in released)
+        assert ws.misses == misses
+
     def test_kfac_factor_stage_steady_state(self):
         """With capture every step, the whole factor stage (patches, bias
         columns, Gram outputs, EMA scratch) recycles after one update."""
