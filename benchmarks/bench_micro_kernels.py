@@ -86,7 +86,7 @@ def test_mirror_upper(benchmark):
     benchmark(mirror_upper, mat)
 
 
-@pytest.mark.parametrize("dim", [64, 256])
+@pytest.mark.parametrize("dim", [64, 256, 288])
 def test_eigendecomposition(benchmark, dim):
     m = RNG.normal(size=(dim, dim)).astype(np.float32)
     factor = m @ m.T / dim

@@ -126,7 +126,7 @@ def eigendecompose(
     clip_negative: bool = True,
     bounds: tuple[tuple[int, int], ...] | None = None,
 ) -> FactorEig:
-    """Symmetric eigendecomposition via LAPACK ``eigh``.
+    """Symmetric eigendecomposition via LAPACK's divide-and-conquer ``?syevd``.
 
     Factors are covariance matrices, hence PSD up to floating-point noise;
     ``clip_negative`` zeroes tiny negative eigenvalues so the damped
@@ -139,7 +139,10 @@ def eigendecompose(
     :func:`repro.approx.blocks.plan_block_bounds`) decomposes each diagonal
     block on its own and returns the blocked basis: off-block entries are
     discarded — that *is* the approximation — and the cost drops from
-    ``d^3`` to ``sum(db^3)``.
+    ``d^3`` to ``sum(db^3)``.  ``?syevd`` (``eigh(driver="evd")``) is both
+    faster than ``eigh``'s default ``?syevr`` at factor sizes and more
+    accurate: on Gram factors its basis is orthogonal to a fraction of
+    ``d * eps``, where ``?syevr``'s is off by one to ten ``d * eps``.
 
     Example
     -------
@@ -171,7 +174,7 @@ def eigendecompose(
             ],
             bounds,
         )
-    lam, q = scipy.linalg.eigh(factor)
+    lam, q = scipy.linalg.eigh(factor, driver="evd")
     if clip_negative:
         np.maximum(lam, 0.0, out=lam)
     return FactorEig(Q=np.ascontiguousarray(q), lam=lam)
