@@ -16,7 +16,9 @@ Two usage styles, sharing the same collective algorithms and cost model:
 
 In both styles each collective has one launch, returning a
 :class:`repro.comm.handles.Handle`, and its blocking form is
-``launch(...).wait()``.
+``launch(...).wait()``.  A :class:`repro.comm.handles.Launch` record
+describes any collective; :meth:`World.start` is the one place that maps
+its kind to a world op, for the lockstep driver and the SPMD matcher alike.
 
 Every collective charges simulated seconds (from
 :mod:`repro.comm.costmodel`) and payload bytes to per-phase accounting, so
@@ -43,7 +45,7 @@ from repro.comm.costmodel import (
     allreduce_time,
     broadcast_time,
 )
-from repro.comm.handles import Handle
+from repro.comm.handles import Handle, Launch
 from repro.obs.tracer import NULL_TRACER
 from repro.utils.timer import TimerRegistry
 
@@ -409,6 +411,42 @@ class World:
         self.stats.record(phase, float(value.nbytes))
         return self._launched(out, phase, t, float(value.nbytes), group)
 
+    def start(self, launch: Launch, contributions: Sequence[np.ndarray]) -> Handle:
+        """Launch the collective ``launch`` describes.
+
+        ``contributions`` hold every member's tensor, ordered as the op's
+        members (``launch.ranks``, or the whole world); the handle resolves
+        to one result per member, in the same order.  The op runs through
+        the public launch of its kind, so per-op accounting sees it.
+
+        Example
+        -------
+        >>> import numpy as np
+        >>> from repro.comm.backend import World
+        >>> from repro.comm.handles import Launch
+        >>> world = World(4)
+        >>> launch = Launch("broadcast", None, "b", "broadcast", ranks=(2, 0), root=2)
+        >>> [a.tolist() for a in world.start(launch, [np.ones(1), None]).wait()]
+        [[1.0], [1.0]]
+        """
+        kind, ranks, phase = launch.kind, launch.ranks, launch.phase
+        if kind == "allreduce":
+            return self.allreduce_async(
+                contributions, op=launch.op, phase=phase, codec=launch.codec
+            )
+        if kind == "allgather":
+            if ranks is None:
+                return self.allgather_async(contributions, phase=phase)
+            return self.group_allgather_async(contributions, ranks, phase=phase)
+        if kind == "broadcast":
+            value = contributions[self._group(ranks).index(launch.root)]
+            if ranks is None:
+                return self._broadcast(value, launch.root, None, phase)
+            return self.group_broadcast_async(value, launch.root, ranks, phase=phase)
+        if kind == "barrier":  # matching is the whole op
+            return Handle(lambda overlap_seconds: [None] * len(contributions))
+        raise ValueError(f"unknown collective kind {kind!r}")
+
     # ------------------------------------------------------------------
     # SPMD-style threaded API
     # ------------------------------------------------------------------
@@ -457,7 +495,7 @@ class World:
         self._pending: dict[str, dict[int, np.ndarray]] = {}
         self._results: dict[str, dict[int, Any]] = {}
         self._consumed: dict[str, int] = {}
-        self._op_meta: dict[str, tuple[str, Any, tuple[int, ...]]] = {}
+        self._op_meta: dict[str, Launch] = {}
         self._overlap_budget: dict[str, float] = {}
         # per (kind, name, rank) repost counter so op names can be reused
         # across iterations without racing slow consumers
@@ -465,26 +503,20 @@ class World:
         self._spmd_failed: BaseException | None = None
 
     def _post_matched(
-        self,
-        kind: str,
-        name: str,
-        rank: int,
-        tensor: np.ndarray,
-        meta: Any,
-        timeout: float,
-        overlap_seconds: float = 0.0,
-        ranks: Sequence[int] | None = None,
+        self, launch: Launch, rank: int, timeout: float, overlap_seconds: float = 0.0
     ) -> Any:
-        """Post one rank's contribution to a named op; blocks until matched.
+        """Post one rank's side of the op ``launch`` names; blocks until matched.
 
-        ``overlap_seconds`` is this rank's compute time since the op was
-        launched; the *minimum* across ranks bounds how much of the op's
-        cost counts as hidden (the least-overlapped rank sets the barrier).
-        ``ranks`` restricts the op to a worker group: only listed ranks
-        post, and the op completes once all of them have (the default is
-        the whole world).
+        Every posting rank must describe the op identically (the record's
+        equality ignores the payload).  ``overlap_seconds`` is this rank's
+        compute time since the op was launched; the *minimum* across ranks
+        bounds how much of the op's cost counts as hidden (the
+        least-overlapped rank sets the barrier).  ``launch.ranks``
+        restricts the op to a worker group: only listed ranks post, and
+        the op completes once all of them have.
         """
-        group = tuple(range(self.size)) if ranks is None else tuple(ranks)
+        kind, name = launch.kind, launch.tag
+        group = self._group(launch.ranks)
         with self._lock:
             if rank not in group:
                 raise DeadlockError(
@@ -493,27 +525,24 @@ class World:
             gen = self._generation.get((kind, name, rank), 0)
             self._generation[(kind, name, rank)] = gen + 1
             key = f"{kind}:{name}#{gen}"
-            if key in self._op_meta:
-                prev_kind, prev_meta, prev_group = self._op_meta[key]
-                if prev_kind != kind or prev_meta != meta or prev_group != group:
-                    raise DeadlockError(
-                        f"op {name!r}: rank {rank} posted {kind}/{meta}/{group}, "
-                        f"but op was registered as {prev_kind}/{prev_meta}/{prev_group}"
-                    )
-            else:
-                self._op_meta[key] = (kind, meta, group)
+            registered = self._op_meta.setdefault(key, launch)
+            if registered != launch:
+                raise DeadlockError(
+                    f"op {name!r}: rank {rank} posted {launch}, "
+                    f"but op was registered as {registered}"
+                )
             pending = self._pending.setdefault(key, {})
             if rank in pending:
                 raise DeadlockError(f"op {name!r}: rank {rank} posted twice")
-            pending[rank] = tensor
+            pending[rank] = launch.tensor
             self._overlap_budget[key] = min(
                 self._overlap_budget.get(key, float("inf")), max(0.0, overlap_seconds)
             )
             if len(pending) == len(group):
                 ordered = [pending[r] for r in group]
                 try:
-                    values = self._execute(
-                        kind, ordered, meta, ranks, self._overlap_budget.pop(key, 0.0)
+                    values = self.start(launch, ordered).wait(
+                        self._overlap_budget.pop(key, 0.0)
                     )
                 except CollectiveError as exc:
                     # deliver the failure to every member in lockstep: each
@@ -549,27 +578,6 @@ class World:
                 raise result
             return result
 
-    def _execute(
-        self,
-        kind: str,
-        ordered: list[np.ndarray],
-        meta: Any,
-        ranks: tuple[int, ...] | None,
-        overlap_seconds: float,
-    ) -> list[Any]:
-        if kind == "allreduce":
-            op, phase, codec = meta
-            handle = self.allreduce_async(ordered, op=op, phase=phase, codec=codec)
-        elif kind == "allgather":
-            handle = self._allgather(ordered, ranks, meta)
-        elif kind == "broadcast":
-            root, phase = meta
-            position = root if ranks is None else ranks.index(root)
-            handle = self._broadcast(ordered[position], root, ranks, phase)
-        else:  # barrier: matching is the whole op
-            return [None] * len(ordered)
-        return handle.wait(overlap_seconds)
-
 
 class RankView:
     """One rank's view of the world (SPMD style).
@@ -603,18 +611,14 @@ class RankView:
         """
         self.world.begin_step(step)
 
-    def _launch(
-        self,
-        kind: str,
-        name: str,
-        tensor: np.ndarray,
-        meta: Any,
-        ranks: Sequence[int] | None = None,
-    ) -> Handle:
-        group = None if ranks is None else tuple(ranks)
+    def start(self, launch: Launch) -> Handle:
+        """Launch this rank's side of the op named ``launch.tag``.
+
+        Nothing is posted yet: the blocking matched post happens at wait.
+        """
         return Handle(
             lambda overlap_seconds: self.world._post_matched(
-                kind, name, self.rank, tensor, meta, self.timeout, overlap_seconds, group
+                launch, self.rank, self.timeout, overlap_seconds
             )
         )
 
@@ -643,7 +647,7 @@ class RankView:
         codec: str | None = None,
     ) -> Handle[np.ndarray]:
         """Launch a named allreduce; the matched post happens at wait."""
-        return self._launch("allreduce", name, tensor, (op, phase, codec))
+        return self.start(Launch("allreduce", tensor, name, phase, op=op, codec=codec))
 
     def allgather(
         self,
@@ -663,7 +667,7 @@ class RankView:
         ranks: Sequence[int] | None = None,
     ) -> Handle[list[np.ndarray]]:
         """Launch a named allgather (see :meth:`allreduce_async`)."""
-        return self._launch("allgather", name, tensor, phase, ranks)
+        return self.start(Launch("allgather", tensor, name, phase, ranks))
 
     def broadcast(
         self,
@@ -685,8 +689,8 @@ class RankView:
         ranks: Sequence[int] | None = None,
     ) -> Handle[np.ndarray]:
         """Launch a named broadcast (see :meth:`allreduce_async`)."""
-        return self._launch("broadcast", name, tensor, (root, phase), ranks)
+        return self.start(Launch("broadcast", tensor, name, phase, ranks, root))
 
     def barrier(self, name: str = "barrier") -> None:
         """Block until every rank reaches the barrier."""
-        self._launch("barrier", name, np.zeros(0, dtype=np.float32), None).wait()
+        self.start(Launch("barrier", None, name, "barrier")).wait()

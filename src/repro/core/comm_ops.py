@@ -19,12 +19,13 @@ The launch/wait protocol
 Every collective is a *launch* followed by a *wait* (SPD-KFAC style), so
 the generator can interleave local compute with in-flight communication:
 
-1. ``yield AllReduceLaunch(tensor, op, phase, tag)`` (or
-   :class:`AllGatherLaunch`, :class:`GroupAllGatherLaunch`,
-   :class:`GroupBroadcastLaunch`) — the driver starts the collective and
-   resumes the generator immediately with ``None``.  ``tag`` must be
-   unique within the step and identical across ranks (lockstep drivers
-   match launches by position *and* tag).
+1. ``yield Launch(kind, tensor, tag, phase, ...)`` — one
+   :class:`repro.comm.handles.Launch` record describes every collective
+   (an allreduce, a world or group allgather, a group broadcast); the
+   driver starts it and resumes the generator immediately with ``None``.
+   ``tag`` must be unique within the step and identical across ranks
+   (drivers match launches by position *and* by every field but the
+   tensor).
 2. The generator performs local work (e.g. eigendecomposing factor
    chunks whose reduction already completed), accumulating a
    *deterministic* estimate of the simulated seconds spent (see
@@ -44,7 +45,8 @@ launch is followed at once by ``WaitRequest(tag, 0.0)``, so the whole
 cost is exposed.
 
 For the group collectives *every* rank yields the launch and the wait in
-lockstep — non-members simply pass ``tensor=None`` and receive ``None`` —
+lockstep — ranks that send nothing (non-members, a broadcast's non-root
+members) pass ``tensor=None``, and non-members receive ``None`` —
 so the gradient-worker-fraction share steps can overlap with other
 in-flight work (the task-graph scheduler in :mod:`repro.sched` relies on
 this).
@@ -53,9 +55,8 @@ Packing
 -------
 :func:`pack_arrays`/:func:`unpack_arrays` flatten tensor groups for fused
 transport.  Packing *preserves the caller's dtype* (promoting mixed inputs
-via ``np.result_type``); a float64 factor crossing a worker boundary comes
-back float64 — the historical hard-coded ``float32`` downcast silently
-degraded multi-worker precision relative to single-worker runs.
+via ``np.result_type``), so a float64 factor crossing a worker boundary
+comes back float64 and multi-worker precision matches a single worker's.
 
 The factor allreduce ships no list of tensors: each launch carries one
 flat slice of the factor wire (see :class:`repro.comm.fusion.WirePlan`),
@@ -69,86 +70,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "AllReduceLaunch",
-    "AllGatherLaunch",
-    "GroupAllGatherLaunch",
-    "GroupBroadcastLaunch",
     "WaitRequest",
     "pack_arrays",
     "unpack_arrays",
 ]
-
-
-@dataclass
-class AllReduceLaunch:
-    """Start averaging (or summing) one tensor across all workers.
-
-    ``tensor`` is this rank's contribution — already one fused buffer, as
-    a Horovod fusion buffer would hold it; the driver responds ``None``
-    immediately and the matching :class:`WaitRequest` receives the reduced
-    tensor, same shape.  ``tag`` identifies the op within the step and
-    must match across ranks.
-    """
-
-    tensor: np.ndarray
-    op: str = "average"
-    phase: str = "allreduce"
-    tag: str = ""
-    #: wire compression name ("fp16"/"bf16"); None = dtype-preserving
-    comm_dtype: str | None = None
-
-
-@dataclass
-class AllGatherLaunch:
-    """Start gathering one flat per-rank contribution from every worker.
-
-    The matching wait receives ``[contribution_rank0, ...,
-    contribution_rank{P-1}]``.  Contributions may have different lengths
-    (factor shards differ per worker).
-    """
-
-    tensor: np.ndarray
-    phase: str = "allgather"
-    tag: str = ""
-
-
-@dataclass
-class GroupAllGatherLaunch:
-    """Start an allgather restricted to a rank subset (a gradient-worker group).
-
-    Every rank yields the launch (and later ``WaitRequest(tag)``) in
-    lockstep, but only ranks listed in ``ranks`` contribute a tensor
-    (others pass ``None``) and only they receive the result: the list of
-    members' contributions ordered as ``ranks``.  Non-members are resumed
-    with ``None``.  The rank order in ``ranks`` is the group's ring order
-    (root first) and must be identical on every rank.  Lets the
-    gradient-worker eigenbasis share overlap with in-flight factor
-    buckets instead of running synchronously after them.
-    """
-
-    tensor: np.ndarray | None
-    ranks: tuple[int, ...]
-    phase: str = "allgather"
-    tag: str = ""
-
-
-@dataclass
-class GroupBroadcastLaunch:
-    """Start a broadcast from ``root`` to a rank subset.
-
-    Used by the gradient-worker-fraction strategy's second stage: the
-    group root ships the final preconditioned gradients to the ranks
-    *outside* the gradient-worker group, so ``ranks`` is
-    ``(root, *non_members)``.  Only ``root`` provides ``tensor``; at the
-    matching wait every listed rank receives the broadcast value,
-    everyone else ``None``.
-    """
-
-    tensor: np.ndarray | None
-    root: int
-    ranks: tuple[int, ...]
-    phase: str = "broadcast"
-    tag: str = ""
 
 
 @dataclass

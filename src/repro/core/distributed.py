@@ -21,34 +21,29 @@ that compute as hidden communication time; under ``scheduler="sync"``
 every wait follows its launch with a zero budget.  A world of one needs
 no driver (``KFAC.step()``).
 
-Failed collectives go through one retry policy, :func:`_retry`, shared by
-both transports.
+Both drivers run one request loop (:meth:`_Driver.step`): it matches the
+replicas' requests, checks each launch's contributions against its group,
+rejects duplicate and unknown tags, and fails a step that leaves a launch
+unawaited.  A transport supplies only how a matched launch starts
+(``_start``) and how its wait finishes (``_finish``), and every failed
+collective goes through one retry policy, :meth:`_Driver._retry`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 from typing import Any, Callable, Generator, Sequence
 
-import numpy as np
-
 from repro.comm.backend import World
 from repro.comm.faults import CollectiveError, CollectiveFailed, RetryPolicy
-from repro.comm.handles import Handle
+from repro.comm.handles import Handle, Launch
 from repro.comm.horovod import HorovodContext
-from repro.core.comm_ops import (
-    AllGatherLaunch,
-    AllReduceLaunch,
-    GroupAllGatherLaunch,
-    GroupBroadcastLaunch,
-    WaitRequest,
-)
+from repro.core.comm_ops import WaitRequest
 from repro.core.preconditioner import KFAC
 from repro.utils.logging import NULL_LOGGER, Logger
 
 __all__ = ["PhaseController", "SPMDDriver"]
-
-_LAUNCHES = (AllReduceLaunch, AllGatherLaunch, GroupAllGatherLaunch, GroupBroadcastLaunch)
 
 
 def _advance(gen: Generator, value: Any = None, first: bool = False) -> Any | None:
@@ -59,82 +54,150 @@ def _advance(gen: Generator, value: Any = None, first: bool = False) -> Any | No
         return None
 
 
-def _retry(
-    driver: "PhaseController | SPMDDriver",
-    world: World,
-    ranks: Sequence[int],
-    phase: str,
-    attempt_fn: Callable[[], Any],
-) -> Any:
-    """Run a collective with bounded retry-with-backoff.
+class _Driver:
+    """The request loop and retry policy both transports share.
 
-    Returns the collective's result, or a :class:`CollectiveFailed`
-    sentinel when ``driver.retry_policy``'s budget is exhausted on a
-    degradable phase (the step generator then falls back to stale state);
-    re-raises on any other phase.  Each retry/fallback is counted on
-    ``driver``, warned through ``driver.logger`` and marked on the trace
-    track of every rank in ``ranks`` — the ranks the driver speaks for:
-    all of them for the lockstep controller, its own for an SPMD rank
-    (the world hands an injected failure to *every* posting rank, so all
-    members retry the same number of times and their matched-op
-    generation counters stay aligned).  Backoff seconds are charged to
-    the ``retry_backoff`` timer phase so degraded steps are visible in
-    the simulated time ledger; the world ledger is shared, so only the
-    driver speaking for rank 0 charges it.
+    ``replicas`` are the step generators' owners this driver speaks for
+    (all of them in lockstep, one under SPMD), each with a ``rank``.
     """
-    policy = driver.retry_policy
-    tracer = world.tracer
-    charges = 0 in ranks
-    attempt = 0
-    while True:
-        try:
-            return attempt_fn()
-        except CollectiveError as exc:
-            if policy is None:
-                raise
-            if attempt < policy.max_retries:
-                backoff = policy.backoff(attempt)
-                if charges:
-                    world.timers.charge("retry_backoff", backoff)
-                    world.overlap.record("retry_backoff", backoff, 0.0)
-                driver.comm_retries += 1
-                attempt += 1
-                driver.logger.warn(
-                    f"{phase}: collective failed ({exc}); retry "
-                    f"{attempt}/{policy.max_retries} after {backoff:.4g}s"
-                )
-                if tracer.enabled:
-                    for r in ranks:
-                        tracer.instant(
-                            f"retry:{phase}", "fault", r,
-                            attrs={"attempt": attempt},
+
+    def __init__(
+        self,
+        replicas: list[Any],
+        world: World,
+        retry_policy: RetryPolicy | None,
+        logger: Logger,
+    ) -> None:
+        self.replicas = replicas
+        self.world = world
+        #: bounded retry-with-backoff for failed collectives; ``None``
+        #: propagates the first :class:`CollectiveError` unchanged
+        self.retry_policy = retry_policy
+        #: degraded-path events (retries, fallbacks) surface as warnings
+        self.logger = logger
+        self.comm_retries = 0
+        self.comm_fallbacks = 0
+
+    def step(self) -> None:
+        """Execute one K-FAC step on every replica this driver speaks for.
+
+        Requests are matched across replicas by position: launches must
+        describe the same op, waits name the same tag.  Each launch is
+        answered with ``None``; its wait with the collective's result.
+        """
+        replicas = self.replicas
+        gens = [r.step_generator() for r in replicas]
+        requests = [_advance(g, first=True) for g in gens]
+        pending: dict[str, tuple[Launch, Any]] = {}
+        while any(req is not None for req in requests):
+            first = requests[0]
+            tag = getattr(first, "tag", None)
+            if any(
+                type(req) is not type(first) or getattr(req, "tag", None) != tag
+                for req in requests
+            ):
+                raise RuntimeError(f"replicas diverged at {tag!r}: {requests}")
+            if isinstance(first, Launch):
+                for replica, req in zip(replicas, requests):
+                    if not first.matches(req, replica.rank):
+                        raise RuntimeError(
+                            f"rank {replica.rank}: launch {tag!r} diverged or does "
+                            f"not match its group: {req}"
                         )
-                        if charges:
-                            tracer.span(
-                                "retry_backoff", "comm", r, backoff,
-                                attrs={
-                                    "exposed": backoff,
-                                    "hidden": 0.0,
-                                    "bytes": 0.0,
-                                    "retry_of": phase,
-                                    "owner": r == 0,
-                                },
+                if tag in pending:
+                    raise RuntimeError(f"duplicate launch tag {tag!r} within one step")
+                pending[tag] = (first, self._start(requests))
+                responses: list[Any] = [None] * len(gens)
+            else:
+                if tag not in pending:
+                    raise RuntimeError(f"wait on unknown tag {tag!r} (never launched?)")
+                responses = self._finish(*pending.pop(tag), requests)
+            requests = [_advance(g, resp) for g, resp in zip(gens, responses)]
+        if pending:
+            raise RuntimeError(f"step ended with unawaited collectives: {sorted(pending)}")
+
+    def _start(self, launches: list[Launch]) -> Any:
+        """Start one matched launch; returns what :meth:`_finish` settles."""
+        raise NotImplementedError
+
+    def _finish(self, launch: Launch, started: Any, waits: list[WaitRequest]) -> list[Any]:
+        """Settle a started launch into one response per replica."""
+        raise NotImplementedError
+
+    def _retry(self, launch: Launch, attempt_fn: Callable[[], Any]) -> Any:
+        """Run a collective with bounded retry-with-backoff.
+
+        Returns the collective's result, or a :class:`CollectiveFailed`
+        sentinel when ``retry_policy``'s budget is exhausted on a
+        degradable phase (the step generator then falls back to stale
+        state); re-raises on any other phase.  Each retry/fallback is
+        counted on this driver, warned through ``logger`` and marked on
+        the trace track of every rank the driver speaks for (the world
+        hands an injected failure to *every* posting rank, so all members
+        retry the same number of times and their matched-op generation
+        counters stay aligned).  Backoff seconds are charged to the
+        ``retry_backoff`` timer phase so degraded steps are visible in
+        the simulated time ledger; the world ledger is shared, so only
+        the driver speaking for the op's first member charges it — the
+        owner rule of the world's own comm spans.
+        """
+        policy = self.retry_policy
+        world = self.world
+        tracer = world.tracer
+        phase = launch.phase
+        ranks = [r.rank for r in self.replicas]
+        owner = 0 if launch.ranks is None else launch.ranks[0]
+        charges = owner in ranks
+        attempt = 0
+        while True:
+            try:
+                return attempt_fn()
+            except CollectiveError as exc:
+                if policy is None:
+                    raise
+                if attempt < policy.max_retries:
+                    backoff = policy.backoff(attempt)
+                    if charges:
+                        world.timers.charge("retry_backoff", backoff)
+                        world.overlap.record("retry_backoff", backoff, 0.0)
+                    self.comm_retries += 1
+                    attempt += 1
+                    self.logger.warn(
+                        f"{phase}: collective failed ({exc}); retry "
+                        f"{attempt}/{policy.max_retries} after {backoff:.4g}s"
+                    )
+                    if tracer.enabled:
+                        for r in ranks:
+                            tracer.instant(
+                                f"retry:{phase}", "fault", r,
+                                attrs={"attempt": attempt},
                             )
-                continue
-            if phase in policy.fallback_phases:
-                driver.comm_fallbacks += 1
-                driver.logger.warn(
-                    f"{phase}: retries exhausted ({exc}); falling back "
-                    "to stale state"
-                )
-                if tracer.enabled:
-                    for r in ranks:
-                        tracer.instant(f"fallback:{phase}", "fault", r)
-                return CollectiveFailed(phase=phase, error=exc)
-            raise
+                            if charges:
+                                tracer.span(
+                                    "retry_backoff", "comm", r, backoff,
+                                    attrs={
+                                        "exposed": backoff,
+                                        "hidden": 0.0,
+                                        "bytes": 0.0,
+                                        "retry_of": phase,
+                                        "owner": r == owner,
+                                    },
+                                )
+                    continue
+                if phase in policy.fallback_phases:
+                    self.comm_fallbacks += 1
+                    self.logger.warn(
+                        f"{phase}: retries exhausted ({exc}); falling back "
+                        "to stale state"
+                    )
+                    if tracer.enabled:
+                        for r in ranks:
+                            tracer.instant(f"fallback:{phase}", "fault", r)
+                    return CollectiveFailed(phase=phase, error=exc)
+                raise
 
 
-class PhaseController:
+class PhaseController(_Driver):
     """Lockstep driver for P replicas' preconditioners over one World.
 
     All replicas must be configured with the same hyper-parameters and
@@ -181,145 +244,43 @@ class PhaseController:
                     f"replica {i} has rank/world {k.rank}/{k.world_size}, "
                     f"expected {i}/{world.size}"
                 )
-        self.kfacs = list(kfacs)
-        self.world = world
-        #: bounded retry-with-backoff for failed collectives; ``None``
-        #: propagates the first :class:`CollectiveError` unchanged
-        self.retry_policy = retry_policy
-        #: degraded-path events (retries, fallbacks) surface as warnings
-        self.logger = logger
-        self.comm_retries = 0
-        self.comm_fallbacks = 0
+        super().__init__(list(kfacs), world, retry_policy, logger)
+        self.kfacs = self.replicas
 
-    def step(self) -> None:
-        """Execute one K-FAC step on every replica, in lockstep.
+    def _start(self, launches: list[Launch]) -> Handle | CollectiveFailed:
+        """Start the matched collective with every member's tensor.
 
-        A launch starts the matched collective (the data moves eagerly —
-        the phase-style world is deterministic) and answers every replica
-        with ``None``; the matching :class:`WaitRequest` settles its
-        simulated cost with the minimum compute-overlap budget across
-        replicas — the least-overlapped rank sets the barrier.
+        The data moves eagerly (the phase-style world is deterministic)
+        and the world consults the fault plan when the op starts, so the
+        launch (not the wait) is what gets retried.
         """
-        gens = [k.step_generator() for k in self.kfacs]
-        requests = [_advance(g, first=True) for g in gens]
-        # tag -> (handle, finalize(raw) -> per-rank responses, member ranks
-        # whose compute budgets bound the hidden time, or None for all)
-        pending: dict[str, tuple[Handle, Any, tuple[int, ...] | None]] = {}
-        while any(r is not None for r in requests):
-            kinds = {type(r) for r in requests}
-            if len(kinds) != 1 or None in requests:
-                raise RuntimeError(
-                    f"replicas diverged: mixed requests {[type(r).__name__ for r in requests]}"
-                )
-            first = requests[0]
-            if isinstance(first, _LAUNCHES):
-                responses = self._launch(requests, pending)  # type: ignore[arg-type]
-            elif isinstance(first, WaitRequest):
-                responses = self._wait(requests, pending)  # type: ignore[arg-type]
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown request type {type(first)}")
-            requests = [_advance(g, resp) for g, resp in zip(gens, responses)]
-        if pending:  # pragma: no cover - defensive
-            raise RuntimeError(f"step ended with unawaited collectives: {sorted(pending)}")
+        launch = launches[0]
+        members = range(len(launches)) if launch.ranks is None else launch.ranks
+        contributions = [launches[r].tensor for r in members]
+        return self._retry(launch, partial(self.world.start, launch, contributions))
 
-    def _launch(
-        self,
-        reqs: Sequence[AllReduceLaunch | AllGatherLaunch | GroupAllGatherLaunch | GroupBroadcastLaunch],
-        pending: dict[str, tuple[Handle, Any, tuple[int, ...] | None]],
-    ) -> list[None]:
-        tags = {req.tag for req in reqs}
-        if len(tags) != 1:
-            raise RuntimeError(f"replicas diverged: mixed launch tags {sorted(tags)}")
-        first = reqs[0]
-        n = len(reqs)
-        tag = first.tag
-        phase = first.phase
-        if tag in pending:
-            raise RuntimeError(f"duplicate launch tag {tag!r} within one step")
+    def _finish(
+        self, launch: Launch, handle: Handle | CollectiveFailed, waits: list[WaitRequest]
+    ) -> list[Any]:
+        """Settle the op with the members' minimum compute budget.
 
-        def scatter(result: Sequence[Any], ranks: tuple[int, ...]) -> list[Any]:
-            # group ops answer the listed ranks only; everyone else gets None
-            by_rank = dict(zip(ranks, result))
-            return [by_rank.get(r) for r in range(n)]
-
-        members: tuple[int, ...] | None = None
-        if isinstance(first, AllReduceLaunch):
-            for r, req in enumerate(reqs):
-                if req.tensor.shape != first.tensor.shape:
-                    raise RuntimeError(f"rank {r} launch {tag!r} shapes diverged")
-            start = partial(
-                self.world.allreduce_async,
-                [req.tensor for req in reqs], op=first.op, phase=phase,
-                codec=first.comm_dtype,
-            )
-            finalize = lambda result: result  # noqa: E731
-        elif isinstance(first, AllGatherLaunch):
-            contributions = [req.tensor for req in reqs]
-            start = partial(self.world.allgather_async, contributions, phase=phase)
-            finalize = lambda result: result  # noqa: E731
-        elif isinstance(first, GroupAllGatherLaunch):
-            groups = {req.ranks for req in reqs}
-            if len(groups) != 1:
-                raise RuntimeError(f"replicas diverged: mixed groups {sorted(groups)}")
-            members = first.ranks
-            for r, req in enumerate(reqs):
-                if (req.tensor is None) != (r not in members):
-                    raise RuntimeError(
-                        f"rank {r}: group-allgather launch {tag!r} contribution "
-                        f"does not match membership of group {members}"
-                    )
-            start = partial(
-                self.world.group_allgather_async,
-                [reqs[r].tensor for r in members], members, phase=phase,
-            )
-            finalize = partial(scatter, ranks=members)
-        else:
-            keys = {(req.root, req.ranks) for req in reqs}
-            if len(keys) != 1:
-                raise RuntimeError(f"replicas diverged: mixed broadcast groups {sorted(keys)}")
-            root = first.root
-            members = first.ranks
-            if reqs[root].tensor is None:
-                raise RuntimeError(f"broadcast root {root} provided no tensor")
-            start = partial(
-                self.world.group_broadcast_async,
-                reqs[root].tensor, root, members, phase=phase,
-            )
-            finalize = partial(scatter, ranks=members)
-        # the phase-style world consults the fault plan when the op starts,
-        # so the launch (not the wait) is what gets retried
-        handle = _retry(self, self.world, range(n), phase, start)
-        pending[tag] = (handle, finalize, members)
-        return [None] * n
-
-    def _wait(
-        self,
-        reqs: list[WaitRequest],
-        pending: dict[str, tuple[Handle, Any, tuple[int, ...] | None]],
-    ) -> list[list[np.ndarray]]:
-        tags = {req.tag for req in reqs}
-        if len(tags) != 1:
-            raise RuntimeError(f"replicas diverged: mixed wait tags {sorted(tags)}")
-        tag = reqs[0].tag
-        if tag not in pending:
-            raise RuntimeError(f"wait on unknown tag {tag!r} (never launched?)")
-        handle, finalize, member_ranks = pending.pop(tag)
+        The least-overlapped member sets the barrier; only members'
+        compute can hide a group op's cost.  Each member receives its
+        result, every other replica ``None``.  A launch that failed past
+        the retry budget answers *every* replica (members and non-members
+        alike) with the sentinel, so the stale-state ledgers stay in
+        lockstep.
+        """
+        n = len(waits)
         if isinstance(handle, CollectiveFailed):
-            # the launch failed past the retry budget: every replica
-            # (group members and non-members alike) gets the sentinel so
-            # the stale-state ledgers stay in lockstep
-            return [handle] * len(reqs)
-        # only participating ranks' compute can hide a group op's cost
-        budgets = (
-            [reqs[r].compute_seconds for r in member_ranks]
-            if member_ranks is not None
-            else [req.compute_seconds for req in reqs]
-        )
-        result = handle.wait(min(budgets))
-        return finalize(result)
+            return [handle] * n
+        members = range(n) if launch.ranks is None else launch.ranks
+        result = handle.wait(min(waits[r].compute_seconds for r in members))
+        by_rank = dict(zip(members, result))
+        return [by_rank.get(r) for r in range(n)]
 
 
-class SPMDDriver:
+class SPMDDriver(_Driver):
     """Per-rank driver using matched named collectives (threaded SPMD).
 
     Example
@@ -357,91 +318,30 @@ class SPMDDriver:
             )
         if kfac.rank != hvd.rank():
             raise ValueError(f"KFAC rank {kfac.rank} != hvd rank {hvd.rank()}")
+        super().__init__([kfac], hvd.view.world, retry_policy, logger)
         self.kfac = kfac
         self.hvd = hvd
-        self.retry_policy = retry_policy
-        #: degraded-path events (retries, fallbacks) surface as warnings
-        self.logger = logger
-        self.comm_retries = 0
-        self.comm_fallbacks = 0
 
-    def step(self) -> None:
-        """Execute one K-FAC step on this rank.
+    def _start(self, launches: list[Launch]) -> Handle:
+        """Start this rank's side of the op; nothing blocks until the wait.
 
-        A launch defers its blocking matched post to the wait, which
-        forwards this rank's compute-overlap budget to the world.  A
-        failed collective therefore raises at wait time, and the wait is
-        what gets retried: the handle re-posts on each attempt (its
-        result is not cached until a wait succeeds), keeping the ranks'
-        matched-op generations aligned.
+        Every op is named ``kfac:{phase}:{tag}``: the step's tags are
+        stable per logical op (a group share by its leader, a gradient
+        broadcast by its root), as the world's per-name generation
+        counters need.  A non-member of a group posts nothing and never
+        observes a member-side failure: degradation is member-local.
         """
-        gen = self.kfac.step_generator()
-        req = _advance(gen, first=True)
-        world = self.hvd.view.world
-        # tag -> (handle, phase)
-        pending: dict[str, tuple[Handle, str]] = {}
-        while req is not None:
-            if isinstance(req, _LAUNCHES):
-                if req.tag in pending:
-                    raise RuntimeError(f"duplicate launch tag {req.tag!r} within one step")
-                pending[req.tag] = self._launch(req)
-                req = _advance(gen, None)
-            elif isinstance(req, WaitRequest):
-                if req.tag not in pending:
-                    raise RuntimeError(f"wait on unknown tag {req.tag!r} (never launched?)")
-                handle, phase = pending.pop(req.tag)
-                result = _retry(
-                    self, world, (self.kfac.rank,), phase,
-                    lambda: handle.wait(req.compute_seconds),
-                )
-                req = _advance(gen, result)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown request type {type(req)}")
-        if pending:  # pragma: no cover - defensive
-            raise RuntimeError(f"step ended with unawaited collectives: {sorted(pending)}")
+        (launch,) = launches
+        if launch.ranks is not None and self.kfac.rank not in launch.ranks:
+            return Handle(lambda overlap_seconds: None)
+        return self.hvd.view.start(replace(launch, tag=f"kfac:{launch.phase}:{launch.tag}"))
 
-    def _launch(
-        self,
-        req: AllReduceLaunch | AllGatherLaunch | GroupAllGatherLaunch | GroupBroadcastLaunch,
-    ) -> tuple[Handle, str]:
-        """Start this rank's side of one collective (nothing blocks yet)."""
-        view = self.hvd.view
-        rank = self.kfac.rank
-        phase = req.phase
-        if isinstance(req, AllReduceLaunch):
-            # matched op names must be identical across ranks, so key
-            # world ops by tag (deterministic)
-            handle = view.allreduce_async(
-                req.tensor,
-                name=f"kfac:{phase}:{req.tag}",
-                op=req.op,
-                phase=phase,
-                codec=req.comm_dtype,
-            )
-        elif isinstance(req, AllGatherLaunch):
-            handle = view.allgather_async(
-                req.tensor, name=f"kfac:{phase}:{req.tag}", phase=phase
-            )
-        elif rank not in req.ranks:
-            # only group members post.  Non-members never observe a
-            # member-side failure either: degradation is member-local
-            handle = Handle(lambda overlap_seconds: None)
-        elif isinstance(req, GroupAllGatherLaunch):
-            # the name must be stable per *logical group* (not per step
-            # position) because the world's op-generation counters advance
-            # per posting rank — a position-based name would desync ranks
-            # whose membership differs between steps.  Contiguous groups
-            # have distinct leading ranks, so the leader identifies the group.
-            assert req.tensor is not None
-            handle = view.allgather_async(
-                req.tensor, name=f"kfac:{phase}:grp{req.ranks[0]}",
-                phase=phase, ranks=req.ranks,
-            )
-        else:
-            payload = req.tensor if rank == req.root else np.zeros(0, dtype=np.float32)
-            assert payload is not None
-            handle = view.broadcast_async(
-                payload, name=f"kfac:{phase}:root{req.root}",
-                root=req.root, phase=phase, ranks=req.ranks,
-            )
-        return handle, phase
+    def _finish(self, launch: Launch, handle: Handle, waits: list[WaitRequest]) -> list[Any]:
+        """Post at the wait with this rank's budget, retrying the wait.
+
+        A failed collective raises at wait time; the handle re-posts on
+        each attempt (its result is not cached until a wait succeeds),
+        keeping the ranks' matched-op generations aligned.
+        """
+        (wait,) = waits
+        return [self._retry(launch, lambda: handle.wait(wait.compute_seconds))]

@@ -31,17 +31,10 @@ from repro.comm.engine import (
     estimate_second_order_seconds,
 )
 from repro.comm.faults import CollectiveFailed
+from repro.comm.handles import Launch
 from repro.core.assignment import factor_block
 from repro.core.clipping import kl_clip_factor
-from repro.core.comm_ops import (
-    AllGatherLaunch,
-    AllReduceLaunch,
-    GroupAllGatherLaunch,
-    GroupBroadcastLaunch,
-    WaitRequest,
-    pack_arrays,
-    unpack_arrays,
-)
+from repro.core.comm_ops import WaitRequest, pack_arrays, unpack_arrays
 from repro.core.inverse import eigendecompose, explicit_damped_inverse
 from repro.obs.tracer import NULL_TRACER
 
@@ -205,13 +198,7 @@ class GraphExecutor:
         tensor = self._wire[lo:hi]
         yield from self._collective(
             task,
-            AllReduceLaunch(
-                tensor=tensor,
-                op="average",
-                phase="factor_comm",
-                tag=f"fac:{b}",
-                comm_dtype=kfac.hp.comm_dtype,
-            ),
+            Launch("allreduce", tensor, f"fac:{b}", "factor_comm", codec=kfac.hp.comm_dtype),
             lambda reduced: self._install_factors(first, last, reduced),
             {"bucket": b, "bytes": float(tensor.nbytes)},
         )
@@ -321,7 +308,7 @@ class GraphExecutor:
         b = task.payload["bucket"]
         yield from self._collective(
             task,
-            AllGatherLaunch(tensor=flat, phase="eig_comm", tag=f"eig:{b}"),
+            Launch("allgather", flat, f"eig:{b}", "eig_comm"),
             install,
             {"bucket": b, "bytes": float(flat.nbytes)},
         )
@@ -366,9 +353,7 @@ class GraphExecutor:
 
         yield from self._collective(
             task,
-            GroupAllGatherLaunch(
-                tensor=flat, ranks=ranks, phase="eig_comm", tag=f"share:grp{ranks[0]}"
-            ),
+            Launch("allgather", flat, f"share:grp{ranks[0]}", "eig_comm", ranks),
             install,
             {
                 "group": list(ranks),
@@ -432,13 +417,7 @@ class GraphExecutor:
 
         yield from self._collective(
             task,
-            GroupBroadcastLaunch(
-                tensor=flat,
-                root=root,
-                ranks=participants,
-                phase="precond_comm",
-                tag=f"grad:root{root}",
-            ),
+            Launch("broadcast", flat, f"grad:root{root}", "precond_comm", participants, root),
             install,
             {"root": root, "bytes": float(flat.nbytes) if flat is not None else 0.0},
         )
@@ -465,7 +444,7 @@ class GraphExecutor:
 
         yield from self._collective(
             task,
-            AllGatherLaunch(tensor=flat, phase="precond_comm", tag="grad:all"),
+            Launch("allgather", flat, "grad:all", "precond_comm"),
             install,
             {"bytes": float(flat.nbytes)},
         )

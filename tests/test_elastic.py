@@ -281,15 +281,16 @@ class TestRetryAndDegradation:
         assert np.isfinite(history.epochs[0].train_loss)
 
     @staticmethod
-    def _run_kfac_steps(driver: str, failures: tuple, steps: int = 1, p: int = 2):
-        """``steps`` COMM_OPT K-FAC steps at P=``p`` under ``failures``.
+    def _run_kfac_steps(
+        driver: str, failures: tuple, steps: int = 1, p: int = 2, **kfac_kw
+    ):
+        """``steps`` K-FAC steps at P=``p`` under ``failures`` (COMM_OPT by default).
 
-        World collectives only, so every rank observes every failure.
         Returns the world plus, per rank, the driver's
         ``(comm_retries, comm_fallbacks)``, the staleness ledger and the
-        replica state: every layer's eigenbasis (identical on all ranks
-        under COMM_OPT) followed by the preconditioned gradients (per-rank:
-        each rank captured its own batch).
+        replica state: every eigenbasis the rank holds (all layers under
+        COMM_OPT, its group's under HYBRID) followed by the preconditioned
+        gradients (per-rank: each rank captured its own batch).
         """
         world = World(p)
         world.fault_plan = FaultPlan(failures=failures)
@@ -299,7 +300,7 @@ class TestRetryAndDegradation:
             model = Sequential(Linear(6, 4, rng=rng), Linear(4, 2, rng=rng))
             kfac = KFAC(
                 model, rank=rank, world_size=p,
-                kfac_update_freq=1, fac_update_freq=1, damping=0.01,
+                kfac_update_freq=1, fac_update_freq=1, damping=0.01, **kfac_kw,
             )
             return model, kfac
 
@@ -314,10 +315,11 @@ class TestRetryAndDegradation:
             basis = [
                 a.reshape(-1)
                 for l in kfac.layers
+                if l.eig_A is not None
                 for a in (l.eig_A.Q, l.eig_A.lam, l.eig_G.Q, l.eig_G.lam)
             ]
             grads = [q.grad.reshape(-1) for q in model.parameters()]
-            state = np.concatenate(basis), np.concatenate(grads)
+            state = np.concatenate(basis or [np.zeros(0)]), np.concatenate(grads)
             return (drv.comm_retries, drv.comm_fallbacks), dict(kfac.staleness), state
 
         if driver == "spmd":
@@ -349,25 +351,46 @@ class TestRetryAndDegradation:
         # replicas stayed in lockstep
         assert np.array_equal(results[0][2][0], results[1][2][0])
 
-    def test_drivers_agree_on_retry_and_fallback(self):
+    @pytest.mark.parametrize(
+        "p, kfac_kw, solo",
+        [
+            (2, {}, (0,)),
+            (4, {"strategy": HYBRID, "grad_worker_frac": 0.5}, (0, 2)),
+        ],
+        ids=["comm-opt-p2", "hybrid-0.5-p4"],
+    )
+    def test_drivers_agree_on_retry_and_fallback(self, p, kfac_kw, solo):
         """Both transports apply the one retry policy identically: a clean
         step establishes the eigenbasis, then step 1 loses its eigenbasis
-        share for good (retries burn, stale fallback) and its factor
-        exchange once (one retry, then clean)."""
-        failures = (
-            CollectiveFailure(phase="eig_comm", step=1, count=None),
-            CollectiveFailure(phase="factor_comm", step=1, count=1),
-        )
-        w_phase, phase = self._run_kfac_steps("phase", failures, steps=2)
-        w_spmd, spmd = self._run_kfac_steps("spmd", failures, steps=2)
+        share for good (retries burn, stale fallback).  COMM_OPT also
+        loses its factor exchange once (one retry, then clean).  Under
+        HYBRID the two layers' gradient-worker groups (0, 1) and (1, 2)
+        each lose their share, and the SPMD driver speaking for a group's
+        first member charges its backoff — group (1, 2) included, which no
+        rank-0 driver speaks for.  ``solo`` holds one rank per failing
+        group that belongs to no other.
+        """
+        failures = (CollectiveFailure(phase="eig_comm", step=1, count=None),)
+        if not kfac_kw:
+            failures += (CollectiveFailure(phase="factor_comm", step=1, count=1),)
+        w_phase, phase = self._run_kfac_steps("phase", failures, steps=2, p=p, **kfac_kw)
+        w_spmd, spmd = self._run_kfac_steps("spmd", failures, steps=2, p=p, **kfac_kw)
         policy = RetryPolicy()
-        for (counts, staleness, state), (s_counts, s_staleness, s_state) in zip(phase, spmd):
-            # factor_comm: one retry; eig_comm: the full budget, then fallback
-            assert counts == s_counts == (1 + policy.max_retries, 1)
-            assert staleness == s_staleness and set(staleness.values()) == {1}
+        factor_retries = 0 if kfac_kw else 1
+        # the controller counts every group's op once; an SPMD driver
+        # counts its own group's, so one rank per group sums to the same
+        groups = len(solo)
+        counts = phase[0][0]
+        assert counts == (factor_retries + groups * policy.max_retries, groups)
+        assert [sum(spmd[r][0][i] for r in solo) for i in (0, 1)] == [
+            counts[0] - (groups - 1) * factor_retries, counts[1]
+        ]
+        for (_, staleness, state), (_, s_staleness, s_state) in zip(phase, spmd):
+            assert staleness == s_staleness and set(staleness.values()) <= {1}
             for mine, theirs in zip(state, s_state):
                 assert np.array_equal(mine, theirs)
-        backoff = policy.backoff(0) + sum(
+        assert all(set(phase[r][1].values()) == {1} for r in solo)
+        backoff = factor_retries * policy.backoff(0) + groups * sum(
             policy.backoff(a) for a in range(policy.max_retries)
         )
         assert w_phase.timers.total("retry_backoff") == pytest.approx(backoff)

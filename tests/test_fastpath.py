@@ -28,7 +28,6 @@ from repro.comm.backend import World
 from repro.comm.engine import symmetric_payload_nbytes
 from repro.comm.fusion import WirePlan, tri_len, tri_pack, tri_unpack
 from repro.core.assignment import wire_elements
-from repro.core.comm_ops import AllReduceLaunch
 from repro.core.distributed import PhaseController
 from repro.core.factors import (
     append_bias_column,
@@ -262,11 +261,11 @@ class RecordingController(PhaseController):
         self.factor_sizes: list[int] = []
         self.factor_tags: list[str] = []
 
-    def _launch(self, reqs, pending):
-        if isinstance(reqs[0], AllReduceLaunch) and reqs[0].phase == "factor_comm":
-            self.factor_sizes.append(reqs[0].tensor.size)
-            self.factor_tags.append(reqs[0].tag)
-        return super()._launch(reqs, pending)
+    def _start(self, launches):
+        if launches[0].phase == "factor_comm":
+            self.factor_sizes.append(launches[0].tensor.size)
+            self.factor_tags.append(launches[0].tag)
+        return super()._start(launches)
 
 
 def _run_steps_recording(world_size=2, steps=2, **kfac_kw):

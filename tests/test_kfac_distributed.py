@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro.comm.backend import World
+from repro.comm.handles import Launch
 from repro.comm.horovod import HorovodContext
+from repro.core.comm_ops import WaitRequest
 from repro.core.distributed import PhaseController, SPMDDriver
 from repro.core.preconditioner import COMM_OPT, LAYER_WISE, KFAC
 from repro.nn.loss import CrossEntropyLoss
@@ -244,3 +246,76 @@ class TestControllerValidation:
         kfacs = [KFAC(m, rank=r, world_size=2) for r, m in enumerate(models)]
         with pytest.raises(ValueError):
             PhaseController(kfacs, world)
+
+
+TAG = "guard:op"
+
+
+def _bad_streams():
+    """(case, world size, rank -> request stream, guard applies to one rank).
+
+    Every stream breaks one protocol guard at the op tagged ``TAG``.
+    """
+    x = np.ones(3, dtype=np.float32)
+
+    def launch(kind="allreduce", tensor=x, tag=TAG, **kw):
+        return Launch(kind, tensor, tag, "test", **kw)
+
+    return [
+        ("mixed-request-types", 2,
+         lambda r: [launch() if r == 0 else WaitRequest(TAG)], False),
+        ("mixed-tags", 2,
+         lambda r: [launch(tag=TAG if r == 0 else "other")], False),
+        ("mixed-groups", 3,
+         lambda r: [launch("allgather", ranks=(0, 1, 2) if r == 0 else (0, 2, 1))], False),
+        ("mixed-roots", 2,
+         lambda r: [launch("broadcast", x if r == 0 else None, ranks=(0, 1), root=r)], False),
+        ("diverged-allreduce-shapes", 2,
+         lambda r: [launch(tensor=np.ones(2 + r, dtype=np.float32))], False),
+        ("broadcast-root-without-tensor", 2,
+         lambda r: [launch("broadcast", None, ranks=(0, 1), root=0)], True),
+        ("group-contribution-not-membership", 3,
+         lambda r: [launch("allgather", None if r == 0 else x, ranks=(0, 1))], True),
+        ("duplicate-launch-tag", 2, lambda r: [launch(), launch()], True),
+        ("wait-on-unknown-tag", 2, lambda r: [WaitRequest(TAG)], True),
+        ("unawaited-launch", 2, lambda r: [launch()], True),
+    ]
+
+
+class StubReplica:
+    """A replica whose step generator yields a fixed request stream."""
+
+    def __init__(self, rank, world_size, stream):
+        self.rank = rank
+        self.world_size = world_size
+        self.stream = stream
+
+    def step_generator(self):
+        yield from self.stream(self.rank)
+
+
+class TestProtocolGuards:
+    """Each guard of the drivers' shared request loop, reached on purpose:
+    the lockstep controller over every replica, and the SPMD driver
+    wherever one rank's own stream breaks the guard.  Matching compares
+    the launch records without their payloads (the diverged shapes would
+    otherwise raise inside numpy)."""
+
+    @pytest.mark.parametrize(
+        "case, p, stream, one_rank", _bad_streams(), ids=[c[0] for c in _bad_streams()]
+    )
+    def test_bad_stream_raises_naming_the_tag(self, case, p, stream, one_rank):
+        replicas = [StubReplica(r, p, stream) for r in range(p)]
+        with pytest.raises(RuntimeError, match=repr(TAG)) as info:
+            PhaseController(replicas, World(p)).step()
+        assert type(info.value) is RuntimeError
+        if not one_rank:
+            return
+
+        def program(view):
+            replica = StubReplica(view.rank, p, stream)
+            SPMDDriver(replica, HorovodContext(view)).step()
+
+        with pytest.raises(RuntimeError, match=repr(TAG)) as info:
+            World(p).run_spmd(program, timeout=5)
+        assert type(info.value) is RuntimeError

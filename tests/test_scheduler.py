@@ -121,13 +121,13 @@ class _StreamRecorder(PhaseController):
         #: ("launch", tag) | ("wait", tag, per-rank compute_seconds)
         self.stream: list[tuple] = []
 
-    def _launch(self, reqs, pending):
-        self.stream.append(("launch", reqs[0].tag))
-        return super()._launch(reqs, pending)
+    def _start(self, launches):
+        self.stream.append(("launch", launches[0].tag))
+        return super()._start(launches)
 
-    def _wait(self, reqs, pending):
-        self.stream.append(("wait", reqs[0].tag, [r.compute_seconds for r in reqs]))
-        return super()._wait(reqs, pending)
+    def _finish(self, launch, started, waits):
+        self.stream.append(("wait", waits[0].tag, [w.compute_seconds for w in waits]))
+        return super()._finish(launch, started, waits)
 
 
 class TestSyncIsDegenerateLaunchWait:
