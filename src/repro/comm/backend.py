@@ -439,7 +439,7 @@ class World:
                 return self.allgather_async(contributions, phase=phase)
             return self.group_allgather_async(contributions, ranks, phase=phase)
         if kind == "broadcast":
-            value = contributions[self._group(ranks).index(launch.root)]
+            value = dict(zip(self._group(ranks), contributions)).get(launch.root)
             if ranks is None:
                 return self._broadcast(value, launch.root, None, phase)
             return self.group_broadcast_async(value, launch.root, ranks, phase=phase)
@@ -667,7 +667,7 @@ class RankView:
         ranks: Sequence[int] | None = None,
     ) -> Handle[list[np.ndarray]]:
         """Launch a named allgather (see :meth:`allreduce_async`)."""
-        return self.start(Launch("allgather", tensor, name, phase, ranks))
+        return self.start(Launch("allgather", tensor, name, phase, ranks=ranks))
 
     def broadcast(
         self,
@@ -689,7 +689,7 @@ class RankView:
         ranks: Sequence[int] | None = None,
     ) -> Handle[np.ndarray]:
         """Launch a named broadcast (see :meth:`allreduce_async`)."""
-        return self.start(Launch("broadcast", tensor, name, phase, ranks, root))
+        return self.start(Launch("broadcast", tensor, name, phase, ranks=ranks, root=root))
 
     def barrier(self, name: str = "barrier") -> None:
         """Block until every rank reaches the barrier."""

@@ -60,7 +60,7 @@ class Launch:
     >>> a = Launch("allgather", np.ones(2), "share", "eig_comm", ranks=[2, 3])
     >>> a == Launch("allgather", None, "share", "eig_comm", ranks=(2, 3)), a.ranks
     (True, (2, 3))
-    >>> a.matches(a, 3), a.matches(Launch("allgather", None, "share", "eig_comm", (2, 3)), 1)
+    >>> a.matches(a, 3), a.matches(Launch("allgather", None, "share", "eig_comm", ranks=(2, 3)), 1)
     (True, True)
     >>> a.matches(a, 1)                          # a non-member sends nothing
     False

@@ -108,10 +108,12 @@ class _Driver:
                     raise RuntimeError(f"duplicate launch tag {tag!r} within one step")
                 pending[tag] = (first, self._start(requests))
                 responses: list[Any] = [None] * len(gens)
-            else:
+            elif isinstance(first, WaitRequest):
                 if tag not in pending:
                     raise RuntimeError(f"wait on unknown tag {tag!r} (never launched?)")
                 responses = self._finish(*pending.pop(tag), requests)
+            else:
+                raise TypeError(f"unknown request type {type(first)}")
             requests = [_advance(g, resp) for g, resp in zip(gens, responses)]
         if pending:
             raise RuntimeError(f"step ended with unawaited collectives: {sorted(pending)}")

@@ -353,7 +353,7 @@ class GraphExecutor:
 
         yield from self._collective(
             task,
-            Launch("allgather", flat, f"share:grp{ranks[0]}", "eig_comm", ranks),
+            Launch("allgather", flat, f"share:grp{ranks[0]}", "eig_comm", ranks=ranks),
             install,
             {
                 "group": list(ranks),
@@ -417,7 +417,10 @@ class GraphExecutor:
 
         yield from self._collective(
             task,
-            Launch("broadcast", flat, f"grad:root{root}", "precond_comm", participants, root),
+            Launch(
+                "broadcast", flat, f"grad:root{root}", "precond_comm",
+                ranks=participants, root=root,
+            ),
             install,
             {"root": root, "bytes": float(flat.nbytes) if flat is not None else 0.0},
         )

@@ -352,23 +352,24 @@ class TestRetryAndDegradation:
         assert np.array_equal(results[0][2][0], results[1][2][0])
 
     @pytest.mark.parametrize(
-        "p, kfac_kw, solo",
+        "p, kfac_kw, groups",
         [
-            (2, {}, (0,)),
-            (4, {"strategy": HYBRID, "grad_worker_frac": 0.5}, (0, 2)),
+            (2, {}, ((0, 1),)),
+            (4, {"strategy": HYBRID, "grad_worker_frac": 0.5}, ((0, 1), (1, 2))),
         ],
         ids=["comm-opt-p2", "hybrid-0.5-p4"],
     )
-    def test_drivers_agree_on_retry_and_fallback(self, p, kfac_kw, solo):
+    def test_drivers_agree_on_retry_and_fallback(self, p, kfac_kw, groups):
         """Both transports apply the one retry policy identically: a clean
         step establishes the eigenbasis, then step 1 loses its eigenbasis
         share for good (retries burn, stale fallback).  COMM_OPT also
-        loses its factor exchange once (one retry, then clean).  Under
-        HYBRID the two layers' gradient-worker groups (0, 1) and (1, 2)
-        each lose their share, and the SPMD driver speaking for a group's
-        first member charges its backoff — group (1, 2) included, which no
-        rank-0 driver speaks for.  ``solo`` holds one rank per failing
-        group that belongs to no other.
+        loses its factor exchange once (one retry, then clean).  ``groups``
+        are the ranks of each failing share: the world under COMM_OPT, the
+        two layers' gradient-worker groups under HYBRID.  The controller
+        counts every group's op; an SPMD driver counts only the groups its
+        rank belongs to, and the driver speaking for a group's first member
+        charges its backoff — group (1, 2) included, which no rank-0 driver
+        speaks for.
         """
         failures = (CollectiveFailure(phase="eig_comm", step=1, count=None),)
         if not kfac_kw:
@@ -377,20 +378,21 @@ class TestRetryAndDegradation:
         w_spmd, spmd = self._run_kfac_steps("spmd", failures, steps=2, p=p, **kfac_kw)
         policy = RetryPolicy()
         factor_retries = 0 if kfac_kw else 1
-        # the controller counts every group's op once; an SPMD driver
-        # counts its own group's, so one rank per group sums to the same
-        groups = len(solo)
-        counts = phase[0][0]
-        assert counts == (factor_retries + groups * policy.max_retries, groups)
-        assert [sum(spmd[r][0][i] for r in solo) for i in (0, 1)] == [
-            counts[0] - (groups - 1) * factor_retries, counts[1]
-        ]
-        for (_, staleness, state), (_, s_staleness, s_state) in zip(phase, spmd):
-            assert staleness == s_staleness and set(staleness.values()) <= {1}
+
+        def counts(n_groups):
+            # factor_comm: one retry; eig_comm: the full budget, then fallback
+            return (factor_retries + n_groups * policy.max_retries, n_groups)
+
+        for r in range(p):
+            member_of = sum(r in g for g in groups)
+            (c, staleness, state), (s_c, s_staleness, s_state) = phase[r], spmd[r]
+            assert c == counts(len(groups)), r
+            assert s_c == counts(member_of), r
+            assert staleness == s_staleness, r
+            assert set(staleness.values()) == ({1} if member_of else set()), r
             for mine, theirs in zip(state, s_state):
                 assert np.array_equal(mine, theirs)
-        assert all(set(phase[r][1].values()) == {1} for r in solo)
-        backoff = factor_retries * policy.backoff(0) + groups * sum(
+        backoff = factor_retries * policy.backoff(0) + len(groups) * sum(
             policy.backoff(a) for a in range(policy.max_retries)
         )
         assert w_phase.timers.total("retry_backoff") == pytest.approx(backoff)

@@ -319,3 +319,17 @@ class TestProtocolGuards:
         with pytest.raises(RuntimeError, match=repr(TAG)) as info:
             World(p).run_spmd(program, timeout=5)
         assert type(info.value) is RuntimeError
+
+    def test_unknown_request_type_rejected(self):
+        replicas = [StubReplica(r, 2, lambda r: [object()]) for r in range(2)]
+        with pytest.raises(TypeError, match="unknown request type"):
+            PhaseController(replicas, World(2)).step()
+
+    def test_broadcast_root_outside_group_names_the_group(self):
+        x = np.ones(3, dtype=np.float32)
+        stream = lambda r: [  # noqa: E731
+            Launch("broadcast", x if r == 2 else None, TAG, "test", ranks=(0, 1), root=2)
+        ]
+        replicas = [StubReplica(r, 3, stream) for r in range(3)]
+        with pytest.raises(ValueError, match=r"root 2 not in group \(0, 1\)"):
+            PhaseController(replicas, World(3)).step()
