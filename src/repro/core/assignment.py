@@ -275,7 +275,7 @@ def grad_worker_groups(
 
 @dataclass
 class GroupPlacement:
-    """Placement metadata for the gradient-worker-fraction strategy.
+    """Placement metadata for a gradient-worker fraction.
 
     Attributes
     ----------
@@ -384,10 +384,10 @@ class FactorUnits:
     assignment:
         unit key -> the rank that decomposes it.
     placement:
-        The gradient-worker placement (``HYBRID`` only, else None).
+        The gradient-worker placement (None when no ``frac`` was given).
     groups:
-        ``HYBRID`` only: per gradient-worker group, its ranks and the
-        indices of its units in ``metas``.
+        Per gradient-worker group (empty when no ``frac`` was given),
+        its ranks and the indices of its units in ``metas``.
     bounds:
         factor key -> block partition, for every factor split into blocks.
     """

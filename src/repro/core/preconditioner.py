@@ -5,19 +5,23 @@ running-average Kronecker factors, and — on ``step()`` — rewrites
 ``param.grad`` in place with the preconditioned gradient so that any
 standard optimizer can apply the update (paper Listing 1).
 
-Two distribution strategies (§VI-C3) are implemented behind one code path:
+Every placement is a KAISA-style gradient-worker fraction ``f``
+(arXiv:2107.01739): each layer's eigenbasis lives on a group of
+``max(1, round(f * P))`` ranks, and everyone else receives the layer's
+preconditioned gradient.  The paper's two distribution strategies
+(§VI-C3) are the two ends of that one path:
 
-- ``COMM_OPT`` (the paper's **K-FAC-opt**): each *factor* is assigned to a
-  worker round-robin; workers eigendecompose only their assigned factors;
-  decompositions are allgathered; every worker preconditions every layer
-  locally.  Iterations without a K-FAC update need **no communication
-  beyond the ordinary gradient allreduce**.
+- ``COMM_OPT`` (the paper's **K-FAC-opt**) is ``f = 1``: each *factor* is
+  assigned to a worker round-robin; workers eigendecompose only their
+  assigned factors; decompositions are allgathered; every worker
+  preconditions every layer locally.  Iterations without a K-FAC update
+  need **no communication beyond the ordinary gradient allreduce**.
 
-- ``LAYER_WISE`` (the paper's **K-FAC-lw**, the scheme of Osawa et al.):
-  each *layer* is assigned to a worker, which computes both of its
-  eigendecompositions *and* its preconditioned gradient; the preconditioned
-  gradients are then allgathered — on **every** iteration, since only the
-  owner holds the layer's second-order state.
+- ``LAYER_WISE`` (the paper's **K-FAC-lw**, the scheme of Osawa et al.) is
+  ``f = 1/P``: each *layer* is assigned to a worker, which computes both
+  of its eigendecompositions *and* its preconditioned gradient; the
+  preconditioned gradients are then allgathered — on **every** iteration,
+  since only the owner holds the layer's second-order state.
 
 The step logic is a generator yielding the launch/wait requests of
 :mod:`repro.core.comm_ops`; drivers in :mod:`repro.core.distributed` bind it
@@ -27,7 +31,7 @@ reference implementation: factors are captured/updated every
 ``kfac_update_freq`` steps, with ``fac_update_freq`` typically 10x more
 frequent (§V-C).
 
-Every strategy executes through one dependency-graph scheduler
+Every placement executes through one dependency-graph scheduler
 (:mod:`repro.sched`): the step is planned as per-layer tasks
 (``FactorComm -> Eig -> EigShare -> Precondition -> GradShare``) and a
 single :class:`repro.sched.executor.GraphExecutor` walks the schedule.
@@ -55,7 +59,6 @@ from repro.core.assignment import (
     FactorUnits,
     GroupPlacement,
     factor_block,
-    layer_wise_assignment,
     plan_units,
     second_order_shapes,
     wire_elements,
@@ -106,7 +109,9 @@ class KFACHyperParams:
         inverse (False, Eq. 11) — the Table I comparison.
     strategy:
         ``COMM_OPT``, ``LAYER_WISE``, or ``HYBRID`` (selected implicitly
-        by setting ``grad_worker_frac``).
+        by setting ``grad_worker_frac``).  Without a fraction it names
+        one: ``COMM_OPT`` is ``f = 1`` and ``LAYER_WISE`` is ``f = 1/P``,
+        resolved by :class:`KFAC`, which knows ``P``.
     grad_worker_frac:
         KAISA-style gradient-worker fraction ``f`` (arXiv:2107.01739):
         each layer gets a group of ``max(1, round(f * P))`` ranks that
@@ -114,8 +119,8 @@ class KFACHyperParams:
         than world allgather) and compute the preconditioned gradient
         locally; everyone else receives only the final preconditioned
         gradient via a group-rooted broadcast.  ``f = 1/P`` recovers
-        ``LAYER_WISE``, ``f = 1`` recovers ``COMM_OPT`` (trajectories
-        bit-match both endpoints); intermediate values trade per-rank
+        ``LAYER_WISE``, ``f = 1`` recovers ``COMM_OPT`` (both run the
+        same code); intermediate values trade per-rank
         eigenbasis memory against per-iteration broadcast volume.
         Setting this switches ``strategy`` to ``HYBRID``.
     assignment:
@@ -440,13 +445,15 @@ class KFAC:
             )
 
         self._factor_metas = self._build_factor_metas()
-        self._layer_assignment: dict[str, int] = layer_wise_assignment(
-            [l.name for l in self.layers], world_size
-        )
+        # one placement path: a strategy without a fraction names one of
+        # the spectrum's ends, f = 1 (COMM_OPT) or f = 1/P (LAYER_WISE)
+        frac = base.grad_worker_frac
+        if frac is None:
+            frac = 1.0 if base.strategy == COMM_OPT else 1.0 / world_size
         # the comm/eig units of each approximation phase, built once: whole
         # factors, then — past diag_warmup second-order updates of a
         # diag_blocks > 1 run — their diagonal blocks (blocks_active)
-        placed = (self._factor_metas, world_size, base.assignment, base.grad_worker_frac)
+        placed = (self._factor_metas, world_size, base.assignment, frac)
         self._units: list[FactorUnits] = [plan_units(*placed)]
         if base.diag_blocks > 1:
             bounds = plan_block_bounds(
@@ -481,14 +488,12 @@ class KFAC:
             self._entry_shapes[m.layer].update(
                 {k: m.shape, f"inv_{k}": m.shape, f"eig_{k}_Q": eig[0], f"eig_{k}_lam": eig[-1]}
             )
-        #: gradient-worker placement (HYBRID strategy only): per-layer
-        #: groups, broadcast roots, and the within-group factor assignment
-        self._placement: GroupPlacement | None = self._units[0].placement
-        # the placement is immutable, so the fused (root, participants)
-        # broadcast plan is built once here
-        self._bcast_plan: list[tuple[int, list[KFACLayer], tuple[int, ...]]] = (
-            self._build_broadcast_plan() if self._placement is not None else []
-        )
+        #: gradient-worker placement: per-layer groups, broadcast roots,
+        #: and the within-group factor assignment
+        self._placement: GroupPlacement = self._units[0].placement
+        # the placement is immutable, so the fused second-stage shares are
+        # planned once here
+        self._grad_shares = self._build_grad_shares()
         # staleness-tolerant eigenbases: drift-triggered refresh state
         self._drift_trigger: DriftTrigger | None = (
             DriftTrigger(base.drift_tol, base.max_eig_staleness)
@@ -595,18 +600,14 @@ class KFAC:
         return self._units[-1] if self.blocks_active else self._units[0]
 
     @property
-    def grad_worker_placement(self) -> GroupPlacement | None:
-        """Gradient-worker placement metadata (``HYBRID`` strategy only)."""
+    def grad_worker_placement(self) -> GroupPlacement:
+        """Gradient-worker placement metadata."""
         return self._placement
 
     @property
     def grad_worker_count(self) -> int:
         """Ranks holding each layer's eigenbasis (P for COMM_OPT, 1 for LW)."""
-        if self._placement is not None:
-            return self._placement.group_size
-        if self.hp.strategy == LAYER_WISE:
-            return 1
-        return self.world_size
+        return self._placement.group_size
 
     def is_grad_worker(self, layer_name: str, rank: int | None = None) -> bool:
         """Does ``rank`` (default: this rank) hold ``layer_name``'s eigenbasis?
@@ -617,12 +618,7 @@ class KFAC:
         :func:`repro.elastic.redistribution_plan` (its pure-metadata
         mirror).
         """
-        r = self.rank if rank is None else rank
-        if self._placement is not None:
-            return self._placement.is_grad_worker(r, layer_name)
-        if self.hp.strategy == LAYER_WISE:
-            return self._layer_assignment[layer_name] == r
-        return True  # COMM_OPT: every rank preconditions every layer
+        return self._placement.is_grad_worker(self.rank if rank is None else rank, layer_name)
 
     # ------------------------------------------------------------------
     # graceful degradation (stale-eigenbasis fallback)
@@ -690,7 +686,7 @@ class KFAC:
 
         The step is planned as a task graph (:mod:`repro.sched`) and run
         by one :class:`repro.sched.executor.GraphExecutor` for every
-        strategy; ``scheduler="graph"`` pipelines the collectives,
+        placement; ``scheduler="graph"`` pipelines the collectives,
         ``"sync"`` waits for each one as it is launched.
         """
         # imported here, not at module top: repro.sched.executor imports
@@ -722,7 +718,8 @@ class KFAC:
         Without ``drift_tol`` this is the classic fixed schedule
         (``steps % kfac_update_freq == 0``, so step 0 always refreshes).
         With the drift trigger, refresh candidates are factor-update
-        steps; the decision refreshes iff any basis is missing, any
+        steps; the decision refreshes iff any basis is missing (no
+        snapshot, which every rank writes after each refresh), any
         factor (or block) drifted past tolerance since it was last
         decomposed, or any basis has exhausted its ``max_eig_staleness``
         skip budget — the budget binds even when the drift metric says
@@ -740,7 +737,7 @@ class KFAC:
         for meta in metas:
             factor = self._factor(meta)
             snap = self._basis_snapshot.get(meta.key)
-            if factor is None or snap is None or not self._has_second_order(meta):
+            if factor is None or snap is None:
                 has_basis = False
                 break
             max_drift = max(max_drift, trig.drift(factor_block(factor, meta), snap))
@@ -791,8 +788,8 @@ class KFAC:
         Cached per ``(update_factors, update_second_order)`` pair — the
         graph, schedule and bucket partition depend only on static
         placement metadata.  ``scheduler="graph"`` plans pipelined
-        launch/wait execution for the COMM_OPT and HYBRID strategies;
-        ``"sync"`` plans an immediate wait after every launch.  With
+        launch/wait execution; ``"sync"`` plans an immediate wait after
+        every launch.  With
         ``bucket_bytes=None`` the pipeline chunk size comes from the
         cost-model rates (:func:`repro.sched.planner.choose_bucket_bytes`).
         """
@@ -806,7 +803,6 @@ class KFAC:
         pipelined = (
             self.hp.scheduler == "graph"
             and self.world_size > 1
-            and self.hp.strategy in (COMM_OPT, HYBRID)
             and update_factors
             and update_second_order
         )
@@ -818,15 +814,15 @@ class KFAC:
             codec = get_codec(self.hp.comm_dtype)
             itemsize = codec.itemsize if codec is not None else self.factor_dtype.itemsize
             wire = [wire_elements(m, self.hp.symmetric_comm) * itemsize for m in units.metas]
-        bcast_entries = tuple(
-            (root, [l.name for l in layers_r]) for root, layers_r, _ in self._bcast_plan
+        grad_shares = tuple(
+            (tuple(roots), [l.name for layers_r in roots.values() for l in layers_r])
+            for _, roots in self._grad_shares
         )
         plan = build_step_plan(
-            strategy=self.hp.strategy,
             world_size=self.world_size,
             units=units,
             layer_names=[l.name for l in self.layers],
-            bcast_entries=bcast_entries,
+            grad_shares=grad_shares,
             wire_nbytes_list=wire,
             bucket_bytes=self.hp.bucket_bytes,
             update_factors=update_factors,
@@ -947,25 +943,28 @@ class KFAC:
             else:
                 layer.inv_G = arrays[0]
 
-    def _build_broadcast_plan(self) -> list[tuple[int, list[KFACLayer], tuple[int, ...]]]:
-        """Fuse per-layer grad broadcasts by (root, participant set).
+    def _build_grad_shares(self) -> list[tuple[tuple[int, ...], dict[int, list[KFACLayer]]]]:
+        """The second stage: ``(participants, {root: layers})`` per share.
 
-        With contiguous groups every layer owned by root ``r`` shares the
-        same non-member set, so the second stage is at most P broadcasts
-        of fused per-root payloads — each spanning ``P - g + 1`` ranks.
+        Every layer whose group is not the world ships its preconditioned
+        gradient from its root (the group's first rank) to the ranks
+        outside the group.  Layers fuse by participant set — the root and
+        the non-members, in rank order.  With contiguous groups every
+        layer of one root has the same set, so each root ships one payload
+        to ``P - g + 1`` ranks; roots share a set exactly when ``g = 1``,
+        where every set is the world and the share is one allgather.
         """
-        assert self._placement is not None
-        plan: dict[tuple[int, tuple[int, ...]], list[KFACLayer]] = {}
+        shares: dict[tuple[int, ...], dict[int, list[KFACLayer]]] = {}
         for layer in self.layers:
             grp = self._placement.groups[layer.name]
             if len(grp) >= self.world_size:
-                continue  # everyone is a grad worker: nothing to broadcast
+                continue  # everyone is a grad worker: nothing to ship
             root = grp[0]
-            participants = (root,) + tuple(
-                r for r in range(self.world_size) if r not in grp
+            participants = tuple(
+                r for r in range(self.world_size) if r == root or r not in grp
             )
-            plan.setdefault((root, participants), []).append(layer)
-        return [(root, layers, ranks) for (root, ranks), layers in plan.items()]
+            shares.setdefault(participants, {}).setdefault(root, []).append(layer)
+        return list(shares.items())
 
     def _layer_by_name(self, name: str) -> KFACLayer:
         try:

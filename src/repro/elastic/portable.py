@@ -9,7 +9,7 @@ it cannot resume at a different world size or ``grad_worker_frac``.
 hydrating second-order state only where the *current* placement makes the
 loading rank a gradient worker.  :func:`redistribution_plan` is the pure
 metadata mirror of that hydration rule — it answers "which ranks will hold
-which layers' eigenbases" for any (world size, strategy, fraction) without
+which layers' eigenbases" for any (world size, fraction) without
 constructing a preconditioner.
 """
 
@@ -19,12 +19,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.assignment import (
-    grad_worker_groups,
-    layer_wise_assignment,
-    second_order_shapes,
-)
-from repro.core.preconditioner import COMM_OPT, HYBRID, LAYER_WISE
+from repro.core.assignment import grad_worker_groups, second_order_shapes
 
 __all__ = ["gather_state_dict", "redistribution_plan"]
 
@@ -38,8 +33,7 @@ _SECOND_ORDER_KEYS = frozenset(
 def redistribution_plan(
     layer_names: Sequence[str],
     world_size: int,
-    strategy: str,
-    grad_worker_frac: float | None = None,
+    grad_worker_frac: float = 1.0,
 ) -> dict[int, tuple[str, ...]]:
     """Which ranks hold which layers' second-order state under a placement.
 
@@ -47,40 +41,24 @@ def redistribution_plan(
     ``range(world_size)``.  This is exactly the set of layers
     ``KFAC.load_state_dict`` hydrates eigenbases for when a portable
     bundle is loaded at that rank (``KFAC.is_grad_worker`` agrees rank by
-    rank): every rank under ``COMM_OPT``, only the ``i % P`` owner under
-    ``LAYER_WISE``, the contiguous wrap-around gradient-worker group under
-    ``HYBRID``.
+    rank): the contiguous wrap-around gradient-worker group of each layer
+    — every rank at ``f = 1`` (``COMM_OPT``), only the ``i % P`` owner at
+    ``f = 1/P`` (``LAYER_WISE``).
 
     Example
     -------
     >>> from repro.elastic import redistribution_plan
-    >>> redistribution_plan(["a", "b", "c"], 2, "comm-opt")
+    >>> redistribution_plan(["a", "b", "c"], 2)
     {0: ('a', 'b', 'c'), 1: ('a', 'b', 'c')}
-    >>> redistribution_plan(["a", "b", "c"], 2, "layer-wise")
+    >>> redistribution_plan(["a", "b", "c"], 2, grad_worker_frac=1 / 2)
     {0: ('a', 'c'), 1: ('b',)}
-    >>> redistribution_plan(["a", "b"], 4, "hybrid", grad_worker_frac=0.5)
+    >>> redistribution_plan(["a", "b"], 4, grad_worker_frac=0.5)
     {0: ('a',), 1: ('a', 'b'), 2: ('b',), 3: ()}
     """
     if world_size < 1:
         raise ValueError(f"world_size must be >= 1, got {world_size}")
-    names = list(layer_names)
-    if strategy == COMM_OPT:
-        return {r: tuple(names) for r in range(world_size)}
-    if strategy == LAYER_WISE:
-        owner = layer_wise_assignment(names, world_size)
-        return {
-            r: tuple(n for n in names if owner[n] == r)
-            for r in range(world_size)
-        }
-    if strategy == HYBRID:
-        if grad_worker_frac is None:
-            raise ValueError("HYBRID placement needs grad_worker_frac")
-        groups = grad_worker_groups(names, world_size, grad_worker_frac)
-        return {
-            r: tuple(n for n in names if r in groups[n])
-            for r in range(world_size)
-        }
-    raise ValueError(f"unknown strategy {strategy!r}")
+    groups = grad_worker_groups(layer_names, world_size, grad_worker_frac)
+    return {r: tuple(n for n in layer_names if r in groups[n]) for r in range(world_size)}
 
 
 def gather_state_dict(
@@ -97,8 +75,9 @@ def gather_state_dict(
 
     How the missing shards are collected depends on the execution style:
 
-    - ``world_size == 1`` or ``COMM_OPT``: the local snapshot is already
-      complete — no communication.
+    - ``world_size == 1`` or every rank a gradient worker (``f = 1``,
+      ``COMM_OPT``): the local snapshot is already complete — no
+      communication.
     - ``peers=[kfac_rank0, kfac_rank1, ...]`` (phase-style drivers, all
       replicas in one process): merged directly from the peer objects.
     - ``hvd=HorovodContext`` (SPMD): two allgathers — a per-factor
@@ -142,11 +121,12 @@ def gather_state_dict(
         _merge_from_peers(state, peers)
     elif hvd is not None:
         _allgather_shards(kfac, state, hvd)
-    elif kfac.hp.strategy != COMM_OPT:
+    elif kfac.grad_worker_count < kfac.world_size:
         raise ValueError(
-            f"{kfac.hp.strategy} keeps second-order state sharded across "
-            f"{kfac.world_size} ranks; gather_state_dict needs hvd= (SPMD) "
-            "or peers= (phase-style replicas) to collect the missing shards"
+            f"{kfac.grad_worker_count} gradient worker(s) per layer keep "
+            f"second-order state sharded across {kfac.world_size} ranks; "
+            "gather_state_dict needs hvd= (SPMD) or peers= (phase-style "
+            "replicas) to collect the missing shards"
         )
     return state
 
@@ -159,7 +139,7 @@ def _merge_from_peers(state: dict, peers: Sequence[Any]) -> None:
 
     Reads the missing arrays straight off the peers' layer handlers — one
     copy of what is merged and nothing else — and returns at once when the
-    local snapshot is already complete (COMM_OPT).
+    local snapshot is already complete (every rank a gradient worker).
     """
     entries = state["layers"]
     missing = {n for n, e in entries.items() if _SECOND_ORDER_KEYS.isdisjoint(e)}
@@ -175,13 +155,6 @@ def _merge_from_peers(state: dict, peers: Sequence[Any]) -> None:
 # ----------------------------------------------------------------------
 # SPMD gather: two allgathers over the HorovodContext
 # ----------------------------------------------------------------------
-def _factor_owner(kfac: Any, meta: Any) -> int:
-    """The rank that computed (and therefore holds) a factor's shard."""
-    if kfac.hp.strategy == LAYER_WISE:
-        return kfac._layer_assignment[meta.layer]
-    return kfac._units[0].assignment[meta.key]
-
-
 def _local_arrays(kfac: Any, meta: Any) -> list[np.ndarray] | None:
     layer = kfac._layer_by_name(meta.layer)
     if kfac.hp.use_eigen_decomp:
@@ -199,7 +172,8 @@ def _entry_keys(kfac: Any, meta: Any) -> tuple[str, ...]:
 
 def _allgather_shards(kfac: Any, state: dict, hvd: Any) -> None:
     metas = kfac.factor_metas
-    owner = {m.key: _factor_owner(kfac, m) for m in metas}
+    # the rank that computed (and therefore holds) each factor's shard
+    owner = kfac._units[0].assignment
     owned = [m for m in metas if owner[m.key] == kfac.rank]
     flags: list[float] = []
     chunks: list[np.ndarray] = []

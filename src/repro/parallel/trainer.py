@@ -159,9 +159,10 @@ class TrainingHistory:
     precision: str = "fp32"
     amp_skipped_steps: int = 0
     final_loss_scale: float = 1.0
-    #: K-FAC placement record: the strategy the run used and — for the
-    #: KAISA-style HYBRID strategy — its gradient-worker fraction and the
-    #: resulting per-layer group size (None/0 without K-FAC)
+    #: K-FAC placement record: the strategy the run used, the
+    #: gradient-worker fraction it set (None when the strategy spells
+    #: f = 1 or f = 1/P) and the resulting per-layer group size (None/0
+    #: without K-FAC)
     kfac_strategy: str | None = None
     grad_worker_frac: float | None = None
     grad_worker_count: int = 0

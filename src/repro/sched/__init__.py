@@ -1,22 +1,23 @@
 """Dependency-graph task scheduler for the K-FAC update step.
 
-The three hand-written K-FAC pipelines (synchronous, pipelined COMM_OPT,
-pipelined HYBRID) are unified here, SPD-KFAC style:
+Every placement — the gradient-worker fraction ``f``, with COMM_OPT and
+LAYER_WISE as its ``f = 1`` and ``f = 1/P`` ends — and both execution
+styles run through one plan-then-execute route, SPD-KFAC style:
 
 - :mod:`repro.sched.graph` — :class:`Task`/:class:`TaskGraph`: per-layer
   task nodes (``FactorComm``, ``Eig``, ``EigShare``, ``Precondition``,
   ``GradShare``) with explicit data-dependency edges, deterministic
   topological ordering, and a schedule linter;
 - :mod:`repro.sched.planner` — derive a :class:`StepPlan` from the
-  factor/layer assignment for any ``grad_worker_frac`` in ``[1/P, 1]``,
+  gradient-worker placement for any ``grad_worker_frac`` in ``[1/P, 1]``,
   with bucket-partition and tensor-fusion decisions priced by the
   :mod:`repro.comm.costmodel` rates;
 - :mod:`repro.sched.executor` — :class:`GraphExecutor` runs the plan over
   the launch/wait step-generator protocol of :mod:`repro.core.comm_ops`,
   so the existing drivers execute it unchanged.
 
-Select it with ``KFAC(scheduler="graph")`` (``"sync"`` reproduces the
-retired synchronous request stream bit-for-bit).
+``KFAC(scheduler="graph")`` pipelines the collectives; ``"sync"`` waits
+for each one as it is launched.
 """
 
 from repro.sched.graph import (

@@ -1,19 +1,18 @@
 """Graph executor: run a :class:`repro.sched.planner.StepPlan` on a KFAC.
 
-One executor replaces the three hand-written update pipelines the
-preconditioner used to carry (synchronous, pipelined COMM_OPT, pipelined
-HYBRID).  It walks the plan's schedule and turns each task into the
-launch/wait step-generator protocol of :mod:`repro.core.comm_ops`:
+One executor runs every placement: the gradient-worker fraction ``f``
+spans the paper's K-FAC-opt (``f = 1``) and K-FAC-lw (``f = 1/P``) as
+one task graph, synchronous or pipelined.  It walks the plan's schedule
+and turns each task into the launch/wait step-generator protocol of
+:mod:`repro.core.comm_ops`:
 
-- synchronous plans wait for every collective the moment it is launched,
-  in exactly the order the retired pipelines blocked on theirs, and
-  credit no compute as overlap;
+- synchronous plans wait for every collective the moment it is launched
+  and credit no compute as overlap;
 - pipelined plans launch collectives and defer their waits until a
   dependent task needs the data, crediting the *deterministic* simulated
   compute performed in between as overlap — so factor buckets, the
-  eigenbasis shares (world allgather, or per-group allgathers under the
-  gradient-worker-fraction placement) and the final gradient broadcasts
-  all hide behind local eigendecomposition/preconditioning work.
+  per-group eigenbasis shares and the final gradient shares all hide
+  behind local eigendecomposition/preconditioning work.
 
 Numerics never depend on the interleaving: the same reductions, the same
 decompositions, the same packing — only the exposed-communication
@@ -173,6 +172,10 @@ class GraphExecutor:
         else:  # pragma: no cover - planner only emits known kinds
             raise TypeError(f"unknown task kind {kind!r}")
 
+    def _members(self, ranks: tuple[int, ...]) -> tuple[int, ...] | None:
+        """A launch's ``ranks``: ``None``, the world op, when they span it."""
+        return None if len(ranks) == self.kfac.world_size else ranks
+
     # ------------------------------------------------------------------
     # FactorComm
     # ------------------------------------------------------------------
@@ -217,108 +220,47 @@ class GraphExecutor:
     # Eig
     # ------------------------------------------------------------------
     def _run_eig(self, task: Any) -> None:
+        """Decompose one factor (or block) on the rank it is assigned to."""
         kfac = self.kfac
         eigen = kfac.hp.use_eigen_decomp
-        if "meta" in task.payload:
-            # per-factor (or per-block) decomposition on the owning rank
-            # (COMM_OPT/HYBRID)
-            meta = self._metas[task.payload["meta"]]
-            if self._assignment[meta.key] != kfac.rank:
-                return
-            factor = kfac._factor(meta)
-            assert factor is not None, "second-order update before factor update"
-            if meta.block is not None:
-                factor = np.ascontiguousarray(factor_block(factor, meta))
-            if eigen:
-                self._computed[meta.key] = eigendecompose(factor).arrays()
-            else:
-                self._computed[meta.key] = [
-                    explicit_damped_inverse(factor, kfac.damping)
-                ]
-            kfac.n_eigs_computed_locally += 1
-            seconds = estimate_second_order_seconds([meta], eigen)
-            self._pending_compute += seconds
-            if self.tracer.enabled:
-                self.tracer.span(
-                    f"Eig:{meta.key}",
-                    "task",
-                    kfac.rank,
-                    seconds,
-                    attrs={"layer": meta.layer, "dim": meta.dim},
-                )
+        meta = self._metas[task.payload["meta"]]
+        if self._assignment[meta.key] != kfac.rank:
+            return
+        factor = kfac._factor(meta)
+        assert factor is not None, "second-order update before factor update"
+        if meta.block is not None:
+            factor = np.ascontiguousarray(factor_block(factor, meta))
+        if eigen:
+            self._computed[meta.key] = eigendecompose(factor).arrays()
         else:
-            # per-layer decomposition that stays local (LAYER_WISE owner)
-            name = task.payload["layer"]
-            if kfac._layer_assignment[name] != kfac.rank:
-                return
-            layer = kfac._layer_by_name(name)
-            if eigen:
-                bounds = self.plan.units.bounds
-                layer.eig_A, layer.eig_G = layer.compute_eigen(
-                    bounds.get(f"{name}/A"), bounds.get(f"{name}/G")
-                )
-            else:
-                layer.inv_A, layer.inv_G = layer.compute_inverses(kfac.damping)
-            # local refresh succeeded: reset any drift-skip staleness the
-            # layer's metas accrued (no share step will do it for us here)
-            kfac._clear_staleness([m for m in self._metas if m.layer == name])
-            kfac.n_eigs_computed_locally += 2
-            if self.tracer.enabled:
-                self.tracer.span(
-                    f"Eig:{name}",
-                    "task",
-                    kfac.rank,
-                    estimate_second_order_seconds(kfac._metas_of[name], eigen),
-                    attrs={"layer": name},
-                )
+            self._computed[meta.key] = [
+                explicit_damped_inverse(factor, kfac.damping)
+            ]
+        kfac.n_eigs_computed_locally += 1
+        seconds = estimate_second_order_seconds([meta], eigen)
+        self._pending_compute += seconds
+        if self.tracer.enabled:
+            self.tracer.span(
+                f"Eig:{meta.key}",
+                "task",
+                kfac.rank,
+                seconds,
+                attrs={"layer": meta.layer, "dim": meta.dim},
+            )
 
     # ------------------------------------------------------------------
     # EigShare
     # ------------------------------------------------------------------
     def _run_eig_share(self, task: Any) -> Generator[Any, Any, None]:
-        if "ranks" in task.payload:
-            yield from self._run_group_share(task)
-        else:
-            yield from self._run_world_share(task)
+        """Allgather decompositions inside one gradient-worker group.
 
-    def _run_world_share(self, task: Any) -> Generator[Any, Any, None]:
-        """COMM_OPT: allgather this chunk's decompositions world-wide."""
-        kfac = self.kfac
-        metas = [self._metas[i] for i in task.payload["metas"]]
-        payload = [a for m in metas for a in self._computed.get(m.key, [])]
-        # pinned: ranks owning nothing in a share chunk still contribute an
-        # empty buffer of the matching dtype
-        flat = pack_arrays(payload, dtype=kfac.factor_dtype)
-
-        def install(gathered: Sequence[np.ndarray]) -> None:
-            if isinstance(gathered, CollectiveFailed):
-                # no rank installs a lost share (the owner included), so
-                # every replica keeps the identical last-known eigenbasis
-                kfac._note_eig_share_failure(metas)
-                return
-            for worker, flat in enumerate(gathered):
-                kfac._install_second_order(
-                    flat, [m for m in metas if self._assignment[m.key] == worker]
-                )
-            kfac._clear_staleness(metas)
-
-        if kfac.world_size == 1:
-            install([flat])
-            return
-        b = task.payload["bucket"]
-        yield from self._collective(
-            task,
-            Launch("allgather", flat, f"eig:{b}", "eig_comm"),
-            install,
-            {"bucket": b, "bytes": float(flat.nbytes)},
-        )
-
-    def _run_group_share(self, task: Any) -> Generator[Any, Any, None]:
-        """HYBRID: allgather decompositions inside one gradient-worker group.
-
-        Singleton groups (the LAYER_WISE endpoint) install locally with no
-        communication; ranks outside the group contribute/receive nothing
-        — they will get only the final preconditioned gradient.
+        A group spanning the world (``f = 1``) is a world allgather;
+        singleton groups (``f = 1/P``, and every group at ``P = 1``) install
+        locally with no communication; ranks outside the group
+        contribute/receive nothing — they will get only the final
+        preconditioned gradient.  A successful share clears the group's
+        staleness on *every* rank, so the drift trigger's skip budget —
+        which every rank charges to every unit — stays in lockstep.
         """
         kfac = self.kfac
         ranks = tuple(task.payload["ranks"])
@@ -329,6 +271,7 @@ class GraphExecutor:
         }
         in_group = kfac.rank in ranks
         if len(ranks) == 1:
+            kfac._clear_staleness(grp_metas)
             if in_group:
                 for meta in member_metas[kfac.rank]:
                     kfac._install_factor_state(meta, self._computed[meta.key])
@@ -336,24 +279,31 @@ class GraphExecutor:
         flat: np.ndarray | None = None
         if in_group:
             mine = [a for m in member_metas[kfac.rank] for a in self._computed[m.key]]
-            flat = pack_arrays(mine)
+            # pinned: a member owning nothing here still contributes an
+            # empty buffer of the matching dtype
+            flat = pack_arrays(mine, dtype=kfac.factor_dtype)
 
         def install(gathered: Sequence[np.ndarray] | None) -> None:
             if isinstance(gathered, CollectiveFailed):
-                # only members track the lost share: non-members never hold
+                # no rank installs a lost share (the owner included), so
+                # every replica keeps the identical last-known eigenbasis;
+                # only members track it: non-members never hold
                 # second-order state (they receive preconditioned grads)
                 if in_group:
                     kfac._note_eig_share_failure(grp_metas)
                 return
+            kfac._clear_staleness(grp_metas)
             if gathered is None:  # non-members receive nothing
                 return
-            kfac._clear_staleness(grp_metas)
             for r, buf in zip(ranks, gathered):
                 kfac._install_second_order(buf, member_metas[r])
 
         yield from self._collective(
             task,
-            Launch("allgather", flat, f"share:grp{ranks[0]}", "eig_comm", ranks=ranks),
+            Launch(
+                "allgather", flat, f"share:grp{ranks[0]}", "eig_comm",
+                ranks=self._members(ranks),
+            ),
             install,
             {
                 "group": list(ranks),
@@ -395,61 +345,48 @@ class GraphExecutor:
     # GradShare
     # ------------------------------------------------------------------
     def _run_grad_share(self, task: Any) -> Generator[Any, Any, None]:
-        if "entry" in task.payload:
-            yield from self._run_grad_broadcast(task)
-        else:
-            yield from self._run_grad_allgather(task)
+        """Ship preconditioned grads from their roots to the non-members.
 
-    def _run_grad_broadcast(self, task: Any) -> Generator[Any, Any, None]:
-        """HYBRID: root ships fused preconditioned grads to non-members."""
+        An entry with one root is a broadcast of its fused payload.  An
+        entry fusing several roots (their participant sets are equal: with
+        contiguous groups, exactly ``f = 1/P``, where every set is the
+        world) is one allgather of every root's payload — the paper's
+        K-FAC-lw gradient allgather.
+        """
         kfac = self.kfac
-        root, layers_r, participants = kfac._bcast_plan[task.payload["entry"]]
+        ranks, roots = kfac._grad_shares[task.payload["entry"]]
+        gather = len(roots) > 1
+        mine = roots.get(kfac.rank)
         flat: np.ndarray | None = None
-        if kfac.rank == root:
-            flat = pack_arrays([self._pre[l.name] for l in layers_r])
-
-        def install(got: np.ndarray | None) -> None:
-            if got is None or kfac.rank == root:
-                return
-            shapes = [(l.g_dim, l.a_dim) for l in layers_r]
-            for l, arr in zip(layers_r, unpack_arrays(got, shapes)):
-                self._pre[l.name] = arr
-
-        yield from self._collective(
-            task,
-            Launch(
+        if mine is not None or gather:  # every allgather member contributes
+            flat = pack_arrays([self._pre[l.name] for l in mine or ()])
+        if gather:
+            launch = Launch(
+                "allgather", flat, "grad:all", "precond_comm", ranks=self._members(ranks)
+            )
+        else:
+            (root,) = roots
+            launch = Launch(
                 "broadcast", flat, f"grad:root{root}", "precond_comm",
-                ranks=participants, root=root,
-            ),
-            install,
-            {"root": root, "bytes": float(flat.nbytes) if flat is not None else 0.0},
-        )
+                ranks=ranks, root=root,
+            )
 
-    def _run_grad_allgather(self, task: Any) -> Generator[Any, Any, None]:
-        """LAYER_WISE: allgather every owner's preconditioned grads."""
-        kfac = self.kfac
-        mine = [
-            self._pre[l.name]
-            for l in kfac.layers
-            if kfac._layer_assignment[l.name] == kfac.rank
-        ]
-        flat = pack_arrays(mine)
-
-        def install(gathered: Sequence[np.ndarray]) -> None:
-            for worker in range(kfac.world_size):
-                owned = [
-                    l for l in kfac.layers if kfac._layer_assignment[l.name] == worker
-                ]
-                shapes = [(l.g_dim, l.a_dim) for l in owned]
-                arrays = unpack_arrays(gathered[worker], shapes)
-                for l, arr in zip(owned, arrays):
+        def install(got: Any) -> None:
+            if got is None:
+                return
+            received = dict(zip(ranks, got)) if gather else dict.fromkeys(roots, got)
+            for r, layers_r in roots.items():
+                if r == kfac.rank:
+                    continue
+                shapes = [(l.g_dim, l.a_dim) for l in layers_r]
+                for l, arr in zip(layers_r, unpack_arrays(received[r], shapes)):
                     self._pre[l.name] = arr
 
         yield from self._collective(
             task,
-            Launch("allgather", flat, "grad:all", "precond_comm"),
+            launch,
             install,
-            {"bytes": float(flat.nbytes)},
+            {"roots": list(roots), "bytes": float(flat.nbytes) if flat is not None else 0.0},
         )
 
     # ------------------------------------------------------------------

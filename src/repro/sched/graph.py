@@ -5,12 +5,13 @@ arXiv:2107.06533):
 
 - ``FactorComm`` — allreduce one bucket of running-average factors;
 - ``Eig`` — eigendecompose (or invert) factors this step refreshes;
-- ``EigShare`` — distribute second-order state (world allgather for
-  COMM_OPT, per-group allgather for the gradient-worker-fraction
-  strategy, nothing for LAYER_WISE where state stays local);
+- ``EigShare`` — allgather second-order state inside one gradient-worker
+  group (the world at ``f = 1``; nothing for the singleton groups of
+  ``f = 1/P``, where state stays local);
 - ``Precondition`` — apply a layer's eigenbasis to its gradient;
 - ``GradShare`` — ship preconditioned gradients to ranks that do not
-  hold the eigenbasis (group broadcast / layer-wise allgather).
+  hold the eigenbasis (a root's broadcast, or at ``f = 1/P`` one
+  allgather of every root's payload).
 
 Nodes carry explicit data-dependency edges; the planner
 (:mod:`repro.sched.planner`) derives the graph from the factor/layer

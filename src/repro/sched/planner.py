@@ -14,11 +14,12 @@ decisions are made (SPD-KFAC's cost-model-driven tensor partitioning):
   goal, and :data:`repro.comm.engine.DEFAULT_BUCKET_BYTES` caps the chunk
   so transfers stay interruptible;
 - :func:`build_step_plan` — derive the full :class:`StepPlan` (task graph
-  plus deterministic schedule) for any strategy and any
-  ``grad_worker_frac`` in ``[1/P, 1]`` from the comm/eig units
+  plus deterministic schedule) for any ``grad_worker_frac`` in
+  ``[1/P, 1]`` — the paper's two strategies are its ends — from the
+  comm/eig units
   (:func:`repro.core.assignment.plan_units`: metas, assignment, group
   buckets — whole factors or their diagonal blocks alike) and the
-  broadcast structure.
+  second-stage gradient shares.
 
 Every input is identical on every rank, so the resulting graph, schedule
 and bucket partition are too — the lockstep property the drivers need.
@@ -36,12 +37,6 @@ from repro.core.assignment import FactorUnits
 from repro.sched.graph import Task, TaskGraph, lint_schedule
 
 __all__ = ["StepPlan", "build_step_plan", "choose_bucket_bytes", "plan_buckets"]
-
-# strategy names (stable public strings; mirrored by repro.core.preconditioner)
-_COMM_OPT = "comm-opt"
-_LAYER_WISE = "layer-wise"
-_HYBRID = "hybrid"
-
 
 def plan_buckets(nbytes_list: Sequence[int], bucket_bytes: int) -> list[list[int]]:
     """The single bucket-partition entry point for pipelined K-FAC comm.
@@ -130,11 +125,10 @@ class StepPlan:
 
 def build_step_plan(
     *,
-    strategy: str,
     world_size: int,
     units: FactorUnits,
     layer_names: Sequence[str],
-    bcast_entries: Sequence[tuple[int, Sequence[str]]] = (),
+    grad_shares: Sequence[tuple[Sequence[int], Sequence[str]]] = (),
     wire_nbytes_list: Sequence[int] | None = None,
     bucket_bytes: int | None = None,
     net: NetworkProfile = EDR_LIKE,
@@ -146,26 +140,26 @@ def build_step_plan(
 
     Parameters mirror the preconditioner's per-rank-identical metadata:
     ``units`` (:func:`repro.core.assignment.plan_units`: the metas in
-    communication order and, for the hybrid strategy, the gradient-worker
-    groups with the indices of their metas), ``layer_names`` (model
-    order), ``bcast_entries`` (per fused second-stage broadcast: root
-    rank and the layer names it ships), and ``wire_nbytes_list`` (per-unit
-    wire bytes, required when a factor allreduce happens, i.e.
-    ``update_factors`` and ``world_size > 1``).
+    communication order and the gradient-worker groups with the indices
+    of their metas), ``layer_names`` (model order), ``grad_shares`` (per
+    fused second-stage share: its root ranks — one for a broadcast,
+    several for an allgather — and the layer names it ships), and
+    ``wire_nbytes_list`` (per-unit wire bytes, required when a factor
+    allreduce happens, i.e. ``update_factors`` and ``world_size > 1``).
     ``bucket_bytes=None`` defers to :func:`choose_bucket_bytes`.
 
-    The synchronous plan reproduces the retired hand-written pipelines'
-    request stream exactly; the pipelined plan launches factor buckets up
-    front and lets eigendecompositions, group shares, preconditioning and
-    gradient broadcasts overlap the in-flight transfers.
+    The synchronous plan waits on each collective in insertion order; the
+    pipelined plan launches factor buckets up front and lets
+    eigendecompositions, group shares, preconditioning and gradient
+    shares overlap the in-flight transfers.
 
     Example
     -------
     >>> from repro.core.assignment import FactorMeta, plan_units
     >>> from repro.sched.planner import build_step_plan
-    >>> units = plan_units([FactorMeta("fc", "A", 4), FactorMeta("fc", "G", 3)], 2)
+    >>> units = plan_units([FactorMeta("fc", "A", 4), FactorMeta("fc", "G", 3)], 2, frac=1.0)
     >>> plan = build_step_plan(
-    ...     strategy="comm-opt", world_size=2, units=units,
+    ...     world_size=2, units=units,
     ...     layer_names=["fc"], wire_nbytes_list=[64, 36],
     ...     bucket_bytes=32, pipelined=True)
     >>> [t.name for t in plan.graph.tasks][:3]
@@ -173,8 +167,6 @@ def build_step_plan(
     >>> plan.graph.reachable("factor_comm:0", "precondition:fc")
     True
     """
-    if strategy not in (_COMM_OPT, _LAYER_WISE, _HYBRID):
-        raise ValueError(f"unknown strategy {strategy!r}")
     factor_metas, groups = units.metas, units.groups
     n = len(factor_metas)
     has_factor_comm = update_factors and world_size > 1
@@ -206,71 +198,36 @@ def build_step_plan(
 
     eig_names_by_bucket: dict[int, list[str]] = {b: [] for b in range(len(buckets))}
     layer_eig_share: dict[str, tuple[str, ...]] = {}
-    share_names: list[str] = []
     share_after_bucket: dict[int, list[str]] = {b: [] for b in range(len(buckets))}
     if update_second_order:
-        if strategy == _LAYER_WISE:
-            for name in layer_names:
-                graph.add(
-                    Task(
-                        f"eig:{name}",
-                        "Eig",
-                        deps=factor_task_names,
-                        layers=(name,),
-                        payload={"layer": name},
-                    )
+        for i, meta in enumerate(factor_metas):
+            deps = (f"factor_comm:{bucket_of[i]}",) if has_factor_comm else ()
+            graph.add(
+                Task(
+                    f"eig:{meta.key}",
+                    "Eig",
+                    deps=deps,
+                    layers=(meta.layer,),
+                    payload={"meta": i},
                 )
-                layer_eig_share[name] = (f"eig:{name}",)
-        else:
-            for i, meta in enumerate(factor_metas):
-                deps = (f"factor_comm:{bucket_of[i]}",) if has_factor_comm else ()
-                graph.add(
-                    Task(
-                        f"eig:{meta.key}",
-                        "Eig",
-                        deps=deps,
-                        layers=(meta.layer,),
-                        payload={"meta": i},
-                    )
+            )
+            eig_names_by_bucket[bucket_of[i]].append(f"eig:{meta.key}")
+        for gi, (ranks, idxs) in enumerate(groups):
+            name = f"eig_share:grp{ranks[0]}"
+            layers = tuple(dict.fromkeys(factor_metas[i].layer for i in idxs))
+            graph.add(
+                Task(
+                    name,
+                    "EigShare",
+                    deps=tuple(f"eig:{factor_metas[i].key}" for i in idxs),
+                    layers=layers,
+                    payload={"group": gi, "metas": tuple(idxs), "ranks": tuple(ranks)},
                 )
-                eig_names_by_bucket[bucket_of[i]].append(f"eig:{meta.key}")
-        if strategy == _COMM_OPT:
-            for b, idxs in enumerate(buckets):
-                name = f"eig_share:{b}"
-                graph.add(
-                    Task(
-                        name,
-                        "EigShare",
-                        deps=tuple(f"eig:{factor_metas[i].key}" for i in idxs),
-                        layers=tuple(dict.fromkeys(factor_metas[i].layer for i in idxs)),
-                        payload={"bucket": b, "metas": tuple(idxs)},
-                    )
-                )
-                share_names.append(name)
-                share_after_bucket[b].append(name)
-            for i, meta in enumerate(factor_metas):
-                share = f"eig_share:{bucket_of[i]}"
-                prev = layer_eig_share.get(meta.layer, ())
-                if share not in prev:
-                    layer_eig_share[meta.layer] = prev + (share,)
-        elif strategy == _HYBRID:
-            for gi, (ranks, idxs) in enumerate(groups):
-                name = f"eig_share:grp{ranks[0]}"
-                layers = tuple(dict.fromkeys(factor_metas[i].layer for i in idxs))
-                graph.add(
-                    Task(
-                        name,
-                        "EigShare",
-                        deps=tuple(f"eig:{factor_metas[i].key}" for i in idxs),
-                        layers=layers,
-                        payload={"group": gi, "metas": tuple(idxs), "ranks": tuple(ranks)},
-                    )
-                )
-                share_names.append(name)
-                last = max(bucket_of[i] for i in idxs) if idxs else 0
-                share_after_bucket.setdefault(last, []).append(name)
-                for layer in layers:
-                    layer_eig_share[layer] = (name,)
+            )
+            last = max(bucket_of[i] for i in idxs) if idxs else 0
+            share_after_bucket.setdefault(last, []).append(name)
+            for layer in layers:
+                layer_eig_share[layer] = (name,)
 
     precondition_names: list[str] = []
     for name in layer_names:
@@ -287,36 +244,24 @@ def build_step_plan(
         precondition_names.append(f"precondition:{name}")
 
     grad_share_names: list[str] = []
-    if strategy == _HYBRID:
-        for ei, (root, entry_layers) in enumerate(bcast_entries):
-            name = f"grad_share:root{root}"
-            graph.add(
-                Task(
-                    name,
-                    "GradShare",
-                    deps=tuple(f"precondition:{ln}" for ln in entry_layers),
-                    layers=tuple(entry_layers),
-                    payload={"entry": ei, "root": root},
-                )
-            )
-            grad_share_names.append(name)
-    elif strategy == _LAYER_WISE and world_size > 1:
+    for ei, (roots, entry_layers) in enumerate(grad_shares):
+        name = f"grad_share:root{roots[0]}" if len(roots) == 1 else "grad_share:all"
         graph.add(
             Task(
-                "grad_share:all",
+                name,
                 "GradShare",
-                deps=tuple(precondition_names),
-                layers=tuple(layer_names),
-                payload={},
+                deps=tuple(f"precondition:{ln}" for ln in entry_layers),
+                layers=tuple(entry_layers),
+                payload={"entry": ei},
             )
         )
-        grad_share_names.append("grad_share:all")
+        grad_share_names.append(name)
 
     if pipelined:
         # launch every factor bucket up front, then interleave: a bucket's
         # eigendecompositions run behind the next buckets' transfers, each
         # share launches as soon as its last factor bucket's eigs are done,
-        # and preconditioning/gradient broadcasts overlap the tail.
+        # and preconditioning/gradient shares overlap the tail.
         schedule: list[str] = list(factor_task_names)
         for b in range(len(buckets)):
             schedule.extend(eig_names_by_bucket.get(b, ()))
@@ -324,8 +269,7 @@ def build_step_plan(
         schedule.extend(precondition_names)
         schedule.extend(grad_share_names)
     else:
-        # synchronous plan: insertion order reproduces the retired
-        # hand-written pipelines' request stream exactly
+        # synchronous plan: the insertion order
         schedule = [t.name for t in graph.tasks]
 
     graph.validate()

@@ -6,7 +6,8 @@ The interactions the approximation tier must never get wrong:
   ``kfac_update_freq`` schedule and the drift trigger (no basis yet);
 - the ``max_eig_staleness`` budget binds even when the drift metric says
   "fresh enough" — a stale basis (whole-factor or block) never survives
-  more than ``budget`` consecutive skips;
+  more than ``budget`` consecutive skips — and binds on every rank at
+  once when a rank holds only some of the bases (``grad_worker_frac < 1``);
 - a tiny tolerance refreshes on every candidate step, and the fixed
   ``kfac_update_freq`` schedule is *ignored* once the trigger owns the
   decision;
@@ -22,7 +23,10 @@ import numpy as np
 import pytest
 
 from repro.approx.adaptive import AdaptiveDamping, DriftTrigger
+from repro.comm.backend import World
+from repro.core.distributed import PhaseController
 from repro.core.preconditioner import KFAC
+from repro.nn import Linear, ReLU, Sequential
 from repro.nn.loss import CrossEntropyLoss
 from repro.optim.sgd import SGD
 from tests.conftest import build_tiny_cnn
@@ -66,9 +70,12 @@ class TestRefreshSchedule:
         assert kfac.n_second_order_updates == 1
         assert kfac.n_drift_refreshes == 1 and kfac.n_drift_skips == 0
 
-    def test_staleness_budget_binds_with_huge_tolerance(self):
+    @pytest.mark.parametrize(
+        "placement", [{}, {"grad_worker_frac": 1.0}], ids=["comm-opt", "frac-1"]
+    )
+    def test_staleness_budget_binds_with_huge_tolerance(self, placement):
         budget = 2
-        step, kfac = _stepper(drift_tol=1e9, max_eig_staleness=budget)
+        step, kfac = _stepper(drift_tol=1e9, max_eig_staleness=budget, **placement)
         refresh_steps = []
         for i in range(10):
             before = kfac.n_second_order_updates
@@ -137,6 +144,51 @@ class TestRefreshSchedule:
         spmd = run_hybrid(2, driver="spmd", **kw)
         for name in phase:
             np.testing.assert_array_equal(phase[name], spmd[name])
+
+
+class TestLockstepRefresh:
+    @pytest.mark.parametrize(
+        "world_size,frac", [(3, 2 / 3), (2, 1 / 2)], ids=["p3-f2/3", "p2-f1/2"]
+    )
+    def test_every_rank_refreshes_at_the_budget_cadence(self, world_size, frac):
+        """Below f = 1 a rank holds only its groups' bases, yet the drift
+        trigger must decide from state every rank shares: at a tolerance
+        that never fires, every rank refreshes exactly when the staleness
+        budget binds.  (At f = 2/3, P = 3 rank 1 is in both groups; at
+        f = 1/2, P = 2 every group is a singleton.)"""
+        budget = 2
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4 * world_size, 6)).astype(np.float32)
+        y = rng.integers(0, 3, size=4 * world_size).astype(np.int64)
+        models = [
+            Sequential(
+                Linear(6, 5, rng=np.random.default_rng(1)),
+                ReLU(),
+                Linear(5, 3, rng=np.random.default_rng(2)),
+            )
+            for _ in range(world_size)
+        ]
+        kfacs = [
+            KFAC(
+                m, rank=r, world_size=world_size, damping=0.01, drift_tol=1e9,
+                max_eig_staleness=budget, grad_worker_frac=frac,
+            )
+            for r, m in enumerate(models)
+        ]
+        controller = PhaseController(kfacs, World(world_size))
+        losses = [CrossEntropyLoss() for _ in range(world_size)]
+        refreshes: dict[int, list[int]] = {r: [] for r in range(world_size)}
+        for i in range(7):
+            for r in range(world_size):
+                models[r].zero_grad()
+                losses[r](models[r](x[r::world_size]), y[r::world_size])
+                models[r].backward(losses[r].backward())
+            before = [k.n_second_order_updates for k in kfacs]
+            controller.step()
+            for r, k in enumerate(kfacs):
+                if k.n_second_order_updates > before[r]:
+                    refreshes[r].append(i)
+        assert all(steps == [0, 3, 6] for steps in refreshes.values()), refreshes
 
 
 class TestDriftTriggerUnit:

@@ -751,7 +751,7 @@ class TestRedistributionPlan:
     @settings(max_examples=40, deadline=None)
     @given(names=LAYER_NAMES, p=st.integers(1, 8))
     def test_comm_opt_replicates_everywhere(self, names, p):
-        plan = redistribution_plan(names, p, COMM_OPT)
+        plan = redistribution_plan(names, p)
         assert set(plan) == set(range(p))
         for held in plan.values():
             assert list(held) == names
@@ -759,7 +759,7 @@ class TestRedistributionPlan:
     @settings(max_examples=40, deadline=None)
     @given(names=LAYER_NAMES, p=st.integers(1, 8))
     def test_layer_wise_covers_each_layer_exactly_once(self, names, p):
-        plan = redistribution_plan(names, p, LAYER_WISE)
+        plan = redistribution_plan(names, p, 1 / p)
         counts = {n: 0 for n in names}
         for held in plan.values():
             for name in held:
@@ -776,7 +776,7 @@ class TestRedistributionPlan:
         from repro.core.assignment import grad_worker_count
 
         frac = min(1.0, num / p)
-        plan = redistribution_plan(names, p, HYBRID, grad_worker_frac=frac)
+        plan = redistribution_plan(names, p, grad_worker_frac=frac)
         g = grad_worker_count(p, frac)
         counts = {n: 0 for n in names}
         for held in plan.values():
@@ -800,9 +800,7 @@ class TestRedistributionPlan:
             model, rank=0, world_size=p, damping=0.01, grad_worker_frac=frac,
         )
         names = [l.name for l in kfac.layers]
-        plan = redistribution_plan(
-            names, p, kfac.hp.strategy, grad_worker_frac=kfac.hp.grad_worker_frac
-        )
+        plan = redistribution_plan(names, p, kfac.hp.grad_worker_frac or 1.0)
         for rank in range(p):
             derived = tuple(
                 n for n in names if kfac.is_grad_worker(n, rank=rank)

@@ -1,15 +1,14 @@
 """KAISA-style ``grad_worker_frac`` — the placement-spectrum guarantees.
 
-The gradient-worker fraction must be a *strict generalization* of the
-paper's two strategies:
+The paper's two strategies are the ends of the gradient-worker fraction:
 
 1. ``f = 1/P`` trajectories bit-match ``strategy=LAYER_WISE`` and
    ``f = 1`` bit-matches ``COMM_OPT``, for P in {2, 4, 7} — including
-   with ``comm_dtype="fp16"`` and ``symmetric_comm=True`` (the group
-   protocol moves eigenbases and preconditioned gradients losslessly, so
-   only the placement changes, never the math);
-2. intermediate fractions stay on the single-worker trajectory within
-   the distributed-equivalence tolerance;
+   with ``comm_dtype="fp16"`` and ``symmetric_comm=True``.  Both
+   spellings run one code path, so this pins the spelling resolution;
+2. every fraction, the two ends included, stays on the independent
+   single-worker trajectory within the distributed-equivalence
+   tolerance;
 3. the communication profile interpolates: eigenbasis-share bytes shrink
    and second-stage broadcast bytes grow as ``f`` decreases, with the
    endpoints matching the existing strategies' phase sets;
@@ -213,7 +212,12 @@ class TestEndpointEquivalence:
 
 
 class TestIntermediateFractions:
-    @pytest.mark.parametrize("world_size,frac", [(4, 0.5), (7, 3 / 7), (7, 5 / 7)])
+    @pytest.mark.parametrize(
+        "world_size,frac",
+        [(4, 0.5), (7, 3 / 7), (7, 5 / 7)]
+        # the two ends, against the independent P=1 reference
+        + [(p, f) for p in (2, 4, 7) for f in (1.0, 1 / p)],
+    )
     def test_matches_single_worker_trajectory(self, world_size, frac):
         ref = run_hybrid(1)
         dist = run_hybrid(world_size, grad_worker_frac=frac)

@@ -302,9 +302,8 @@ class TestPlannerPolicies:
     def test_build_step_plan_requires_wire_sizes(self):
         with pytest.raises(ValueError, match="wire_nbytes_list"):
             build_step_plan(
-                strategy="comm-opt",
                 world_size=2,
-                units=plan_units([FactorMeta("l0", "A", 2)], 2),
+                units=plan_units([FactorMeta("l0", "A", 2)], 2, frac=1.0),
                 layer_names=("l0",),
             )
 
