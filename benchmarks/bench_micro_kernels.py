@@ -71,8 +71,9 @@ def test_conv_backward(benchmark):
 
 
 def test_conv_factor_A(benchmark):
+    # the C_in x C_in channel Gram of the layer input (no patch lowering)
     x = RNG.normal(size=(16, 16, 12, 12)).astype(np.float32)
-    benchmark(conv2d_factor_A, x, (3, 3), (1, 1), (1, 1), False)
+    benchmark(conv2d_factor_A, x, False)
 
 
 def test_conv_factor_G(benchmark):

@@ -75,13 +75,15 @@ def estimate_precondition_seconds(layers: Sequence[tuple[Any, Any]]) -> float:
     """Deterministic simulated seconds to precondition layer gradients.
 
     ``layers`` are ``(G side, A side)`` pairs of the layers preconditioned
-    locally between an async launch and its wait; a side is its length, or
-    a meta carrying ``dim`` / ``diagonal``.  The eigenbasis path rotates a
-    ``g x a`` gradient into and out of each dense side's basis — ``4 g^2 a``
-    FLOPs for the G side, ``4 g a^2`` for the A side — while a diagonal
-    side is a scaling folded into the rescale, priced at nothing.  The
-    nominal throughput is the second-order estimator's, so graph-scheduler
-    overlap budgets stay machine-independent.
+    locally between an async launch and its wait, or ``(G side, A side,
+    k)`` triples for a layer preconditioned as ``k`` gradient slices (a
+    conv layer's kernel offsets); a side is its length, or a meta carrying
+    ``dim`` / ``diagonal``.  The eigenbasis path rotates each ``g x a``
+    slice into and out of each dense side's basis — ``4 g^2 a`` FLOPs for
+    the G side, ``4 g a^2`` for the A side — while a diagonal side is a
+    scaling folded into the rescale, priced at nothing.  The nominal
+    throughput is the second-order estimator's, so graph-scheduler overlap
+    budgets stay machine-independent.
 
     Example
     -------
@@ -95,12 +97,17 @@ def estimate_precondition_seconds(layers: Sequence[tuple[Any, Any]]) -> float:
     >>> vec = FactorMeta("emb", "A", 20, diagonal=True)
     >>> estimate_precondition_seconds([(10, vec)]) == 4 * 10**2 * 20 / NOMINAL_SECOND_ORDER_FLOPS
     True
+    >>> conv = (FactorMeta("conv", "G", 16), FactorMeta("conv", "A", 8), 9)  # 3x3, C_in 8
+    >>> flops = 9 * (4 * 16**2 * 8 + 4 * 16 * 8**2)
+    >>> estimate_precondition_seconds([conv]) == flops / NOMINAL_SECOND_ORDER_FLOPS
+    True
     """
     flops = 0.0
-    for sides in layers:
+    for g_side, a_side, *k in layers:
+        sides = (g_side, a_side)
         g, a = (float(getattr(s, "dim", s)) for s in sides)
         dense = [float(getattr(s, "dim", s)) for s in sides if not getattr(s, "diagonal", False)]
-        flops += 4.0 * g * a * sum(dense)
+        flops += (k[0] if k else 1) * 4.0 * g * a * sum(dense)
     return flops / NOMINAL_SECOND_ORDER_FLOPS
 
 

@@ -33,7 +33,6 @@ from repro.core.assignment import (
 from repro.core.clipping import kl_clip_factor
 from repro.core.factors import (
     conv2d_factor_A,
-    conv2d_factor_A_from_patches,
     conv2d_factor_G,
     ema_update,
     linear_factor_A,
@@ -79,7 +78,6 @@ __all__ = [
     "linear_factor_A",
     "linear_factor_G",
     "conv2d_factor_A",
-    "conv2d_factor_A_from_patches",
     "conv2d_factor_G",
     "ema_update",
     "FactorEig",

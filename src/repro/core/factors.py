@@ -12,15 +12,20 @@ per-example gradient of the *summed* loss is ``N * g0``.  With that:
       A = a^T a / N                      (append a ones column when bias)
       G = N * g0^T g0                    ( = (1/N) sum_i (N g0_i)(N g0_i)^T )
 
-- **Conv2d** (KFC, Grosse & Martens 2016).  With ``patches`` the im2col
-  expansion ``(N*L, C_in*kh*kw)`` over ``L`` spatial positions and ``g0``
-  reshaped to ``(N*L, C_out)``::
+- **Conv2d** (KFC, Grosse & Martens 2016, with their
+  spatially-uncorrelated-activations approximation, SUA).  With ``x`` the
+  layer input read as ``(N*H*W, C_in)`` NHWC rows and ``g0`` reshaped to
+  ``(N*L, C_out)`` over the ``L`` output positions::
 
-      A = patches^T patches / (N * L)    (Omega, expectation over (n, t))
+      A = x^T x / (N * H * W)            (A_c; a ones channel when bias)
       G = N * g0^T g0                    ( = |T| * Gamma with de-averaged grads)
 
-  so that ``G (x) A`` equals KFC's ``|T| * Omega (x) Gamma`` approximation
-  of the Fisher block for the *mean* loss scaled consistently with the
+  KFC's patch covariance ``Omega`` over ``C_in*kh*kw`` is approximated by
+  ``A_c (x) I_{kh*kw}``: activations at different kernel offsets are
+  treated as uncorrelated and every offset sees the same channel
+  covariance.  The handler applies it that way
+  (:class:`repro.core.layers.Conv2dKFACLayer`), so ``G (x) A_c (x) I``
+  stands for KFC's ``|T| * Omega (x) Gamma`` scaled consistently with the
   Linear case.  (Row-major ``vec``: the Fisher block on ``vec(W)`` is
   ``G (x) A``, with ``W`` of shape ``(d_out, d_in)``.)
 
@@ -31,9 +36,7 @@ Symmetry fast path: every Gram product goes through
 :func:`repro.tensor.gram.gram` (BLAS ``?syrk``, half the GEMM FLOPs), so
 factors are *exactly* symmetric by construction — the invariant that makes
 the triangular-packed factor communication in :mod:`repro.comm.fusion`
-lossless.  ``conv2d_factor_A_from_patches`` accepts the patch matrix a
-``Conv2d`` forward already lowered, skipping the second ``im2col`` pass
-over the activations; every function takes an optional
+lossless.  Every function takes an optional
 :class:`repro.tensor.workspace.Workspace` whose scratch makes the whole
 factor stage allocation-free at steady state.
 
@@ -49,38 +52,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tensor.gram import gram
-from repro.tensor.im2col import im2col
 from repro.tensor.workspace import Workspace
 
 __all__ = [
-    "append_bias_column",
     "linear_factor_A",
     "linear_factor_G",
     "conv2d_factor_A",
-    "conv2d_factor_A_from_patches",
     "conv2d_factor_G",
     "embedding_factor_A",
     "ema_update",
 ]
-
-
-def append_bias_column(mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Append a column of ones (homogeneous coordinates for the bias).
-
-    With ``out`` (shape ``(rows, cols + 1)``, e.g. workspace scratch) the
-    augmentation writes in place instead of allocating a concatenation.
-    """
-    rows, cols = mat.shape
-    if out is None:
-        out = np.empty((rows, cols + 1), dtype=mat.dtype)
-    elif out.shape != (rows, cols + 1) or out.dtype != mat.dtype:
-        raise ValueError(
-            f"bias-column buffer must be {(rows, cols + 1)} {mat.dtype}, "
-            f"got {out.shape} {out.dtype}"
-        )
-    out[:, :cols] = mat
-    out[:, cols] = 1.0
-    return out
 
 
 def _gram_scaled(
@@ -99,6 +80,30 @@ def _gram_scaled(
     else:
         factor /= count
     return factor
+
+
+def _channel_gram(
+    x: np.ndarray,
+    count: int,
+    multiply: bool,
+    has_bias: bool,
+    workspace: Workspace | None,
+) -> np.ndarray:
+    """Gram of an NCHW tensor's ``(N*H*W, C)`` NHWC rows (a ones column
+    appended when ``has_bias``), scaled as :func:`_gram_scaled` does."""
+    n, c, h, w = x.shape
+    shape = (n * h * w, c + int(has_bias))
+
+    def fill(rows: np.ndarray) -> np.ndarray:
+        np.copyto(rows.reshape(n, h, w, shape[1])[..., :c], x.transpose(0, 2, 3, 1))
+        if has_bias:
+            rows[:, c] = 1.0
+        return rows
+
+    if workspace is None:
+        return _gram_scaled(fill(np.empty(shape, x.dtype)), count, multiply, None)
+    with workspace.borrow(shape, x.dtype) as rows:
+        return _gram_scaled(fill(rows), count, multiply, workspace)
 
 
 def linear_factor_A(
@@ -128,12 +133,7 @@ def linear_factor_A(
     n = a.shape[0]
     if not has_bias:
         return _gram_scaled(a, n, False, workspace)
-    shape = (n, a.shape[1] + 1)
-    if workspace is not None:
-        with workspace.borrow(shape, a.dtype) as scratch:
-            biased = append_bias_column(a, out=scratch)
-            return _gram_scaled(biased, n, False, workspace)
-    return _gram_scaled(append_bias_column(a), n, False, None)
+    return _channel_gram(a[:, :, None, None], n, False, True, workspace)
 
 
 def linear_factor_G(
@@ -165,76 +165,34 @@ def linear_factor_G(
 
 
 def conv2d_factor_A(
-    x: np.ndarray,
-    kernel_size: tuple[int, int],
-    stride: tuple[int, int],
-    padding: tuple[int, int],
-    has_bias: bool,
-    workspace: Workspace | None = None,
+    x: np.ndarray, has_bias: bool, workspace: Workspace | None = None
 ) -> np.ndarray:
-    """Patch covariance (KFC's Omega) for a Conv2d layer.
+    """Channel covariance ``A_c`` of a Conv2d layer's input (KFC's SUA).
+
+    One ``C_in x C_in`` Gram over every example and input position,
+    ``(C_in + 1)^2`` with a bias's ones channel.  The layer's handler
+    applies it as ``A_c (x) I_{kh*kw}`` to the ``(C_out, C_in*kh*kw)``
+    gradient, so neither the kernel nor the patch matrix enters here.
 
     Parameters
     ----------
     x:
         Layer input, shape ``(N, C_in, H, W)``.
 
-    Notes
-    -----
-    Lowers ``x`` with a fresh ``im2col`` pass.  The K-FAC capture hooks
-    avoid this entirely by feeding the patch matrix the layer's forward
-    already produced to :func:`conv2d_factor_A_from_patches`.
-
     Example
     -------
     >>> import numpy as np
     >>> from repro.core.factors import conv2d_factor_A
     >>> x = np.ones((2, 3, 4, 4), dtype=np.float32)
-    >>> conv2d_factor_A(x, (3, 3), (1, 1), (1, 1), has_bias=False).shape
-    (27, 27)
+    >>> conv2d_factor_A(x, has_bias=True).shape      # (C_in + 1)^2
+    (4, 4)
+    >>> conv2d_factor_A(x, has_bias=False)[0].tolist()
+    [1.0, 1.0, 1.0]
     """
-    patches = im2col(x, kernel_size, stride, padding)
-    factor = conv2d_factor_A_from_patches(patches, has_bias, workspace)
-    return factor
-
-
-def conv2d_factor_A_from_patches(
-    patches: np.ndarray, has_bias: bool, workspace: Workspace | None = None
-) -> np.ndarray:
-    """Patch covariance from an already-lowered im2col matrix ``(N*L, D)``.
-
-    Bit-identical to :func:`conv2d_factor_A` on the matching input — the
-    patch matrix cached by ``Conv2d.forward`` *is* the im2col expansion —
-    but skips the second lowering pass, the single largest redundant
-    compute in the training loop.
-
-    Example
-    -------
-    >>> import numpy as np
-    >>> from repro.core.factors import conv2d_factor_A, conv2d_factor_A_from_patches
-    >>> from repro.tensor.im2col import im2col
-    >>> x = np.random.default_rng(0).normal(size=(2, 1, 4, 4)).astype(np.float32)
-    >>> cached = im2col(x, (3, 3), (1, 1), (1, 1))
-    >>> a = conv2d_factor_A_from_patches(cached, has_bias=False)
-    >>> b = conv2d_factor_A(x, (3, 3), (1, 1), (1, 1), has_bias=False)
-    >>> bool(np.array_equal(a, b))
-    True
-    """
-    if patches.ndim != 2:
-        raise ValueError(f"patches must be (N*L, D), got {patches.shape}")
-    if patches.dtype == np.float16:
-        # AMP caches fp16 patches, but factors accumulate in fp32 (the
-        # precision-policy rule) — and fp16 has no BLAS syrk anyway
-        patches = patches.astype(np.float32)
-    rows = patches.shape[0]
-    if not has_bias:
-        return _gram_scaled(patches, rows, False, workspace)
-    shape = (rows, patches.shape[1] + 1)
-    if workspace is not None:
-        with workspace.borrow(shape, patches.dtype) as scratch:
-            biased = append_bias_column(patches, out=scratch)
-            return _gram_scaled(biased, rows, False, workspace)
-    return _gram_scaled(append_bias_column(patches), rows, False, None)
+    if x.ndim != 4:
+        raise ValueError(f"conv activations must be (N, C, H, W), got {x.shape}")
+    n, _, h, w = x.shape
+    return _channel_gram(x, n * h * w, False, has_bias, workspace)
 
 
 def conv2d_factor_G(
@@ -257,13 +215,7 @@ def conv2d_factor_G(
     """
     if g0.ndim != 4:
         raise ValueError(f"conv output grads must be (N, C, OH, OW), got {g0.shape}")
-    n, c, oh, ow = g0.shape
-    if workspace is not None:
-        with workspace.borrow((n * oh * ow, c), g0.dtype) as flat:
-            np.copyto(flat.reshape(n, oh, ow, c), g0.transpose(0, 2, 3, 1))
-            return _gram_scaled(flat, n, batch_averaged, workspace)
-    flat = g0.transpose(0, 2, 3, 1).reshape(-1, c)  # (N*L, C_out)
-    return _gram_scaled(flat, n, batch_averaged, None)
+    return _channel_gram(g0, g0.shape[0], batch_averaged, False, workspace)
 
 
 def embedding_factor_A(

@@ -230,7 +230,9 @@ def precondition_eigen(
     ----------
     grad:
         Gradient matrix of shape ``(d_out, d_in)`` (bias column included
-        when the layer has one).
+        when the layer has one), or a ``(k, d_out, d_in)`` stack of them
+        preconditioned against the same factors — the solve with
+        ``A (x) I_k`` of a conv layer's offset slices.
     eig_A / eig_G:
         Dense, diagonal (``Q is None``) or blocked bases, in any pairing;
         a blocked side rotates block by block.
@@ -243,8 +245,10 @@ def precondition_eigen(
     >>> grad = np.ones((2, 2))
     >>> precondition_eigen(grad, eig, eig, gamma=1.0).tolist()
     [[0.5, 0.5], [0.5, 0.5]]
+    >>> precondition_eigen(np.ones((3, 2, 2)), eig, eig, gamma=1.0).shape
+    (3, 2, 2)
     """
-    if grad.shape != (eig_G.dim, eig_A.dim):
+    if grad.shape[-2:] != (eig_G.dim, eig_A.dim):
         raise ValueError(
             f"grad shape {grad.shape} incompatible with factors "
             f"G:{eig_G.dim} A:{eig_A.dim}"
@@ -284,14 +288,14 @@ def _precondition_blocked(
     g_rot, a_rot = _rotations(eig_G), _rotations(eig_A)
     v1 = np.array(grad)
     for q, lo, hi in g_rot:
-        v1[lo:hi, :] = q.T @ grad[lo:hi, :]
+        v1[..., lo:hi, :] = q.T @ grad[..., lo:hi, :]
     for q, lo, hi in a_rot:
-        v1[:, lo:hi] = v1[:, lo:hi] @ q
+        v1[..., lo:hi] = v1[..., lo:hi] @ q
     out = v1 / (np.outer(eig_G.lam, eig_A.lam) + gamma)
     for q, lo, hi in g_rot:
-        out[lo:hi, :] = q @ out[lo:hi, :]
+        out[..., lo:hi, :] = q @ out[..., lo:hi, :]
     for q, lo, hi in a_rot:
-        out[:, lo:hi] = out[:, lo:hi] @ q.T
+        out[..., lo:hi] = out[..., lo:hi] @ q.T
     return out
 
 
@@ -301,7 +305,8 @@ def precondition_inverse(
     """Apply Eq. 12: ``inv_G @ grad @ inv_A`` (factored damping).
 
     A 1-D inverse is the diagonal of a diagonal one: it scales the
-    gradient's rows (``inv_G``) or columns (``inv_A``) instead.
+    gradient's rows (``inv_G``) or columns (``inv_A``) instead.  ``grad``
+    may carry one leading stack axis, as in :func:`precondition_eigen`.
 
     Example
     -------
@@ -312,7 +317,7 @@ def precondition_inverse(
     >>> precondition_inverse(np.ones((2, 2)), np.array([0.5, 0.25]), np.eye(2)).tolist()
     [[0.5, 0.25], [0.5, 0.25]]
     """
-    if grad.shape != (inv_G.shape[0], inv_A.shape[0]):
+    if grad.shape[-2:] != (inv_G.shape[0], inv_A.shape[0]):
         raise ValueError(
             f"grad shape {grad.shape} incompatible with inverses "
             f"G:{inv_G.shape} A:{inv_A.shape}"

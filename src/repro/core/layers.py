@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.core.factors import (
     conv2d_factor_A,
-    conv2d_factor_A_from_patches,
     conv2d_factor_G,
     ema_update,
     embedding_factor_A,
@@ -113,7 +112,19 @@ class KFACLayer:
 
     @property
     def a_dim(self) -> int:
+        """Width of the packed ``(g_dim, a_dim)`` gradient matrix."""
         raise NotImplementedError
+
+    @property
+    def a_side(self) -> int:
+        """Side of the ``A`` factor: ``a_dim``, unless the handler applies
+        ``A`` to slices of the gradient (``Conv2dKFACLayer``)."""
+        return self.a_dim
+
+    @property
+    def slices(self) -> int:
+        """``(g_dim, a_side)`` slices one gradient preconditions as."""
+        return 1
 
     @property
     def g_dim(self) -> int:
@@ -161,10 +172,6 @@ class KFACLayer:
         if new_G is not self.G:
             self.workspace.release(new_G)
         # release captures; they are only valid for this iteration
-        self._release_captures()
-
-    def _release_captures(self) -> None:
-        """Drop captured activations/gradients (subclasses may recycle)."""
         self.a_input = None
         self.g_output = None
 
@@ -300,59 +307,59 @@ class LinearKFACLayer(KFACLayer):
 
 
 class Conv2dKFACLayer(KFACLayer):
-    """Handler for :class:`repro.nn.layers.Conv2d` (KFC factors).
+    """Handler for :class:`repro.nn.layers.Conv2d` (KFC factors, SUA).
 
-    The capture hook claims the im2col patch matrix the module's forward
-    already produced (see :meth:`repro.nn.layers.Conv2d.claim_patches`), so
-    ``compute_A`` never re-lowers the activations; the claimed buffer is
-    recycled into the module's workspace once the factor is folded in.
+    ``A`` is the ``C_in x C_in`` channel covariance of the layer input
+    (:func:`repro.core.factors.conv2d_factor_A`), and the layer's Fisher
+    block is ``G (x) A (x) I_k`` over its ``k = kh * kw`` kernel offsets.
+    The ``(C_out, C_in * k)`` gradient is therefore preconditioned as
+    ``k`` stacked ``(C_out, C_in)`` slices, one per offset, against the
+    one ``(G, A)`` pair.  A bias is a constant-1 input channel: its
+    gradient is replicated into every slice and read back at the centre
+    offset.
     """
-
-    #: the claimed forward patch matrix is ``a_input`` (else the raw input)
-    _input_is_patches = False
 
     @property
     def a_dim(self) -> int:
+        return self.module.in_channels * self.slices + (1 if self.has_bias else 0)
+
+    @property
+    def a_side(self) -> int:
+        return self.module.in_channels + (1 if self.has_bias else 0)
+
+    @property
+    def slices(self) -> int:
         kh, kw = self.module.kernel_size
-        return self.module.in_channels * kh * kw + (1 if self.has_bias else 0)
+        return kh * kw
 
     @property
     def g_dim(self) -> int:
         return self.module.out_channels
 
-    def save_input(self, x: np.ndarray) -> None:
-        cols = self.module.claim_patches()
-        if cols is not None:
-            self.a_input = cols
-            self._input_is_patches = True
-        else:  # no cached lowering (e.g. hook fired without a forward)
-            self.a_input = x
-            self._input_is_patches = False
-
     def compute_A(self) -> np.ndarray:
         assert self.a_input is not None
         a = self._reading(self.a_input)
-        if self._input_is_patches:
-            return conv2d_factor_A_from_patches(a, self.has_bias, self.workspace)
-        return conv2d_factor_A(
-            a,
-            self.module.kernel_size,
-            self.module.stride,
-            self.module.padding,
-            self.has_bias,
-            self.workspace,
-        )
+        return conv2d_factor_A(a, self.has_bias, self.workspace)
 
     def compute_G(self) -> np.ndarray:
         assert self.g_output is not None
         g = self._reading(self.g_output)
         return conv2d_factor_G(g, batch_averaged=True, workspace=self.workspace)
 
-    def _release_captures(self) -> None:
-        if self._input_is_patches and self.a_input is not None:
-            self.module.workspace.release(self.a_input)
-        self._input_is_patches = False
-        super()._release_captures()
+    def precondition(self, grad_mat: np.ndarray, gamma: float, use_eigen: bool) -> np.ndarray:
+        """Precondition the ``k`` offset slices of ``grad_mat`` as one stack."""
+        g, c, k = self.g_dim, self.module.in_channels, self.slices
+        stack = np.empty((k, g, self.a_side), dtype=grad_mat.dtype)
+        stack[..., :c] = grad_mat[:, : c * k].reshape(g, c, k).transpose(2, 0, 1)
+        if self.has_bias:
+            stack[..., c] = grad_mat[:, -1]
+        out = super().precondition(stack, gamma, use_eigen)
+        mat = np.empty_like(grad_mat)
+        mat[:, : c * k] = out[..., :c].transpose(1, 2, 0).reshape(g, c * k)
+        if self.has_bias:
+            kh, kw = self.module.kernel_size
+            mat[:, -1] = out[(kh // 2) * kw + kw // 2, :, c]
+        return mat
 
 
 class EmbeddingKFACLayer(KFACLayer):

@@ -509,6 +509,10 @@ class KFAC:
         self._adaptive_damping: AdaptiveDamping | None = (
             AdaptiveDamping(base.damping) if base.adapt_damping else None
         )
+        #: the Eq. 18 scale of the last step (None before the first), and
+        #: the steps it clipped (nu < 1); lockstep like nu itself
+        self.kl_clip_nu: float | None = None
+        self.n_clipped_steps = 0
         # instrumentation counters
         self.n_factor_updates = 0
         self.n_second_order_updates = 0
@@ -516,9 +520,14 @@ class KFAC:
         # span tracing (repro.obs); the executor inherits this recorder
         self.tracer = NULL_TRACER
         # graceful-degradation ledger: consecutive failed refreshes per
-        # factor key (reset on the next successful exchange), plus totals
+        # factor key (reset on the next successful exchange; member-local,
+        # since only a group's members see its share fail), plus totals
         # for TrainingHistory
         self.staleness: dict[str, int] = {}
+        #: the drift trigger's skip budget: refresh candidates skipped per
+        #: factor key since the last refresh — charged and reset only on
+        #: trigger decisions, which every rank makes identically
+        self.skipped_refreshes: dict[str, int] = {}
         self.n_stale_fallbacks = 0
         self.n_factor_comm_failures = 0
         self.n_eig_share_failures = 0
@@ -565,7 +574,7 @@ class KFAC:
     def _build_factor_metas(self) -> list[FactorMeta]:
         metas: list[FactorMeta] = []
         for layer in self.layers:
-            metas.append(FactorMeta(layer.name, "A", layer.a_dim, layer.diagonal_A))
+            metas.append(FactorMeta(layer.name, "A", layer.a_side, layer.diagonal_A))
         for layer in self.layers:
             metas.append(FactorMeta(layer.name, "G", layer.g_dim))
         return metas
@@ -649,9 +658,10 @@ class KFAC:
 
         *No* rank installs this exchange (the owner included), keeping
         every replica preconditioning with the identical last-known
-        eigenbasis.  Consecutive failures accrue per-factor staleness;
-        past ``hp.max_eig_staleness`` — or if a factor has no prior state
-        at all — the step hard-fails.
+        eigenbasis.  Consecutive failures accrue per-factor staleness on
+        the group's members (the ranks that see the failure; the drift
+        trigger never reads it); past ``hp.max_eig_staleness`` — or if a
+        factor has no prior state at all — the step hard-fails.
         """
         self.n_eig_share_failures += 1
         self.n_stale_fallbacks += 1
@@ -723,7 +733,9 @@ class KFAC:
         factor (or block) drifted past tolerance since it was last
         decomposed, or any basis has exhausted its ``max_eig_staleness``
         skip budget — the budget binds even when the drift metric says
-        "fresh enough".  Skipped candidates accrue per-meta staleness.
+        "fresh enough".  Skipped candidates accrue per-meta
+        :attr:`skipped_refreshes`, and a refresh resets them, so every
+        input of the decision is the same on every rank.
         """
         trig = self._drift_trigger
         if trig is None:
@@ -741,14 +753,15 @@ class KFAC:
                 has_basis = False
                 break
             max_drift = max(max_drift, trig.drift(factor_block(factor, meta), snap))
-            worst_staleness = max(worst_staleness, self.staleness.get(meta.key, 0))
+            worst_staleness = max(worst_staleness, self.skipped_refreshes.get(meta.key, 0))
         refresh = trig.should_refresh(max_drift, worst_staleness, has_basis)
         if refresh:
             self.n_drift_refreshes += 1
+            self.skipped_refreshes.clear()
         else:
             self.n_drift_skips += 1
             for meta in metas:
-                self.staleness[meta.key] = self.staleness.get(meta.key, 0) + 1
+                self.skipped_refreshes[meta.key] = self.skipped_refreshes.get(meta.key, 0) + 1
         self.tracer.instant(
             f"refresh:{'go' if refresh else 'skip'}",
             "approx",

@@ -96,17 +96,16 @@ class Conv2d(Module):
     """2-D convolution implemented as im2col + GEMM.
 
     Weight shape ``(out_channels, in_channels, kh, kw)``; the flattened
-    weight matrix ``(out, in*kh*kw)`` is what K-FAC preconditions, giving
-    factors ``A: (in*kh*kw[+1])^2`` and ``G: out^2`` — identical shapes to
-    the paper's PyTorch implementation.
+    weight matrix ``(out, in*kh*kw)`` is what K-FAC preconditions, with
+    factors ``A: (in[+1])^2`` — the input's channel covariance, applied
+    once per kernel offset (KFC's spatially-uncorrelated-activations
+    approximation) — and ``G: out^2``.
 
     The im2col patch matrix — the largest live buffer in the model — is
     drawn from a :class:`~repro.tensor.workspace.Workspace` arena and
-    recycled as soon as its last consumer finishes: normally at the end of
-    ``backward``, or (on K-FAC factor-capture iterations) after the factor
-    hook that :meth:`claim_patches`-ed it folds it into the ``A`` factor.
-    Steady-state training therefore re-lowers into the same buffer every
-    iteration instead of allocating a fresh one.
+    recycled at the end of ``backward``, so steady-state training
+    re-lowers into the same buffer every iteration instead of allocating a
+    fresh one.  K-FAC never reads it.
 
     Example
     -------
@@ -142,7 +141,6 @@ class Conv2d(Module):
         self.bias = Parameter(zeros_init((out_channels,)), name="bias") if bias else None
         self.workspace = workspace if workspace is not None else default_workspace()
         self._cols: np.ndarray | None = None
-        self._cols_claimed = False
         self._x_shape: tuple[int, int, int, int] | None = None
 
     def out_shape(self, x_shape: tuple[int, ...]) -> tuple[int, int, int, int]:
@@ -158,7 +156,7 @@ class Conv2d(Module):
         self._x_shape = (n, c, h, w)
         _, _, oh, ow = self.out_shape((n, c, h, w))
         kh, kw = self.kernel_size
-        if self._cols is not None and not self._cols_claimed:
+        if self._cols is not None:
             # consecutive forwards with no backward (eval): recycle the
             # previous lowering instead of orphaning it
             self.workspace.release(self._cols)
@@ -170,7 +168,6 @@ class Conv2d(Module):
         with self.workspace.borrow(self._padded_nhwc(self._x_shape), x_c.dtype) as stage:
             im2col(x_c, self.kernel_size, self.stride, self.padding, out=cols, staging=stage)
         self._cols = cols
-        self._cols_claimed = False
         w_mat = self.weight.data.reshape(self.out_channels, -1)
         y = amp_matmul(cols, w_mat.T)  # (N*OH*OW, out), fp32+ accumulation
         if self.bias is not None:
@@ -178,24 +175,6 @@ class Conv2d(Module):
         return np.ascontiguousarray(
             y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         )
-
-    @property
-    def cached_patches(self) -> np.ndarray | None:
-        """The im2col matrix of the last forward (None once consumed)."""
-        return self._cols
-
-    def claim_patches(self) -> np.ndarray | None:
-        """Transfer ownership of the cached patch matrix to the caller.
-
-        The K-FAC capture hook calls this so ``conv2d_factor_A`` never
-        re-lowers the activations.  A claimed buffer is *not* recycled at
-        the end of ``backward`` — the claimant releases it back to
-        :attr:`workspace` once the factor is computed.
-        """
-        if self._cols is None or self._cols_claimed:
-            return None  # single-shot: a second claimant must re-lower
-        self._cols_claimed = True
-        return self._cols
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         assert self._cols is not None and self._x_shape is not None
@@ -206,10 +185,8 @@ class Conv2d(Module):
         if self.bias is not None:
             self.bias.grad += dy.sum(axis=0)
         dcols = amp_matmul(dy, w_mat)
-        cols, self._cols = self._cols, None
-        if not self._cols_claimed:
-            self.workspace.release(cols)
-        self._cols_claimed = False
+        self.workspace.release(self._cols)
+        self._cols = None
         scratch = self.workspace.request(self._padded_nhwc(self._x_shape), dcols.dtype)
         dx = col2im(
             dcols, self._x_shape, self.kernel_size, self.stride, self.padding,

@@ -281,6 +281,12 @@ class MetricsRegistry:
             self.counter("kfac.drift_skips").inc(
                 getattr(first, "n_drift_skips", 0)
             )
+            # the Eq. 18 scale: the last step's nu and the steps it clipped
+            # (nu comes from already-averaged gradients, so lockstep too)
+            nu = getattr(first, "kl_clip_nu", None)
+            if nu is not None:
+                self.gauge("kfac.kl_clip_nu").set(nu)
+            self.counter("kfac.clipped_steps").inc(getattr(first, "n_clipped_steps", 0))
             # a/g readings cast to the factor dtype at capture: 0 unless the
             # data's dtype differs from the model's, so a silent promotion
             # shows up here as a count

@@ -258,9 +258,9 @@ class GraphExecutor:
         singleton groups (``f = 1/P``, and every group at ``P = 1``) install
         locally with no communication; ranks outside the group
         contribute/receive nothing — they will get only the final
-        preconditioned gradient.  A successful share clears the group's
-        staleness on *every* rank, so the drift trigger's skip budget —
-        which every rank charges to every unit — stays in lockstep.
+        preconditioned gradient.  A lost share charges staleness to the
+        members, who see it fail; a successful one clears it.  The drift
+        trigger reads neither (see ``KFAC.skipped_refreshes``).
         """
         kfac = self.kfac
         ranks = tuple(task.payload["ranks"])
@@ -327,7 +327,7 @@ class GraphExecutor:
             raw, kfac.damping, kfac.hp.use_eigen_decomp
         )
         meta_A, meta_G = kfac._metas_of[name]
-        seconds = estimate_precondition_seconds([(meta_G, meta_A)])
+        seconds = estimate_precondition_seconds([(meta_G, meta_A, layer.slices)])
         self._pending_compute += seconds
         if self.tracer.enabled:
             self.tracer.span(
@@ -398,6 +398,9 @@ class GraphExecutor:
         pre = [self._pre[layer.name] for layer in kfac.layers]
         raw = [self._raw[layer.name] for layer in kfac.layers]
         nu = kl_clip_factor(pre, raw, kfac.lr, kfac.hp.kl_clip)
+        kfac.kl_clip_nu = nu
+        if nu < 1.0:
+            kfac.n_clipped_steps += 1
         ad = getattr(kfac, "_adaptive_damping", None)
         if ad is not None:
             # nu is computed from pre-averaged gradients, so every rank sees

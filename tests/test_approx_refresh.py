@@ -24,7 +24,9 @@ import pytest
 
 from repro.approx.adaptive import AdaptiveDamping, DriftTrigger
 from repro.comm.backend import World
-from repro.core.distributed import PhaseController
+from repro.comm.faults import CollectiveFailure, FaultPlan
+from repro.comm.horovod import HorovodContext
+from repro.core.distributed import PhaseController, SPMDDriver
 from repro.core.preconditioner import KFAC
 from repro.nn import Linear, ReLU, Sequential
 from repro.nn.loss import CrossEntropyLoss
@@ -84,7 +86,7 @@ class TestRefreshSchedule:
                 refresh_steps.append(i)
             # a stale basis never survives past the budget, even though
             # the drift metric always says "fresh enough" at tol=1e9
-            assert max(kfac.staleness.values(), default=0) <= budget
+            assert max(kfac.skipped_refreshes.values(), default=0) <= budget
         # cadence: step 0, then exactly budget+1 steps between refreshes
         assert refresh_steps[0] == 0
         assert all(b - a == budget + 1 for a, b in zip(refresh_steps, refresh_steps[1:]))
@@ -97,8 +99,8 @@ class TestRefreshSchedule:
         seen_keys: set[str] = set()
         for _ in range(10):
             step()
-            assert max(kfac.staleness.values(), default=0) <= budget
-            seen_keys |= set(kfac.staleness)
+            assert max(kfac.skipped_refreshes.values(), default=0) <= budget
+            seen_keys |= set(kfac.skipped_refreshes)
         assert kfac.blocks_active
         # block-granular staleness bookkeeping: keys carry block suffixes
         assert any("#" in k for k in seen_keys)
@@ -189,6 +191,88 @@ class TestLockstepRefresh:
                 if k.n_second_order_updates > before[r]:
                     refreshes[r].append(i)
         assert all(steps == [0, 3, 6] for steps in refreshes.values()), refreshes
+
+
+def _refresh_steps_under_lost_share(driver: str, steps: int = 8) -> dict[int, tuple]:
+    """Each rank's refresh steps and lost-share count: 2-layer MLP, P=3,
+    f=2/3, a drift trigger
+    that fires on every non-zero drift, and the first group eigenbasis
+    share of step 2 lost past the retry budget (its members see the
+    failure; the group's non-member does not).
+
+    The weights never move and ``factor_decay=0`` makes each factor its
+    step's reading, so the drift is exactly zero except at step 2 (batch
+    1 replaced batch 0): step 2 refreshes on drift, and from step 3 on
+    (batch 2 repeated) only the skip budget can refresh, in any dtype.
+    """
+    p = 3
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(3, 4 * p, 6)).astype(np.float32)
+    y = rng.integers(0, 3, size=(3, 4 * p)).astype(np.int64)
+    world = World(p)
+    world.fault_plan = FaultPlan(
+        failures=(CollectiveFailure(phase="eig_comm", step=2, count=3),)
+    )
+
+    def build(rank):
+        model = Sequential(
+            Linear(6, 5, rng=np.random.default_rng(1)),
+            ReLU(),
+            Linear(5, 3, rng=np.random.default_rng(2)),
+        )
+        kfac = KFAC(
+            model, rank=rank, world_size=p, damping=0.01, factor_decay=0.0,
+            drift_tol=1e-12, max_eig_staleness=3, grad_worker_frac=2 / 3,
+        )
+        return model, kfac, CrossEntropyLoss()
+
+    def capture(model, loss, rank, step):
+        model.zero_grad()
+        b = min(step, 2)
+        loss(model(x[b, rank::p]), y[b, rank::p])
+        model.backward(loss.backward())
+
+    if driver == "spmd":
+
+        def program(view):
+            model, kfac, loss = build(view.rank)
+            drv = SPMDDriver(kfac, HorovodContext(view))
+            refreshed = []
+            for step in range(steps):
+                view.begin_step(step)
+                capture(model, loss, view.rank, step)
+                before = kfac.n_second_order_updates
+                drv.step()
+                if kfac.n_second_order_updates > before:
+                    refreshed.append(step)
+            return refreshed, kfac.n_eig_share_failures
+
+        return dict(enumerate(world.run_spmd(program)))
+    replicas = [build(r) for r in range(p)]
+    controller = PhaseController([k for _, k, _ in replicas], world)
+    refreshes: dict[int, list[int]] = {r: [] for r in range(p)}
+    for step in range(steps):
+        world.begin_step(step)
+        for r, (model, _, loss) in enumerate(replicas):
+            capture(model, loss, r, step)
+        before = [k.n_second_order_updates for _, k, _ in replicas]
+        controller.step()
+        for r, (_, k, _) in enumerate(replicas):
+            if k.n_second_order_updates > before[r]:
+                refreshes[r].append(step)
+    return {r: (refreshes[r], k.n_eig_share_failures) for r, (_, k, _) in enumerate(replicas)}
+
+
+@pytest.mark.parametrize("driver", ["phase", "spmd"])
+def test_lost_group_share_keeps_every_rank_refreshing_together(driver):
+    """The ledger the drift trigger reads changes only on events every rank
+    sees: a lost group share charges its members' failure count, not the
+    skip budget, so no rank's trigger fires alone (the phase driver would
+    raise on the first diverged collective)."""
+    got = _refresh_steps_under_lost_share(driver)
+    # the lost share is group (0, 1)'s; step 2 refreshes on drift, then the
+    # budget: three skips after the last refresh
+    assert got == {0: ([0, 2, 6], 1), 1: ([0, 2, 6], 1), 2: ([0, 2, 6], 0)}, got
 
 
 class TestDriftTriggerUnit:

@@ -11,7 +11,7 @@ widest dtype — the storage dtype, float64 only under
 eigenbases, the factor arena and the packed wire all carry ``KFAC``'s one
 factor dtype, and pin the two places that dtype changes numerics: data
 whose dtype is not the model's is cast at capture, and a float64 model's
-first conv builds ``A`` from float64 patches.
+first conv builds ``A`` from a float64 input.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.factors import conv2d_factor_A_from_patches
+from repro.core.factors import conv2d_factor_A
 from repro.core.preconditioner import KFAC, KFACHyperParams
 from repro.nn import TinyTransformer
 from repro.nn.loss import CrossEntropyLoss
@@ -120,10 +120,10 @@ def test_no_function_widens_and_kfac_keeps_one_dtype(family, precision):
         assert casts == expected
 
 
-def test_float64_model_builds_first_conv_A_from_float64_patches():
-    """A float64 CNN fed float32 images: the first conv's patch matrix is
-    cast to float64 before its Gram product (it used to give a float32
-    ``A`` beside float64 ones), and the cast is counted once per update."""
+def test_float64_model_builds_first_conv_A_from_float64_input():
+    """A float64 CNN fed float32 images: the first conv's input is cast to
+    float64 before its Gram product (it used to give a float32 ``A``
+    beside float64 ones), and the cast is counted once per update."""
     model = build_tiny_cnn(seed=3).cast_(np.float64)
     kfac = KFAC(model, damping=0.01, kfac_update_freq=1)
     x = np.random.default_rng(4).normal(size=(8, 1, 8, 8)).astype(np.float32)
@@ -134,11 +134,11 @@ def test_float64_model_builds_first_conv_A_from_float64_patches():
         loss_fn(model(x), np.arange(8) % 3)
         model.backward(loss_fn.backward())
         if step == 1:
-            patches = first.a_input.copy()  # the claimed forward lowering
-            assert patches.dtype == np.float32  # the images' dtype
+            images = first.a_input.copy()  # the captured layer input
+            assert images.dtype == np.float32  # the images' dtype
         kfac.step()
         if step == 1:  # the first reading is adopted as the running average
-            expect = conv2d_factor_A_from_patches(patches.astype(np.float64), has_bias=True)
+            expect = conv2d_factor_A(images.astype(np.float64), has_bias=True)
             np.testing.assert_array_equal(first.A, expect)
         assert kfac.n_capture_casts == step
     assert kfac.factor_dtype == np.float64

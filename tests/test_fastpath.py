@@ -7,8 +7,8 @@ Covers the fast-path invariants:
    *exactly* symmetric (the property packing relies on);
 2. ``tri_pack``/``tri_unpack`` round-trip losslessly for float32/float64
    (fixed cases + hypothesis property);
-3. conv factor A built from the forward's cached im2col patches is
-   bit-identical to recomputing the lowering from raw activations;
+3. the conv patch matrix is recycled at the end of every backward, and
+   the K-FAC capture builds the conv ``A`` from the layer input alone;
 4. the factor allreduce payload is exactly ``d*(d+1)/2`` elements per
    ``d x d`` factor on both the synchronous and the pipelined path;
 5. training with the fast path on/off produces loss trajectories that
@@ -30,11 +30,10 @@ from repro.comm.fusion import WirePlan, tri_len, tri_pack, tri_unpack
 from repro.core.assignment import wire_elements
 from repro.core.distributed import PhaseController
 from repro.core.factors import (
-    append_bias_column,
     conv2d_factor_A,
-    conv2d_factor_A_from_patches,
     conv2d_factor_G,
     ema_update,
+    linear_factor_A,
 )
 from repro.core.preconditioner import KFAC
 from repro.nn.container import Sequential
@@ -190,46 +189,22 @@ class TestTriPack:
 
 
 # ---------------------------------------------------------------------------
-# 3. conv factor A from cached patches
+# 3. conv patch buffer and the capture
 # ---------------------------------------------------------------------------
-class TestCachedPatches:
-    @pytest.mark.parametrize("bias", [False, True])
-    def test_factor_from_cached_patches_bit_identical(self, bias):
-        conv = Conv2d(3, 5, 3, stride=2, padding=1, bias=bias, workspace=Workspace())
-        x = RNG.normal(size=(4, 3, 9, 9)).astype(np.float32)
-        conv.forward(x)
-        patches = conv.claim_patches()
-        assert patches is not None
-        # the cached lowering IS the im2col expansion
-        assert np.array_equal(
-            patches, im2col(x, conv.kernel_size, conv.stride, conv.padding)
-        )
-        from_cache = conv2d_factor_A_from_patches(patches, bias)
-        recomputed = conv2d_factor_A(
-            x, conv.kernel_size, conv.stride, conv.padding, bias
-        )
-        assert np.array_equal(from_cache, recomputed)
-
-    def test_claim_is_single_shot(self):
-        conv = Conv2d(2, 2, 3, workspace=Workspace())
-        x = RNG.normal(size=(1, 2, 5, 5)).astype(np.float32)
-        conv.forward(x)
-        assert conv.claim_patches() is not None
-        assert conv.claim_patches() is None
-
-    def test_backward_releases_unclaimed_patches(self):
+class TestConvCapture:
+    def test_backward_recycles_patches(self):
         ws = Workspace()
         conv = Conv2d(2, 3, 3, padding=1, workspace=ws)
         x = RNG.normal(size=(2, 2, 6, 6)).astype(np.float32)
         out = conv.forward(x)
-        assert conv.cached_patches is not None
+        assert conv._cols is not None
         conv.backward(np.ones_like(out))
-        assert conv.cached_patches is None
+        assert conv._cols is None
         assert ws.pooled_buffers >= 1  # the patch matrix went back to the pool
 
-    def test_kfac_capture_consumes_cached_patches(self):
-        """End to end through KFAC hooks: A from cached patches equals A
-        from a from-scratch im2col at the factor dtype, bit for bit."""
+    def test_kfac_capture_builds_channel_A_from_the_input(self):
+        """End to end through KFAC hooks: each conv ``A`` is the channel
+        Gram of the layer input at the factor dtype, bit for bit."""
         model = build_tiny_cnn(seed=7)
         x = np.random.default_rng(5).normal(size=(8, 1, 8, 8)).astype(np.float32)
         y = np.random.default_rng(6).integers(0, 3, size=8).astype(np.int64)
@@ -237,16 +212,16 @@ class TestCachedPatches:
         loss = CrossEntropyLoss()
         loss(model(x), y)
         conv_handlers = [h for h in kfac.layers if isinstance(h.module, Conv2d)]
-        assert conv_handlers and all(h._input_is_patches for h in conv_handlers)
+        assert conv_handlers
         expected = {
-            h.name: conv2d_factor_A_from_patches(h.a_input.astype(h.dtype), h.has_bias)
+            h.name: conv2d_factor_A(h.a_input.astype(h.dtype), h.has_bias)
             for h in conv_handlers
         }
         model.backward(loss.backward())
         kfac.step()
         for h in conv_handlers:
             assert np.array_equal(h.A, expected[h.name])  # first EMA adopts
-            assert h.a_input is None and not h._input_is_patches
+            assert h.a_input is None
 
 
 # ---------------------------------------------------------------------------
@@ -564,19 +539,14 @@ class TestWorkspace:
 # 7. allocation-free helpers stay bit-identical
 # ---------------------------------------------------------------------------
 class TestAllocationFreeHelpers:
-    def test_append_bias_column_out_matches_concatenate(self):
+    def test_biased_linear_A_matches_concatenate(self):
+        """The ones column is written into scratch, never concatenated;
+        the factor is the concatenated matrix's Gram, bit for bit."""
         mat = RNG.normal(size=(7, 4)).astype(np.float32)
         ref = np.concatenate([mat, np.ones((7, 1), dtype=np.float32)], axis=1)
-        out = np.empty((7, 5), dtype=np.float32)
-        got = append_bias_column(mat, out=out)
-        assert got is out
-        assert np.array_equal(got, ref)
-        assert np.array_equal(append_bias_column(mat), ref)
-
-    def test_append_bias_column_validates_out(self):
-        mat = RNG.normal(size=(3, 2)).astype(np.float32)
-        with pytest.raises(ValueError):
-            append_bias_column(mat, out=np.empty((3, 2), dtype=np.float32))
+        want = gram(ref) / np.float32(7)
+        assert np.array_equal(linear_factor_A(mat, True), want)
+        assert np.array_equal(linear_factor_A(mat, True, Workspace()), want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_ema_update_workspace_bit_identical(self, dtype):

@@ -29,19 +29,15 @@ from repro.nn.loss import CrossEntropyLoss
 @given(
     n=st.integers(1, 6),
     c_in=st.integers(1, 3),
-    size=st.integers(3, 8),
-    k=st.integers(1, 3),
-    stride=st.integers(1, 2),
+    size=st.integers(1, 8),
     bias=st.booleans(),
     seed=st.integers(0, 10_000),
 )
-def test_conv_factor_A_always_psd_and_symmetric(n, c_in, size, k, stride, bias, seed):
-    if size < k:
-        return
+def test_conv_factor_A_always_psd_and_symmetric(n, c_in, size, bias, seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, c_in, size, size)).astype(np.float32)
-    A = conv2d_factor_A(x, (k, k), (stride, stride), (0, 0), bias)
-    dim = c_in * k * k + (1 if bias else 0)
+    A = conv2d_factor_A(x, bias)
+    dim = c_in + (1 if bias else 0)
     assert A.shape == (dim, dim)
     np.testing.assert_allclose(A, A.T, rtol=1e-4, atol=1e-6)
     assert np.linalg.eigvalsh(A.astype(np.float64)).min() > -1e-5
@@ -158,10 +154,17 @@ def test_end_to_end_conv_preconditioning_matches_dense(seed, gamma):
     handler.eig_A, handler.eig_G = handler.compute_eigen()
     grad = handler.get_grad_matrix()
     fast = handler.precondition(grad, gamma, use_eigen=True)
+    # the dense Fisher block is G (x) A_c (x) I_4 over the 2x2 kernel's
+    # offsets, the bias a third input channel at every offset
+    k = handler.slices
+    weights = grad[:, :-1].reshape(3, 2, k)
+    padded = np.concatenate([weights, np.repeat(grad[:, -1:, None], k, axis=2)], axis=1)
     dense = dense_damped_inverse_apply(
-        grad.astype(np.float64),
-        handler.A.astype(np.float64),
+        padded.reshape(3, -1).astype(np.float64),
+        np.kron(handler.A.astype(np.float64), np.eye(k)),
         handler.G.astype(np.float64),
         gamma,
-    )
-    np.testing.assert_allclose(fast, dense, rtol=5e-3, atol=1e-5)
+    ).reshape(3, 3, k)
+    # weights from the two real channels, the bias at the centre offset
+    want = np.concatenate([dense[:, :2].reshape(3, -1), dense[:, 2, 3:4]], axis=1)
+    np.testing.assert_allclose(fast, want, rtol=5e-3, atol=1e-5)

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.factors import (
-    append_bias_column,
     conv2d_factor_A,
     conv2d_factor_G,
     ema_update,
@@ -70,15 +69,14 @@ class TestFactors:
         G2 = (g_sum.T @ g_sum) / n
         np.testing.assert_allclose(G1, G2, rtol=1e-10)
 
-    def test_conv_A_matches_manual_patches(self, rng):
-        from repro.tensor.im2col import im2col
-
+    def test_conv_A_matches_manual_channel_gram(self, rng):
         x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
-        A = conv2d_factor_A(x, (3, 3), (1, 1), (1, 1), has_bias=True)
-        patches = append_bias_column(im2col(x, (3, 3), (1, 1), (1, 1)))
-        want = patches.T @ patches / patches.shape[0]
+        A = conv2d_factor_A(x, has_bias=True)
+        rows = x.transpose(0, 2, 3, 1).reshape(-1, 3)
+        rows = np.concatenate([rows, np.ones((len(rows), 1), np.float32)], axis=1)
+        want = rows.T @ rows / rows.shape[0]
         np.testing.assert_allclose(A, want, rtol=1e-5)
-        assert A.shape == (3 * 9 + 1, 3 * 9 + 1)
+        assert A.shape == (3 + 1, 3 + 1)
 
     def test_conv_G_shape(self, rng):
         g = rng.normal(size=(4, 5, 3, 3)).astype(np.float32)

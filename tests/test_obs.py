@@ -376,6 +376,46 @@ class TestMetricsRegistry:
             phase="grad_allreduce"
         ) == world.stats.bytes_by_phase["grad_allreduce"]
 
+    def test_kl_clip_nu_and_clipped_steps_are_lockstep(self):
+        """Every replica records the same Eq. 18 scale and clip count (nu
+        comes from averaged gradients), and the registry surfaces both."""
+        p = 3
+        models = [build_tiny_cnn(seed=2) for _ in range(p)]
+        kfacs = [
+            KFAC(m, rank=r, world_size=p, damping=0.01, kfac_update_freq=2,
+                 grad_worker_frac=2 / 3)
+            for r, m in enumerate(models)
+        ]
+        controller = PhaseController(kfacs, World(p))
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8 * p, 1, 8, 8)).astype(np.float32)
+        y = rng.integers(0, 3, size=8 * p)
+        nus = []
+        for step in range(6):
+            # a growing lr clips the later steps, not the first
+            for k in kfacs:
+                k.lr = 1e-3 * 10**step
+            for r, m in enumerate(models):
+                m.zero_grad()
+                loss = CrossEntropyLoss()
+                loss(m(x[r::p]), y[r::p])
+                m.backward(loss.backward())
+            # the exchange the trainer runs before the preconditioner
+            for params in zip(*(m.parameters() for m in models)):
+                mean = sum(q.grad for q in params) / p
+                for q in params:
+                    q.grad[...] = mean
+            controller.step()
+            assert len({k.kl_clip_nu for k in kfacs}) == 1
+            nus.append(kfacs[0].kl_clip_nu)
+        clipped = sum(nu < 1.0 for nu in nus)
+        assert 0 < clipped < len(nus), nus
+        assert [k.n_clipped_steps for k in kfacs] == [clipped] * p
+        reg = MetricsRegistry()
+        reg.collect_kfacs(kfacs)
+        assert reg.counter("kfac.clipped_steps").total() == clipped
+        assert reg.gauge("kfac.kl_clip_nu").value() == nus[-1]
+
     def test_history_metrics_snapshot_is_the_single_source(self):
         """The history's scalar ledger fields round-trip the registry."""
         history = _train()

@@ -182,7 +182,7 @@ def test_flat_residual_equals_per_key_over_alternating_bucket_plans(codec):
     p = 4
     models = [build_tiny_cnn(seed=42) for _ in range(p)]
     kw = dict(damping=0.01, kfac_update_freq=2, comm_dtype=codec, scheduler="graph",
-              grad_worker_frac=0.5, bucket_bytes=11000)
+              grad_worker_frac=0.5, bucket_bytes=10000)
     kfacs = [KFAC(m, rank=r, world_size=p, **kw) for r, m in enumerate(models)]
     calls = _record_wire(kfacs[0])
     x, y = _cnn_batch()
