@@ -6,9 +6,9 @@ Two placement spectra over the same factor set:
   workers (the paper's §VI-C4 proposal);
 - the KAISA-style ``grad_worker_frac`` sweep between LAYER_WISE
   (``f = 1/P``) and COMM_OPT (``f = 1``): per-rank eigenbasis memory must
-  fall and second-stage communication must rise, strictly, as ``f``
-  decreases — and the endpoints must reproduce the existing strategies,
-  both in the performance model and (bit-for-bit) in real trajectories.
+  fall and second-stage bytes must rise, strictly, as ``f`` decreases —
+  and the endpoints must reproduce the existing strategies, both in the
+  performance model and (bit-for-bit) in real trajectories.
 """
 
 import numpy as np
@@ -17,8 +17,10 @@ from repro.experiments.ablations import (
     run_grad_worker_frac_sweep,
     run_placement_ablation,
 )
+from repro.comm.costmodel import allgather_time
+from repro.perfmodel.costs import layer_precondition_flops
 from repro.perfmodel.hardware import FRONTERA_LIKE, V100_LIKE
-from repro.perfmodel.iteration import IterationModel, KfacIntervals
+from repro.perfmodel.iteration import IterationModel
 from repro.perfmodel.specs import resnet_spec
 
 from conftest import run_and_print
@@ -29,11 +31,11 @@ def test_placement_policy_ablation(benchmark):
     # greedy LPT is never worse, and strictly better where imbalance exists
     im = IterationModel(resnet_spec(101), V100_LIKE, FRONTERA_LIKE)
     for p in (16, 32, 64):
-        rr = im.eig_stage_time(p, "comm-opt", "round_robin")
-        gr = im.eig_stage_time(p, "comm-opt", "greedy")
+        rr = im.eig_stage_time(p, policy="round_robin")
+        gr = im.eig_stage_time(p, policy="greedy")
         assert gr <= rr + 1e-12
-    assert im.eig_stage_time(16, "comm-opt", "greedy") < im.eig_stage_time(
-        16, "comm-opt", "round_robin"
+    assert im.eig_stage_time(16, policy="greedy") < im.eig_stage_time(
+        16, policy="round_robin"
     )
 
 
@@ -45,49 +47,38 @@ def test_grad_worker_frac_pareto_frontier(benchmark):
     for hi, lo in zip(rows, rows[1:]):
         # per-rank eigenbasis memory strictly decreases as f decreases...
         assert lo["eigenbasis_bytes_per_rank"] < hi["eigenbasis_bytes_per_rank"]
-        # ...while second-stage (preconditioned-grad) comm strictly increases
+        # ...while second-stage (preconditioned-grad) bytes strictly increase
         assert lo["precond_share_bytes_per_rank"] > hi["precond_share_bytes_per_rank"]
-        assert lo["precond_tcomm"] >= hi["precond_tcomm"]
         # and the group eigenbasis share shrinks with the group
         assert lo["eig_tcomm"] <= hi["eig_tcomm"]
-
-
-def test_graph_scheduler_beats_retired_hybrid_pipeline():
-    """The task-graph route prices the HYBRID group share as schedulable
-    nodes: at P=64, f=0.5 its exposed eig comm is *strictly* below the
-    retired hand-written hybrid pipeline's (which ran the share
-    synchronously), and never worse anywhere on the sweep at P >= 4."""
-    im = IterationModel(resnet_spec(50), V100_LIKE, FRONTERA_LIKE)
-    legacy = im.stage_profile(64, pipelined=True, grad_worker_frac=0.5)
-    graph = im.stage_profile(64, scheduler="graph", grad_worker_frac=0.5)
-    assert graph.eig_tcomm_exposed < legacy.eig_tcomm_exposed
-    assert graph.factor_tcomm_exposed <= legacy.factor_tcomm_exposed
-    intervals = KfacIntervals.from_eig_interval(100)
-    for p in (4, 16, 64):
-        for frac in (1.0 / p, 0.25, 0.5, 1.0):
-            g = im.kfac_iteration_time(
-                p, "hybrid", intervals, grad_worker_frac=frac, scheduler="graph"
-            )
-            legacy_pipe = im.kfac_iteration_time(
-                p, "hybrid", intervals, grad_worker_frac=frac, pipelined=True
-            )
-            assert g <= legacy_pipe + 1e-12, (p, frac)
+    # second-stage time rises as f falls while g >= 2 (per-root
+    # broadcasts); at g = 1 the shares fuse into one world allgather of the
+    # K-FAC layers' gradients, cheaper than the g = 2 broadcasts: the
+    # K-FAC-lw share
+    broadcasts = [r for r in rows if r["grad_workers"] >= 2]
+    for hi, lo in zip(broadcasts, broadcasts[1:]):
+        assert lo["precond_tcomm"] >= hi["precond_tcomm"]
+    spec, cluster = resnet_spec(50), FRONTERA_LIKE
+    kfac_lw = allgather_time(
+        spec.grad_matrix_bytes, 64, cluster.net
+    ) * cluster.sync_penalty(64) + cluster.op_launch * len(spec.kfac_layers)
+    assert rows[-1]["precond_tcomm"] == kfac_lw
 
 
 def test_grad_worker_frac_model_endpoints():
-    """f=1 reproduces the COMM_OPT model exactly; f=1/P the LAYER_WISE loads."""
+    """f=1 preconditions every layer everywhere with no second stage; f=1/P
+    keeps each layer's factors and preconditioning on its owner ``i % P``
+    (the K-FAC-lw loads) with no eigenbasis share."""
     im = IterationModel(resnet_spec(50), V100_LIKE, FRONTERA_LIKE)
-    intervals = KfacIntervals.from_eig_interval(100)
     p = 64
-    for policy in ("round_robin", "greedy"):
-        hybrid = im.kfac_iteration_time(
-            p, "hybrid", intervals, policy=policy, grad_worker_frac=1.0
-        )
-        comm_opt = im.kfac_iteration_time(p, "comm-opt", intervals, policy=policy)
-        assert hybrid == comm_opt
-    assert im.hybrid_eig_stage_time(p, 1 / p) == im.eig_stage_time(p, "layer-wise")
-    assert im.hybrid_precondition_time(p, 1 / p) == im.precondition_time_layer_wise(p)
-    assert im.eig_group_comm_time(p, 1 / p) == 0.0
+    eig, precond = [0.0] * p, [0.0] * p
+    for i, l in enumerate(im.model.kfac_layers):
+        eig[i % p] += im._eig_seconds(l.a_dim, l.diagonal_A) + im._eig_seconds(l.g_dim)
+        precond[i % p] += im._precond_layer_time(layer_precondition_flops(l))
+    assert im.eig_stage_time(p, 1 / p) == max(eig)
+    assert im.precondition_time(p, 1 / p) == max(precond)
+    assert im.eig_comm_time(p, 1 / p) == 0.0
+    assert im.precondition_time(p, 1.0) == sum(precond)
     assert im.precond_share_time(p, 1.0) == 0.0
 
 

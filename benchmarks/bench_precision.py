@@ -197,10 +197,8 @@ def test_stage_profile_fp16_strictly_faster(benchmark):
             im = IterationModel(resnet_spec(depth), V100_LIKE, FRONTERA_LIKE)
             iv = KfacIntervals.from_eig_interval(100)
             for p in (4, 8, 16, 32, 64):
-                t32 = im.kfac_iteration_time(p, "comm-opt", iv, symmetric=True)
-                t16 = im.kfac_iteration_time(
-                    p, "comm-opt", iv, symmetric=True, precision="fp16"
-                )
+                t32 = im.kfac_iteration_time(p, iv, symmetric=True)
+                t16 = im.kfac_iteration_time(p, iv, symmetric=True, precision="fp16")
                 out[(depth, p)] = (t32, t16)
         return out
 
@@ -218,9 +216,8 @@ def test_stage_profile_fp16_strictly_faster(benchmark):
         assert sp16.eig_tcomp == sp32.eig_tcomp
     r50 = IterationModel(resnet_spec(50), V100_LIKE, FRONTERA_LIKE)
     speedup = r50.kfac_iteration_time(
-        64, "comm-opt", KfacIntervals.from_eig_interval(100), symmetric=True
+        64, KfacIntervals.from_eig_interval(100), symmetric=True
     ) / r50.kfac_iteration_time(
-        64, "comm-opt", KfacIntervals.from_eig_interval(100),
-        symmetric=True, precision="fp16",
+        64, KfacIntervals.from_eig_interval(100), symmetric=True, precision="fp16"
     )
     print(f"\nmodeled ResNet-50 @64 fp16 iteration speedup: {speedup:.2f}x")

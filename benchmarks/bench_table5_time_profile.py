@@ -1,8 +1,8 @@
 """Paper Table V: factor & eigendecomposition stage time profile.
 
-Also exercises the pipelined-engine accounting: with overlap enabled the
+Also exercises the overlap accounting: under the graph scheduler the
 *exposed* factor/eig communication must be strictly below the synchronous
-cost at every world size >= 4 (the SPD-KFAC savings the async engine
+cost at every world size >= 4 (the SPD-KFAC savings the task graph
 recovers), without changing any synchronous-path numbers.
 """
 
@@ -22,14 +22,14 @@ def test_table5_stage_profile(benchmark):
         # factor compute constant in GPU count
         assert im.factor_compute_time() == im.factor_compute_time()
         # eig compute decreases with GPU count
-        assert im.eig_stage_time(16, "comm-opt") >= im.eig_stage_time(64, "comm-opt")
+        assert im.eig_stage_time(16) >= im.eig_stage_time(64)
         # comm roughly flat across scales (within 10%)
         c16, c64 = im.factor_comm_time(16), im.factor_comm_time(64)
         assert abs(c64 - c16) / c16 < 0.10
-        # pipelining strictly lowers exposed comm at world_size >= 4
+        # the graph scheduler strictly lowers exposed comm at world_size >= 4
         for p in (4, 16, 32, 64):
             sync = im.stage_profile(p)
-            pipe = im.stage_profile(p, pipelined=True)
+            pipe = im.stage_profile(p, scheduler="graph")
             assert pipe.factor_tcomm_exposed < sync.factor_tcomm
             assert pipe.eig_tcomm_exposed < sync.eig_tcomm
             # the overlap never rewrites the synchronous costs themselves
@@ -38,18 +38,9 @@ def test_table5_stage_profile(benchmark):
             assert pipe.hidden_comm > 0.0
             # the symmetric fast path ships strictly fewer factor bytes
             # (and therefore strictly less factor comm time) than full
-            packed = im.stage_profile(p, pipelined=True, symmetric=True)
+            packed = im.stage_profile(p, scheduler="graph", symmetric=True)
             assert packed.factor_comm_payload_bytes < sync.factor_comm_payload_bytes
             assert packed.factor_tcomm < sync.factor_tcomm
-            # the task-graph scheduler is never worse than the retired
-            # hand-written pipelines it replaced, at every world size >= 4
-            graph = im.stage_profile(p, scheduler="graph")
-            assert graph.factor_tcomm_exposed <= pipe.factor_tcomm_exposed
-            assert graph.eig_tcomm_exposed <= pipe.eig_tcomm_exposed
-            hybrid_legacy = im.stage_profile(p, pipelined=True, grad_worker_frac=0.5)
-            hybrid_graph = im.stage_profile(p, scheduler="graph", grad_worker_frac=0.5)
-            assert hybrid_graph.factor_tcomm_exposed <= hybrid_legacy.factor_tcomm_exposed
-            assert hybrid_graph.eig_tcomm_exposed <= hybrid_legacy.eig_tcomm_exposed
     # the experiment artifact carries the exposed/hidden accounting
     assert all(h > 0.0 for h in result.data["hidden"].values())
     # ... and the packed-vs-full factor payloads (packed strictly lower)

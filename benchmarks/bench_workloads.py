@@ -62,7 +62,7 @@ def _embedding_share() -> dict[str, float]:
         im = IterationModel(spec, V100_LIKE, FRONTERA_LIKE)
         out[f"factor_payload_bytes_{label}"] = float(spec.factor_payload_bytes(packed=True))
         out[f"eig_payload_bytes_{label}"] = float(spec.eig_payload_bytes())
-        out[f"eig_stage_p1_s_{label}"] = im.eig_stage_time(1, "comm-opt")
+        out[f"eig_stage_p1_s_{label}"] = im.eig_stage_time(1)
     out["eig_flops_per_s"] = V100_LIKE.eig_flops
     return out
 

@@ -46,7 +46,7 @@ def main() -> None:
     rows = []
     for p in args.gpus:
         for policy in ("round_robin", "greedy"):
-            times = im.eig_worker_times(p, "comm-opt", policy)
+            times = im.eig_worker_times(p, policy=policy)
             rows.append(
                 [
                     p,

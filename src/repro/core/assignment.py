@@ -7,22 +7,19 @@ size-balanced placement as future work — we implement that too, as a
 greedy longest-processing-time (LPT) heuristic on a cubic cost model, and
 benchmark both (``bench_ablation_placement``).
 
-The same module also provides layer-wise assignment for the K-FAC-lw
-baseline, where *both* factors of a layer (and its gradient
-preconditioning) live on one worker — the scheme of Osawa et al. [6] that
-the paper improves upon.
-
-Between those two extremes sits the KAISA-style *gradient-worker
-fraction* (arXiv:2107.01739): each layer gets a **gradient-worker
-group** of ``max(1, round(f * P))`` ranks that hold the layer's
-eigendecompositions and compute its preconditioned gradient locally;
-the remaining ranks receive only the final preconditioned gradient via
-a group-rooted broadcast.  ``f = 1/P`` recovers the layer-wise
-placement, ``f = 1`` recovers the comm-opt placement, and intermediate
-values trade per-rank eigenbasis memory against second-stage
-communication.  :func:`build_group_placement` constructs the groups and
-the within-group factor assignment; :class:`GroupPlacement` carries the
-placement metadata the preconditioner and the drivers consume.
+Every placement is a KAISA-style *gradient-worker fraction*
+(arXiv:2107.01739): each layer gets a **gradient-worker group** of
+``max(1, round(f * P))`` ranks that hold the layer's eigendecompositions
+and compute its preconditioned gradient locally; the remaining ranks
+receive only the final preconditioned gradient via a group-rooted
+broadcast.  ``f = 1`` is the comm-opt placement; ``f = 1/P`` is the
+layer-wise placement of the K-FAC-lw baseline, where *both* factors of a
+layer (and its gradient preconditioning) live on one worker — the scheme
+of Osawa et al. [6] that the paper improves upon.  Intermediate values
+trade per-rank eigenbasis memory against second-stage communication.
+:func:`build_group_placement` constructs the groups and the within-group
+factor assignment; :class:`GroupPlacement` carries the placement
+metadata the preconditioner and the drivers consume.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ __all__ = [
     "eig_cost",
     "round_robin_assignment",
     "greedy_balanced_assignment",
-    "layer_wise_assignment",
     "worker_costs",
     "grad_worker_count",
     "grad_worker_groups",
@@ -196,15 +192,6 @@ def greedy_balanced_assignment(
         assignment[meta.key] = worker
         loads[worker] += cost_fn(meta)
     return assignment
-
-
-def layer_wise_assignment(
-    layer_names: Sequence[str], n_workers: int
-) -> dict[str, int]:
-    """K-FAC-lw placement: layer ``i`` -> worker ``i % P`` (whole layer)."""
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    return {name: i % n_workers for i, name in enumerate(layer_names)}
 
 
 def worker_costs(

@@ -450,6 +450,8 @@ class KFAC:
         frac = base.grad_worker_frac
         if frac is None:
             frac = 1.0 if base.strategy == COMM_OPT else 1.0 / world_size
+        #: the gradient-worker fraction this placement runs
+        self.grad_worker_frac: float = frac
         # the comm/eig units of each approximation phase, built once: whole
         # factors, then — past diag_warmup second-order updates of a
         # diag_blocks > 1 run — their diagonal blocks (blocks_active)

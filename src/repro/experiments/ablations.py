@@ -21,6 +21,7 @@ from repro.experiments.common import (
     make_paired_task,
     train_once,
 )
+from repro.core.assignment import grad_worker_count
 from repro.perfmodel.hardware import FRONTERA_LIKE, V100_LIKE
 from repro.perfmodel.iteration import IterationModel, KfacIntervals
 from repro.perfmodel.specs import resnet_spec
@@ -46,8 +47,8 @@ def run_placement_ablation(
     for depth in depths:
         im = IterationModel(resnet_spec(depth), V100_LIKE, FRONTERA_LIKE)
         for p in gpus:
-            rr = im.eig_stage_time(p, "comm-opt", "round_robin")
-            greedy = im.eig_stage_time(p, "comm-opt", "greedy")
+            rr = im.eig_stage_time(p, policy="round_robin")
+            greedy = im.eig_stage_time(p, policy="greedy")
             rows.append(
                 [
                     f"ResNet-{depth}",
@@ -80,7 +81,8 @@ def run_grad_worker_frac_sweep(
     (preconditioned-gradient broadcast) volume, the per-stage comm times,
     and the amortized iteration time.  The endpoints are the paper's two
     strategies: ``f = 1`` is COMM_OPT (max memory, no second stage),
-    ``f = 1/P`` is LAYER_WISE (min memory, per-iteration broadcasts).
+    ``f = 1/P`` is LAYER_WISE (min memory, a per-iteration gradient
+    allgather).
     """
     if not fracs:
         # halving sweep 1, 1/2, 1/4, ... plus the exact 1/p LAYER_WISE
@@ -99,8 +101,8 @@ def run_grad_worker_frac_sweep(
     raw = []
     for f in sorted(fracs, reverse=True):
         sp = im.stage_profile(p, grad_worker_frac=f)
-        g = im.grad_workers(p, f)
-        iter_t = im.kfac_iteration_time(p, "hybrid", intervals, grad_worker_frac=f)
+        g = grad_worker_count(p, f)
+        iter_t = im.kfac_iteration_time(p, intervals, grad_worker_frac=f)
         rows.append(
             [
                 f"{f:.4f}",

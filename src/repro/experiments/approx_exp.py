@@ -58,9 +58,7 @@ def run_approximation_sweep(
     base_eig = None
     for k in blocks:
         sp = im.stage_profile(p, policy="greedy", diag_blocks=k)
-        iter_t = im.kfac_iteration_time(
-            p, "comm-opt", intervals, policy="greedy", diag_blocks=k
-        )
+        iter_t = im.kfac_iteration_time(p, intervals, policy="greedy", diag_blocks=k)
         fac_payload = im.factor_comm_payload_bytes(packed=True, diag_blocks=k)
         if base_eig is None:
             base_eig = sp.eig_tcomp

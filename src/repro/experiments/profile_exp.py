@@ -47,14 +47,13 @@ PAPER_TABLE6 = {
 def run_table5(
     depths: tuple[int, ...] = (50, 101, 152),
     gpus: tuple[int, ...] = (16, 32, 64),
-    pipelined: bool = True,
 ) -> ExperimentResult:
     """Table V: per-stage time profile of a K-FAC update step.
 
-    With ``pipelined=True`` two extra columns report the *exposed*
-    (non-overlapped) communication once pipelining hides chunked
+    Beside the synchronous costs, two columns report the *exposed*
+    (non-overlapped) communication once the graph scheduler hides
     transfers behind compute — the SPD-KFAC-style savings the synchronous
-    drivers leave on the table.  The factor-stage wire payload is reported
+    route leaves on the table.  The factor-stage wire payload is reported
     for both the full-matrix exchange and the triangular-packed fast path
     (``KFAC(symmetric_comm=True)``) — the packed bytes are strictly lower.
     """
@@ -71,29 +70,25 @@ def run_table5(
         payload_full[depth] = float(im.factor_comm_payload_bytes(packed=False))
         payload_packed[depth] = float(im.factor_comm_payload_bytes(packed=True))
         for p in gpus:
-            prof = im.stage_profile(p, pipelined=pipelined)
+            prof = im.stage_profile(p, scheduler="graph")
             paper = PAPER_TABLE5.get((depth, p))
             exposed[(depth, p)] = (prof.factor_tcomm_exposed, prof.eig_tcomm_exposed)
             hidden[(depth, p)] = prof.hidden_comm
-            row = [
+            rows.append([
                 f"ResNet-{depth}",
                 p,
                 f"{prof.factor_tcomp * 1e3:.1f}",
                 f"{prof.factor_tcomm * 1e3:.1f}",
                 f"{prof.eig_tcomp * 1e3:.0f}",
                 f"{prof.eig_tcomm * 1e3:.0f}",
-            ]
-            if pipelined:
-                row += [
-                    f"{prof.factor_tcomm_exposed * 1e3:.1f}",
-                    f"{prof.eig_tcomm_exposed * 1e3:.1f}",
-                ]
-            row.append("/".join(f"{v:.0f}" for v in paper) if paper else "-")
-            rows.append(row)
-    headers = ["Model", "GPUs", "fac Tcomp", "fac Tcomm", "eig Tcomp", "eig Tcomm"]
-    if pipelined:
-        headers += ["fac Texpose", "eig Texpose"]
-    headers.append("paper (fc/fx/ec/ex)")
+                f"{prof.factor_tcomm_exposed * 1e3:.1f}",
+                f"{prof.eig_tcomm_exposed * 1e3:.1f}",
+                "/".join(f"{v:.0f}" for v in paper) if paper else "-",
+            ])
+    headers = [
+        "Model", "GPUs", "fac Tcomp", "fac Tcomm", "eig Tcomp", "eig Tcomm",
+        "fac Texpose", "eig Texpose", "paper (fc/fx/ec/ex)",
+    ]
     result.add(format_table(headers, rows))
     result.add(
         format_table(

@@ -40,13 +40,9 @@ def modeled_training_minutes(
     """
     im = IterationModel(resnet_spec(depth), V100_LIKE, FRONTERA_LIKE)
     if eig_interval is None:
-        return SGD_EPOCHS * im.epoch_time(gpus, "sgd", IMAGENET_TRAIN_SIZE) / 60.0
+        return SGD_EPOCHS * im.epoch_time(gpus, IMAGENET_TRAIN_SIZE) / 60.0
     intervals = KfacIntervals.from_eig_interval(eig_interval)
-    return (
-        KFAC_EPOCHS
-        * im.epoch_time(gpus, "kfac-opt", IMAGENET_TRAIN_SIZE, intervals)
-        / 60.0
-    )
+    return KFAC_EPOCHS * im.epoch_time(gpus, IMAGENET_TRAIN_SIZE, intervals) / 60.0
 
 
 def run_table3_fig6(

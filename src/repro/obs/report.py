@@ -151,13 +151,14 @@ def fig1_drift_report(
     policy: str = "round_robin",
     bucket_bytes: int = DEFAULT_BUCKET_BYTES,
     symmetric: bool = False,
-    scheduler: str | None = None,
+    scheduler: str = "sync",
 ) -> DriftReport:
     """Align a traced run's stage times with the perfmodel's predictions.
 
     ``history`` is a :class:`~repro.parallel.trainer.TrainingHistory`;
-    strategy, gradient-worker fraction and precision are read off it, so
-    the modeled configuration always matches what actually ran.
+    the gradient-worker fraction the run resolved (``None`` for an SGD
+    run) and the precision are read off it, so the modeled placement
+    always matches what actually ran.
     Measured compute stages (``io``/``forward``/``gradient``/``update``)
     use the trainer's wall-clock stopwatches; measured communication
     stages (``exchange`` and the K-FAC sub-stages) use the simulated
@@ -174,7 +175,7 @@ def fig1_drift_report(
     >>> hist.phase_seconds = {"io": 0.2, "forward": 1.0, "backward": 2.0,
     ...                       "update": 0.5}
     >>> hist.comm_seconds = {"grad_allreduce": 0.3, "factor_comm": 0.1}
-    >>> hist.kfac_strategy = "comm-opt"
+    >>> hist.grad_worker_frac = 1.0
     >>> im = IterationModel(resnet_spec(50), V100_LIKE, FRONTERA_LIKE)
     >>> rep = fig1_drift_report(hist, im, p=8,
     ...                         intervals=KfacIntervals.from_eig_interval(10))
@@ -185,18 +186,17 @@ def fig1_drift_report(
     """
     iters = max(1, history.total_iterations)
     precision = _normalize_precision(getattr(history, "precision", None))
-    strategy = getattr(history, "kfac_strategy", None)
     grad_worker_frac = getattr(history, "grad_worker_frac", None)
+    kfac = grad_worker_frac is not None
 
     modeled = model.fig1_stage_times(
         p,
-        strategy=strategy,
-        intervals=intervals if strategy else None,
+        intervals=intervals if kfac else None,
         policy=policy,
         bucket_bytes=bucket_bytes,
         symmetric=symmetric,
         precision=precision,
-        grad_worker_frac=grad_worker_frac,
+        grad_worker_frac=grad_worker_frac if kfac else 1.0,
         scheduler=scheduler,
     )
 
@@ -215,7 +215,7 @@ def fig1_drift_report(
     }
     rows = [DriftRow(s, modeled[s], measured[s]) for s in FIG1_STAGES]
 
-    if strategy:
+    if kfac:
         profile = model.stage_profile(
             p,
             policy=policy,
@@ -237,7 +237,7 @@ def fig1_drift_report(
         rows=rows,
         meta={
             "p": p,
-            "strategy": strategy,
+            "strategy": getattr(history, "kfac_strategy", None),
             "grad_worker_frac": grad_worker_frac,
             "precision": precision,
             "scheduler": scheduler,

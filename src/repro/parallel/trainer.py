@@ -160,8 +160,8 @@ class TrainingHistory:
     amp_skipped_steps: int = 0
     final_loss_scale: float = 1.0
     #: K-FAC placement record: the strategy the run used, the
-    #: gradient-worker fraction it set (None when the strategy spells
-    #: f = 1 or f = 1/P) and the resulting per-layer group size (None/0
+    #: gradient-worker fraction it ran (f = 1 / f = 1/P for COMM_OPT /
+    #: LAYER_WISE) and the resulting per-layer group size (None/0
     #: without K-FAC)
     kfac_strategy: str | None = None
     grad_worker_frac: float | None = None
@@ -523,7 +523,7 @@ class DataParallelTrainer:
         if self.kfacs is not None:
             kfac = self.kfacs[0]
             history.kfac_strategy = kfac.hp.strategy
-            history.grad_worker_frac = kfac.hp.grad_worker_frac
+            history.grad_worker_frac = kfac.grad_worker_frac
             history.grad_worker_count = kfac.grad_worker_count
             # staleness is tracked per replica (group shares are noted by
             # members only): surface the worst counter per factor

@@ -9,9 +9,10 @@ GPUs.  This package projects those quantities from first principles:
   eigendecomposition, and preconditioning (:mod:`costs`);
 - device and network profiles calibrated against the paper's own Table V
   measurements (:mod:`hardware`, :mod:`calibration`);
-- per-iteration/per-epoch assembly for SGD, K-FAC-lw, and K-FAC-opt
-  (:mod:`iteration`) and time-to-solution / efficiency projection
-  (:mod:`scaling`).
+- per-iteration/per-epoch assembly for SGD and K-FAC at any
+  ``grad_worker_frac`` (K-FAC-opt is ``f = 1``, K-FAC-lw ``f = 1/P``)
+  and ``scheduler`` (:mod:`iteration`), and time-to-solution /
+  efficiency projection (:mod:`scaling`).
 
 Absolute times are model outputs, not measurements; the experiments print
 them side-by-side with the paper's numbers and judge *shape* (ordering,

@@ -103,12 +103,13 @@ class ScalingStudy:
         points = []
         for p in self.gpus:
             intervals = KfacIntervals.from_eig_interval(scale_interval_schedule(p))
-            sgd = self.sgd_epochs * im.epoch_time(p, "sgd", self.dataset_size)
+            sgd = self.sgd_epochs * im.epoch_time(p, self.dataset_size)
+            # the paper's two strategies are the ends of grad_worker_frac
             lw = self.kfac_epochs * im.epoch_time(
-                p, "kfac-lw", self.dataset_size, intervals
+                p, self.dataset_size, intervals, grad_worker_frac=1.0 / p
             )
             opt = self.kfac_epochs * im.epoch_time(
-                p, "kfac-opt", self.dataset_size, intervals, self.assignment_policy
+                p, self.dataset_size, intervals, self.assignment_policy
             )
             points.append(
                 ScalingPoint(
@@ -170,11 +171,11 @@ def worker_speedup_table(
     fastest — the widening gap quantifies round-robin load imbalance.
     """
     im = IterationModel(resnet_spec(depth), device, cluster)
-    base_times = im.eig_worker_times(gpus[0], "comm-opt", policy)
+    base_times = im.eig_worker_times(gpus[0], policy=policy)
     base_slow, base_fast = max(base_times), min(base_times)
     out: dict[int, tuple[float, float]] = {}
     for p in gpus:
-        times = im.eig_worker_times(p, "comm-opt", policy)
+        times = im.eig_worker_times(p, policy=policy)
         slow, fast = max(times), min(times)
         min_speedup = base_slow / slow if slow > 0 else float("inf")
         max_speedup = base_fast / fast if fast > 0 else float("inf")

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from repro.core.assignment import (
     FactorMeta,
+    build_group_placement,
     eig_cost,
     greedy_balanced_assignment,
-    layer_wise_assignment,
     round_robin_assignment,
     worker_costs,
 )
@@ -42,9 +42,9 @@ class TestAssignment:
               FactorMeta("l0", "G", 2), FactorMeta("l1", "G", 2)]
         assignment = round_robin_assignment(ms, 4)
         assert sorted(assignment.values()) == [0, 1, 2, 3]
-        # layer-wise placement would only ever use L workers
-        lw = layer_wise_assignment(["l0", "l1"], 4)
-        assert len(set(lw.values())) == 2
+        # layer-wise placement (f = 1/P) would only ever use L workers
+        lw = build_group_placement(ms, 4, 1 / 4)
+        assert len(set(lw.assignment.values())) == 2
 
     def test_greedy_never_worse_than_round_robin(self):
         ms = metas([512, 8, 8, 8, 256, 8, 8, 8])
@@ -73,8 +73,11 @@ class TestAssignment:
         assert all(0 <= w < p for w in assignment.values())
 
     def test_layer_wise(self):
-        assignment = layer_wise_assignment(["a", "b", "c"], 2)
-        assert assignment == {"a": 0, "b": 1, "c": 0}
+        """f = 1/P places layer ``i`` (both factors) on worker ``i % P``."""
+        ms = [FactorMeta(name, kind, 4) for kind in "AG" for name in "abc"]
+        assignment = build_group_placement(ms, 2, 1 / 2).assignment
+        owners = {"a": 0, "b": 1, "c": 0}
+        assert assignment == {m.key: owners[m.layer] for m in ms}
 
     def test_eig_cost_cubic(self):
         assert eig_cost(FactorMeta("x", "A", 10)) == 1000.0

@@ -37,7 +37,7 @@ from repro.comm.faults import (
 )
 from repro.comm.horovod import HorovodContext
 from repro.core.distributed import PhaseController, SPMDDriver
-from repro.core.preconditioner import KFAC, KFACHyperParams
+from repro.core.preconditioner import KFAC, LAYER_WISE, KFACHyperParams
 from repro.nn.loss import CrossEntropyLoss
 from repro.obs import (
     MetricsRegistry,
@@ -211,8 +211,9 @@ class TestLockstepDeterminism:
 # ----------------------------------------------------------------------
 
 
-def _train(tracer=None, fault_plan=None, retry_policy=RetryPolicy()):
-    """One P=4 HYBRID f=0.5 graph-scheduler training epoch (tiny CNN)."""
+def _train(tracer=None, fault_plan=None, retry_policy=RetryPolicy(), placement=None):
+    """One P=4 training epoch (tiny CNN), by default HYBRID f=0.5 under
+    the graph scheduler; ``placement`` replaces those K-FAC settings."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(64, 1, 8, 8)).astype(np.float32)
     y = rng.integers(0, 3, size=64).astype(np.int64)
@@ -223,7 +224,7 @@ def _train(tracer=None, fault_plan=None, retry_policy=RetryPolicy()):
         seed=3,
         kfac=KFACHyperParams(
             damping=0.01, kfac_update_freq=2, fac_update_freq=1,
-            grad_worker_frac=0.5, scheduler="graph",
+            **(placement or dict(grad_worker_frac=0.5, scheduler="graph")),
         ),
         tracer=tracer,
         fault_plan=fault_plan,
@@ -470,6 +471,18 @@ class TestDriftReport:
             }
         assert report.meta["p"] == 4
         assert report.meta["strategy"] == "hybrid"
+
+    def test_layer_wise_run_is_priced_as_f_one_over_p(self):
+        """A LAYER_WISE run is f = 1/P: no eigenbasis share, a gradient
+        share every iteration.  The report prices the fraction the run
+        resolved, not the unset ``grad_worker_frac`` hyper-parameter."""
+        history = _train(placement=dict(strategy=LAYER_WISE))
+        report = fig1_drift_report(
+            history, _model(), p=4, intervals=KfacIntervals.from_eig_interval(10),
+        )
+        assert report.row("eig_comm").modeled == 0.0
+        assert report.row("precond_comm").modeled > 0.0
+        assert history.grad_worker_frac == report.meta["grad_worker_frac"] == 0.25
 
     def test_inf_error_when_model_predicts_zero(self):
         from repro.obs.report import DriftRow

@@ -15,8 +15,8 @@ Covers the unification guarantees of the graph scheduler:
    nodes: the graph route reports hidden ``eig_comm`` seconds at P >= 4
    (the retired hybrid pipeline ran the share synchronously), visible
    both in the raw overlap ledger and in ``TrainingHistory``;
-5. the modeled ``stage_profile(scheduler=...)`` prices the graph route
-   strictly below the retired hybrid pipeline's exposed share.
+5. the modeled ``kfac_iteration_time(scheduler=...)`` never prices the
+   graph route above the sync route, at f in {1, 0.5, 1/P}.
 """
 
 from __future__ import annotations
@@ -368,17 +368,9 @@ class TestModeledSchedulerProfile:
 
         return IterationModel(resnet_spec(50), V100_LIKE, FRONTERA_LIKE, 32)
 
-    @pytest.mark.parametrize("p", [4, 16, 64])
-    def test_graph_hybrid_share_strictly_below_retired_pipeline(self, p):
-        m = self._model()
-        legacy = m.stage_profile(p, pipelined=True, grad_worker_frac=0.5)
-        graph = m.stage_profile(p, scheduler="graph", grad_worker_frac=0.5)
-        assert graph.eig_tcomm_exposed < legacy.eig_tcomm_exposed
-        assert graph.eig_tcomm_exposed >= 0.0
-
     def test_scheduler_sync_matches_unpipelined(self):
         m = self._model()
-        for f in (None, 0.5):
+        for f in (1.0, 0.5):
             a = m.stage_profile(8, scheduler="sync", grad_worker_frac=f)
             b = m.stage_profile(8, grad_worker_frac=f)
             assert a == b
@@ -388,11 +380,11 @@ class TestModeledSchedulerProfile:
         from repro.perfmodel.iteration import KfacIntervals
 
         iv = KfacIntervals(10, 100)
-        for strat, f in (("comm-opt", None), ("hybrid", 0.5), ("layer-wise", None)):
-            for p in (4, 16, 64):
-                g = m.kfac_iteration_time(p, strat, iv, grad_worker_frac=f, scheduler="graph")
-                s = m.kfac_iteration_time(p, strat, iv, grad_worker_frac=f, scheduler="sync")
-                assert g <= s + 1e-12, (strat, p)
+        for p in (4, 16, 64):
+            for f in (1.0, 0.5, 1 / p):
+                g = m.kfac_iteration_time(p, iv, grad_worker_frac=f, scheduler="graph")
+                s = m.kfac_iteration_time(p, iv, grad_worker_frac=f, scheduler="sync")
+                assert g <= s + 1e-12, (f, p)
 
     def test_scheduler_validated(self):
         m = self._model()
@@ -400,7 +392,7 @@ class TestModeledSchedulerProfile:
             m.stage_profile(4, scheduler="bogus")
         with pytest.raises(ValueError, match="scheduler"):
             m.kfac_iteration_time(
-                4, "comm-opt",
+                4,
                 __import__("repro.perfmodel.iteration", fromlist=["KfacIntervals"]).KfacIntervals(10, 100),
                 scheduler="bogus",
             )
