@@ -33,12 +33,17 @@ Exactness anchor (tested): for a single sample through a Linear layer,
 ``vec(dW) vec(dW)^T == G (x) A`` holds *exactly*.
 
 Symmetry fast path: every Gram product goes through
-:func:`repro.tensor.gram.gram` (BLAS ``?syrk``, half the GEMM FLOPs), so
-factors are *exactly* symmetric by construction — the invariant that makes
-the triangular-packed factor communication in :mod:`repro.comm.fusion`
-lossless.  Every function takes an optional
-:class:`repro.tensor.workspace.Workspace` whose scratch makes the whole
-factor stage allocation-free at steady state.
+:func:`repro.tensor.gram.gram_upper` (BLAS ``?syrk``, half the GEMM
+FLOPs) and its upper triangle is mirrored, so factors are *exactly*
+symmetric by construction — the invariant that makes the
+triangular-packed factor communication in :mod:`repro.comm.fusion`
+lossless.  Given a C-contiguous ``out`` (``KFAC``'s factor sweep hands
+each layer its slots of one fresh arena, then mirrors the whole arena at
+once), a function writes only the upper triangle into it (a diagonal
+factor: its vector, ``out``'s dtype winning); without, it returns a new
+mirrored factor.  Rows staged for a bias column or an NCHW transpose come
+from an optional :class:`repro.tensor.workspace.Workspace`'s scratch, so
+the factor stage allocates nothing at steady state.
 
 Running average (paper Eqs. 16–17): the paper writes the new reading with
 weight ``xi in [0.9, 1)``, but the reference implementation (and any sane
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.gram import gram
+from repro.tensor.gram import gram, gram_upper
 from repro.tensor.workspace import Workspace
 
 __all__ = [
@@ -65,16 +70,11 @@ __all__ = [
 
 
 def _gram_scaled(
-    mat: np.ndarray, count: int, multiply: bool, workspace: Workspace | None
+    mat: np.ndarray, count: int, multiply: bool, out: np.ndarray | None
 ) -> np.ndarray:
-    """Gram product via syrk, scaled ``* count`` or ``/ count`` in place.
-
-    Workspace-backed outputs are owned by the caller, who releases them
-    once folded into the running average.
-    """
-    d = mat.shape[1]
-    out = workspace.request((d, d), mat.dtype) if workspace is not None else None
-    factor = gram(mat, out=out)
+    """``mat``'s Gram product scaled ``* count`` or ``/ count`` in place:
+    its upper triangle into ``out``, else a new mirrored factor."""
+    factor = gram(mat) if out is None else gram_upper(mat, out)
     if multiply:
         factor *= count
     else:
@@ -82,32 +82,38 @@ def _gram_scaled(
     return factor
 
 
-def _channel_gram(
+def _staged_gram(
     x: np.ndarray,
     count: int,
     multiply: bool,
     has_bias: bool,
     workspace: Workspace | None,
+    out: np.ndarray | None,
 ) -> np.ndarray:
-    """Gram of an NCHW tensor's ``(N*H*W, C)`` NHWC rows (a ones column
-    appended when ``has_bias``), scaled as :func:`_gram_scaled` does."""
-    n, c, h, w = x.shape
-    shape = (n * h * w, c + int(has_bias))
-
-    def fill(rows: np.ndarray) -> np.ndarray:
+    """Gram of ``x``'s rows, staged in scratch: an ``(N, C)`` matrix, or an
+    NCHW tensor's ``(N*H*W, C)`` NHWC rows, with a ones column appended
+    when ``has_bias``; scaled as :func:`_gram_scaled` does."""
+    c = x.shape[1]
+    shape = (x.size // c, c + int(has_bias))
+    rows = np.empty(shape, x.dtype) if workspace is None else workspace.request(shape, x.dtype)
+    if x.ndim == 4:
+        n, _, h, w = x.shape
         np.copyto(rows.reshape(n, h, w, shape[1])[..., :c], x.transpose(0, 2, 3, 1))
-        if has_bias:
-            rows[:, c] = 1.0
-        return rows
-
-    if workspace is None:
-        return _gram_scaled(fill(np.empty(shape, x.dtype)), count, multiply, None)
-    with workspace.borrow(shape, x.dtype) as rows:
-        return _gram_scaled(fill(rows), count, multiply, workspace)
+    else:
+        rows[:, :c] = x
+    if has_bias:
+        rows[:, c] = 1.0
+    factor = _gram_scaled(rows, count, multiply, out)
+    if workspace is not None:
+        workspace.release(rows)
+    return factor
 
 
 def linear_factor_A(
-    a: np.ndarray, has_bias: bool, workspace: Workspace | None = None
+    a: np.ndarray,
+    has_bias: bool,
+    workspace: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Activation covariance for a Linear layer.
 
@@ -118,7 +124,7 @@ def linear_factor_A(
     has_bias:
         Append the homogeneous ones column when the layer has a bias.
     workspace:
-        Optional scratch arena for the bias column and the factor itself.
+        Optional scratch arena for the rows with the bias column.
 
     Example
     -------
@@ -132,12 +138,12 @@ def linear_factor_A(
         raise ValueError(f"linear activations must be (N, d_in), got {a.shape}")
     n = a.shape[0]
     if not has_bias:
-        return _gram_scaled(a, n, False, workspace)
-    return _channel_gram(a[:, :, None, None], n, False, True, workspace)
+        return _gram_scaled(a, n, False, out)
+    return _staged_gram(a, n, False, True, workspace, out)
 
 
 def linear_factor_G(
-    g0: np.ndarray, batch_averaged: bool = True, workspace: Workspace | None = None
+    g0: np.ndarray, batch_averaged: bool = True, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Output-gradient covariance for a Linear layer.
 
@@ -161,11 +167,14 @@ def linear_factor_G(
     if g0.ndim != 2:
         raise ValueError(f"output grads must be (N, d_out), got {g0.shape}")
     n = g0.shape[0]
-    return _gram_scaled(g0, n, batch_averaged, workspace)
+    return _gram_scaled(g0, n, batch_averaged, out)
 
 
 def conv2d_factor_A(
-    x: np.ndarray, has_bias: bool, workspace: Workspace | None = None
+    x: np.ndarray,
+    has_bias: bool,
+    workspace: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Channel covariance ``A_c`` of a Conv2d layer's input (KFC's SUA).
 
@@ -192,11 +201,14 @@ def conv2d_factor_A(
     if x.ndim != 4:
         raise ValueError(f"conv activations must be (N, C, H, W), got {x.shape}")
     n, _, h, w = x.shape
-    return _channel_gram(x, n * h * w, False, has_bias, workspace)
+    return _staged_gram(x, n * h * w, False, has_bias, workspace, out)
 
 
 def conv2d_factor_G(
-    g0: np.ndarray, batch_averaged: bool = True, workspace: Workspace | None = None
+    g0: np.ndarray,
+    batch_averaged: bool = True,
+    workspace: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Output-gradient covariance (scaled KFC Gamma) for a Conv2d layer.
 
@@ -215,14 +227,14 @@ def conv2d_factor_G(
     """
     if g0.ndim != 4:
         raise ValueError(f"conv output grads must be (N, C, OH, OW), got {g0.shape}")
-    return _channel_gram(g0, g0.shape[0], batch_averaged, False, workspace)
+    return _staged_gram(g0, g0.shape[0], batch_averaged, False, workspace, out)
 
 
 def embedding_factor_A(
     indices: np.ndarray,
     num_embeddings: int,
     dtype: np.dtype | type = np.float32,
-    workspace: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Activation covariance of an Embedding layer, as its ``(V,)`` diagonal.
 
@@ -264,28 +276,20 @@ def embedding_factor_A(
             f"[{flat.min()}, {flat.max()}]"
         )
     counts = np.bincount(flat, minlength=num_embeddings)
-    dt = np.dtype(dtype)
-    if workspace is not None:
-        out = workspace.request((num_embeddings,), dt)
-    else:
-        out = np.empty(num_embeddings, dtype=dt)
+    if out is None:
+        out = np.empty(num_embeddings, dtype=dtype)
     out[...] = counts
     out /= flat.size  # same in-place divide as the dense Gram path
     return out
 
 
-def ema_update(
-    ema: np.ndarray | None,
-    new: np.ndarray,
-    decay: float,
-    workspace: Workspace | None = None,
-) -> np.ndarray:
-    """Running-average update, ``decay`` weighting the old value.
+def ema_update(ema: np.ndarray | None, new: np.ndarray, decay: float) -> np.ndarray:
+    """Running-average update, ``decay`` weighting the old value, in place.
 
     On the first call (``ema is None``) the new reading is adopted
-    directly, avoiding cold-start bias.  With a ``workspace`` the scaled
-    temporary comes from pooled scratch, making the steady-state update
-    allocation-free (bit-identical arithmetic either way).
+    directly, avoiding cold-start bias.  Elementwise, so one call folds a
+    whole arena of factors (``KFAC``'s factor sweep) exactly as one call
+    per factor would.
 
     Example
     -------
@@ -303,12 +307,6 @@ def ema_update(
         return new.copy()
     if ema.shape != new.shape:
         raise ValueError(f"EMA shape {ema.shape} != new reading shape {new.shape}")
-    if workspace is not None and ema.dtype == new.dtype:
-        with workspace.borrow(new.shape, new.dtype) as scratch:
-            np.multiply(new, new.dtype.type(1.0 - decay), out=scratch)
-            ema *= decay
-            ema += scratch
-        return ema
     ema *= decay
     ema += (1.0 - decay) * new
     return ema

@@ -3,7 +3,8 @@
 A handler owns everything K-FAC knows about one supported module:
 
 - captured activations / output-gradients (fed by module hooks);
-- running-average factors ``A`` and ``G``;
+- running-average factors ``A`` and ``G`` (views of the owning ``KFAC``'s
+  factor arena, which folds each step's readings into them);
 - the current second-order state (eigendecompositions, or explicit damped
   inverses when running the Table I "inverse" variant);
 - gradient packing: weight grad and bias grad are fused into one
@@ -24,7 +25,6 @@ import numpy as np
 from repro.core.factors import (
     conv2d_factor_A,
     conv2d_factor_G,
-    ema_update,
     embedding_factor_A,
     linear_factor_A,
     linear_factor_G,
@@ -145,32 +145,30 @@ class KFACLayer:
         self.capture_casts += 1
         return x.astype(self.dtype)
 
-    def compute_A(self) -> np.ndarray:
+    def compute_A(self, out: np.ndarray | None = None) -> np.ndarray:
+        """This step's ``A`` reading: its upper triangle into ``out`` (a
+        diagonal ``A``: its vector), else a new symmetric factor."""
         raise NotImplementedError
 
-    def compute_G(self) -> np.ndarray:
+    def compute_G(self, out: np.ndarray | None = None) -> np.ndarray:
+        """This step's ``G`` reading, as :meth:`compute_A` writes ``A``."""
         raise NotImplementedError
 
-    def update_factors(self, decay: float) -> None:
-        """Compute current factors from captures and fold into the EMAs.
+    def update_factors(self, out_A: np.ndarray, out_G: np.ndarray) -> None:
+        """Write this step's factor readings into ``out_A`` / ``out_G``.
 
-        Fresh factor readings come out of the workspace arena and go back
-        into it as soon as they are folded into the running average, so the
-        steady-state factor stage allocates nothing.
+        Each slot receives the upper triangle of its scaled reading Gram;
+        the caller mirrors the lower triangles and folds the readings into
+        the running averages (``KFAC`` does both once, over the fresh arena
+        every layer wrote its slots of).  The captures are released.
         """
         if self.a_input is None or self.g_output is None:
             raise RuntimeError(
                 f"layer {self.name}: factor update requested but no "
                 "activations/gradients were captured this step"
             )
-        new_A = self.compute_A()
-        self.A = ema_update(self.A, new_A, decay, self.workspace)
-        if new_A is not self.A:
-            self.workspace.release(new_A)
-        new_G = self.compute_G()
-        self.G = ema_update(self.G, new_G, decay, self.workspace)
-        if new_G is not self.G:
-            self.workspace.release(new_G)
+        self.compute_A(out_A)
+        self.compute_G(out_G)
         # release captures; they are only valid for this iteration
         self.a_input = None
         self.g_output = None
@@ -296,14 +294,13 @@ class LinearKFACLayer(KFACLayer):
     def g_dim(self) -> int:
         return self.module.out_features
 
-    def compute_A(self) -> np.ndarray:
+    def compute_A(self, out: np.ndarray | None = None) -> np.ndarray:
         assert self.a_input is not None
-        return linear_factor_A(self._reading(self.a_input), self.has_bias, self.workspace)
+        return linear_factor_A(self._reading(self.a_input), self.has_bias, self.workspace, out)
 
-    def compute_G(self) -> np.ndarray:
+    def compute_G(self, out: np.ndarray | None = None) -> np.ndarray:
         assert self.g_output is not None
-        g = self._reading(self.g_output)
-        return linear_factor_G(g, batch_averaged=True, workspace=self.workspace)
+        return linear_factor_G(self._reading(self.g_output), True, out)
 
 
 class Conv2dKFACLayer(KFACLayer):
@@ -336,15 +333,15 @@ class Conv2dKFACLayer(KFACLayer):
     def g_dim(self) -> int:
         return self.module.out_channels
 
-    def compute_A(self) -> np.ndarray:
+    def compute_A(self, out: np.ndarray | None = None) -> np.ndarray:
         assert self.a_input is not None
         a = self._reading(self.a_input)
-        return conv2d_factor_A(a, self.has_bias, self.workspace)
+        return conv2d_factor_A(a, self.has_bias, self.workspace, out)
 
-    def compute_G(self) -> np.ndarray:
+    def compute_G(self, out: np.ndarray | None = None) -> np.ndarray:
         assert self.g_output is not None
         g = self._reading(self.g_output)
-        return conv2d_factor_G(g, batch_averaged=True, workspace=self.workspace)
+        return conv2d_factor_G(g, True, self.workspace, out)
 
     def precondition(self, grad_mat: np.ndarray, gamma: float, use_eigen: bool) -> np.ndarray:
         """Precondition the ``k`` offset slices of ``grad_mat`` as one stack."""
@@ -388,21 +385,16 @@ class EmbeddingKFACLayer(KFACLayer):
     def g_dim(self) -> int:
         return self.module.embedding_dim
 
-    def compute_A(self) -> np.ndarray:
+    def compute_A(self, out: np.ndarray | None = None) -> np.ndarray:
         assert self.a_input is not None
-        return embedding_factor_A(
-            self.a_input,
-            self.module.num_embeddings,
-            dtype=self.dtype,
-            workspace=self.workspace,
-        )
+        return embedding_factor_A(self.a_input, self.module.num_embeddings, self.dtype, out)
 
-    def compute_G(self) -> np.ndarray:
+    def compute_G(self, out: np.ndarray | None = None) -> np.ndarray:
         assert self.g_output is not None
         g = np.ascontiguousarray(
             self._reading(self.g_output).reshape(-1, self.module.embedding_dim)
         )
-        return linear_factor_G(g, batch_averaged=True, workspace=self.workspace)
+        return linear_factor_G(g, True, out)
 
     def get_grad_matrix(self) -> np.ndarray:
         return np.ascontiguousarray(self.module.weight.grad.T)
@@ -442,15 +434,15 @@ class LayerNormKFACLayer(KFACLayer):
         x_hat = self.module.cached_normalized
         self.a_input = x_hat if x_hat is not None else x
 
-    def compute_A(self) -> np.ndarray:
+    def compute_A(self, out: np.ndarray | None = None) -> np.ndarray:
         assert self.a_input is not None
         a = np.ascontiguousarray(self._reading(self.a_input).reshape(-1, self.module.dim))
-        return linear_factor_A(a, has_bias=True, workspace=self.workspace)
+        return linear_factor_A(a, True, self.workspace, out)
 
-    def compute_G(self) -> np.ndarray:
+    def compute_G(self, out: np.ndarray | None = None) -> np.ndarray:
         assert self.g_output is not None
         g = np.ascontiguousarray(self._reading(self.g_output).reshape(-1, self.module.dim))
-        return linear_factor_G(g, batch_averaged=True, workspace=self.workspace)
+        return linear_factor_G(g, True, out)
 
     def get_grad_matrix(self) -> np.ndarray:
         d = self.module.dim

@@ -64,6 +64,7 @@ from repro.core.assignment import (
     wire_elements,
 )
 from repro.core.comm_ops import unpack_arrays
+from repro.core.factors import ema_update
 from repro.core.inverse import FactorEig
 from repro.core.layers import KFACLayer, factor_dtype, make_kfac_layer
 from repro.nn.module import Module
@@ -464,12 +465,13 @@ class KFAC:
                 [m.diagonal for m in self._factor_metas],
             )
             self._units.append(plan_units(*placed, bounds))
-        #: factor key -> (offset, side) of its slot in the factor arena
-        #: (factor-meta order; see _factor_arena)
+        #: factor key -> (offset, side) of its slot in either arena (meta order)
         ends = np.cumsum([0] + [m.n_elements for m in self._factor_metas]).tolist()
         self._arena_slots = {m.key: (lo, m.dim) for m, lo in zip(self._factor_metas, ends)}
-        self._arena_size: int = ends[-1]
-        self._arena: np.ndarray | None = None
+        #: the running averages (``layer.A`` / ``layer.G`` view them from the
+        #: layer's first update or load on) and the sweep's fresh readings
+        self._arena = np.zeros(ends[-1], self.factor_dtype)
+        self._fresh = np.zeros_like(self._arena)
         #: each granularity's units as wire-plan spans (shared_wire_plan)
         self._wire_spans = [
             tuple((*self._arena_slots[m.factor_key], m.lo, m.dim, m.diagonal) for m in u.metas)
@@ -483,6 +485,11 @@ class KFAC:
             l.name: (self._factor_metas[i], self._factor_metas[n + i])
             for i, l in enumerate(self.layers)
         }
+        #: each layer with its (A, G) slots of the fresh arena
+        self._sweep = [
+            (l, *(self._slot(self._fresh, m) for m in self._metas_of[l.name]))
+            for l in self.layers
+        ]
         #: layer name -> the shape of each array its checkpoint entry holds
         self._entry_shapes: dict[str, dict] = {l.name: {} for l in self.layers}
         for m in self._factor_metas:
@@ -712,10 +719,7 @@ class KFAC:
         update_second_order = self._refresh_due(update_factors)
 
         if update_factors:
-            # Algorithm 1 step 1: local factors, running averages
-            for layer in self.layers:
-                layer.update_factors(self.hp.factor_decay)
-            self.n_factor_updates += 1
+            self.update_factors()
 
         plan = self.build_plan(update_factors, update_second_order)
         yield from GraphExecutor(self, plan).run()
@@ -723,6 +727,33 @@ class KFAC:
             self.n_second_order_updates += 1
             self._snapshot_basis_factors()
         self.steps += 1
+
+    def update_factors(self) -> None:
+        """Algorithm 1 step 1 as one sweep: each layer writes its readings'
+        upper triangles into its slots of the fresh arena, one gather over
+        the exact symmetric wire plan mirrors them, and one EMA folds the
+        arena (a layer's first reading is adopted, and its ``A`` / ``G``
+        become views of their arena slots)."""
+        fresh = self._fresh
+        for layer, out_A, out_G in self._sweep:
+            layer.update_factors(out_A, out_G)
+        plan = shared_wire_plan(self._wire_spans[0], True)
+        fresh[plan.mirror] = fresh[plan.gather]
+        ema_update(self._arena, fresh, self.hp.factor_decay)
+        for layer, out_A, out_G in self._sweep:
+            if layer.A is None:
+                self._attach(layer)
+                layer.A[...], layer.G[...] = out_A, out_G
+        self.n_factor_updates += 1
+
+    def _slot(self, arena: np.ndarray, meta: FactorMeta) -> np.ndarray:
+        """``meta``'s factor-shaped view of its slot of ``arena``."""
+        lo = self._arena_slots[meta.key][0]
+        return arena[lo : lo + meta.n_elements].reshape(meta.shape)
+
+    def _attach(self, layer: KFACLayer) -> None:
+        """Make ``layer``'s running averages views of the arena."""
+        layer.A, layer.G = (self._slot(self._arena, m) for m in self._metas_of[layer.name])
 
     def _refresh_due(self, update_factors: bool) -> bool:
         """Should this step refresh the eigendecompositions?
@@ -847,25 +878,6 @@ class KFAC:
         self._plans[key] = plan
         return plan
 
-    def _factor_arena(self) -> np.ndarray:
-        """The flat buffer the running-average factors live in.
-
-        Adopted at the first factor exchange: each factor is copied into its
-        slot and ``layer.A`` / ``layer.G`` become views of it, which the
-        in-place EMA updates and the wire plans gather from and scatter into.
-        """
-        if self._arena is None:
-            arena = np.empty(self._arena_size, self.factor_dtype)
-            for meta in self._factor_metas:
-                factor = self._factor(meta)
-                assert factor is not None, "factor exchange before factor update"
-                lo = self._arena_slots[meta.key][0]
-                view = arena[lo : lo + meta.n_elements].reshape(meta.shape)
-                view[...] = factor
-                setattr(self._layers_by_name[meta.layer], meta.kind, view)
-            self._arena = arena
-        return self._arena
-
     def _wire_plan(self, units: FactorUnits) -> WirePlan:
         """The arena <-> wire index plan of ``units`` (shared by every step
         plan of that granularity, and every replica of the same model)."""
@@ -874,7 +886,7 @@ class KFAC:
 
     def _pack_factor_wire(self, units: FactorUnits) -> np.ndarray:
         """The factor wire of ``units``, EF-compressed under ``comm_dtype``."""
-        wire = self._wire_plan(units).pack(self._factor_arena())
+        wire = self._wire_plan(units).pack(self._arena)
         return wire if self._comm_ef is None else self._compress_factor_wire(wire, units)
 
     def _install_factor_wire(
@@ -1073,9 +1085,9 @@ class KFAC:
         skips the placement check.  An entry whose factor or second-order
         arrays do not fit its layer raises ``ValueError`` naming the layer,
         the key and both shapes, before anything is restored.  Every array
-        is cast to :attr:`factor_dtype`; factors load into the existing
-        views in place (the arena of :meth:`_factor_arena`, the step plans
-        and the wire plans all stay).
+        is cast to :attr:`factor_dtype`; factors load into their arena
+        slots in place (the arena, the step plans and the wire plans all
+        stay), a layer that has none yet viewing them from then on.
 
         A *portable* bundle (``portable: True``, from
         :func:`repro.elastic.gather_state_dict`) carries every layer's
@@ -1146,9 +1158,9 @@ class KFAC:
         dtype = self.factor_dtype
         for name, entry in entries.items():
             layer = by_name[name]
-            if "A" in entry and layer.A is None:  # the arena adopts them at the next exchange
-                layer.A, layer.G = entry["A"].astype(dtype), entry["G"].astype(dtype)
-            elif "A" in entry:  # cast in place: the arena and every plan stay
+            if "A" in entry:  # cast into the arena slots
+                if layer.A is None:
+                    self._attach(layer)
                 layer.A[...], layer.G[...] = entry["A"], entry["G"]
             # portable bundles are redistributed: second-order state
             # hydrates only where the *current* placement wants it

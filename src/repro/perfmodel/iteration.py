@@ -583,10 +583,9 @@ class IterationModel:
         - the **factor allreduce** ships in :meth:`pipeline_chunks`
           buckets launched as factors are produced (SPD-KFAC's
           pipelining), hidden behind the backward pass + covariance
-          GEMMs + the *fastest* worker's eigendecompositions (the
-          least-overlapped rank sets the barrier for each bucket's
-          install point), taken from the per-factor ``f = 1`` assignment
-          at every ``f``;
+          GEMMs + the *fastest* worker's eigendecompositions under the
+          placement being priced (the least-overlapped rank sets the
+          barrier for each bucket's install point);
         - the **eigenbasis share** is decoupled from the iteration
           (§V-B) and drains into preconditioning and the next
           iteration's forward/backward.  At ``g >= p`` the world
@@ -611,7 +610,7 @@ class IterationModel:
             fac_budget = (
                 self.backward_time(precision)
                 + self.factor_compute_time(syrk=symmetric, precision=precision)
-                + min(self.eig_worker_times(p, 1.0, policy, diag_blocks))
+                + min(self.eig_worker_times(p, grad_worker_frac, policy, diag_blocks))
             )
             fac_exposed = _exposed(fac_comm, chunks, fac_budget)
             g = grad_worker_count(p, grad_worker_frac)

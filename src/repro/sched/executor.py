@@ -61,8 +61,7 @@ class GraphExecutor:
     >>> x = np.random.default_rng(0).normal(size=(6, 4)).astype(np.float32)
     >>> _ = loss_fn(model(x), np.arange(6) % 3)
     >>> _ = model.backward(loss_fn.backward())
-    >>> for layer in kfac.layers:
-    ...     layer.update_factors(kfac.hp.factor_decay)
+    >>> kfac.update_factors()
     >>> plan = kfac.build_plan(update_factors=True, update_second_order=True)
     >>> list(GraphExecutor(kfac, plan).run())   # world of one: no requests
     []
@@ -401,6 +400,10 @@ class GraphExecutor:
         kfac.kl_clip_nu = nu
         if nu < 1.0:
             kfac.n_clipped_steps += 1
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "kl_clip", "kfac", kfac.rank, attrs={"nu": nu, "clipped": nu < 1.0}
+            )
         ad = getattr(kfac, "_adaptive_damping", None)
         if ad is not None:
             # nu is computed from pre-averaged gradients, so every rank sees

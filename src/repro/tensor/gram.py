@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["gram", "has_syrk", "mirror_upper"]
+__all__ = ["gram", "gram_upper", "has_syrk", "mirror_upper"]
 
 try:  # SciPy ships with the toolchain; gate anyway so the GEMM path survives
     from scipy.linalg.blas import dsyrk as _dsyrk
@@ -86,8 +86,46 @@ def mirror_upper(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def gram_upper(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The upper triangle of ``x.T @ x`` into ``out`` (an optional
+    C-contiguous ``(n, n)`` buffer of ``x``'s dtype), at half the GEMM FLOPs.
+
+    The kernel under :func:`gram`: the strict lower triangle is left as it
+    was (the GEMM fallback fills it too), for a caller that mirrors many
+    Gram products at once (``KFAC``'s factor sweep).
+
+    Example
+    -------
+    >>> import numpy as np
+    >>> from repro.tensor.gram import gram_upper
+    >>> x = np.array([[1., 2.], [3., 4.]], dtype=np.float32)
+    >>> gram_upper(x, out=np.zeros((2, 2), np.float32))
+    array([[10., 14.],
+           [ 0., 20.]], dtype=float32)
+    """
+    if x.ndim != 2:
+        raise ValueError(f"gram expects a 2-D matrix, got shape {x.shape}")
+    n = x.shape[1]
+    if out is None:
+        out = np.empty((n, n), dtype=x.dtype)
+    elif out.shape != (n, n) or out.dtype != x.dtype or not out.flags.c_contiguous:
+        raise ValueError(
+            f"gram out buffer must be C-contiguous {(n, n)} {x.dtype}, "
+            f"got {out.shape} {out.dtype}"
+        )
+    fn = _SYRK.get(x.dtype)
+    if fn is None:
+        out[...] = x.T @ x
+    else:
+        # lower=1 on the F-ordered view c=out.T fills out's *upper* triangle;
+        # a C-contiguous out of x's dtype is written in place, never copied
+        fn(alpha=1.0, a=x.T, trans=0, lower=1, c=out.T, overwrite_c=1)
+    return out
+
+
 def gram(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``x.T @ x`` as an exactly symmetric matrix, at half the GEMM FLOPs.
+    """``x.T @ x`` as an exactly symmetric matrix, at half the GEMM FLOPs:
+    :func:`gram_upper`, then :func:`mirror_upper`.
 
     Parameters
     ----------
@@ -115,27 +153,4 @@ def gram(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     >>> bool(np.allclose(G, x.T @ x, atol=1e-4))
     True
     """
-    if x.ndim != 2:
-        raise ValueError(f"gram expects a 2-D matrix, got shape {x.shape}")
-    n = x.shape[1]
-    if out is not None and (
-        out.shape != (n, n) or out.dtype != x.dtype or not out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"gram out buffer must be C-contiguous {(n, n)} {x.dtype}, "
-            f"got {out.shape} {out.dtype}"
-        )
-    fn = _SYRK.get(x.dtype)
-    if fn is None:
-        res = x.T @ x
-        if out is not None:
-            out[...] = res
-            res = out
-        return mirror_upper(np.ascontiguousarray(res))
-    if out is None:
-        out = np.empty((n, n), dtype=x.dtype)
-    # lower=1 on the F-ordered view c=out.T fills out's *upper* triangle
-    res = fn(alpha=1.0, a=x.T, trans=0, lower=1, c=out.T, overwrite_c=1)
-    if not np.shares_memory(res, out):  # pragma: no cover - BLAS made a copy
-        out[...] = res.T
-    return mirror_upper(out)
+    return mirror_upper(gram_upper(x, out))

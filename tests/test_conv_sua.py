@@ -22,7 +22,7 @@ from repro.nn.layers import Conv2d
 from repro.nn.loss import CrossEntropyLoss
 from repro.tensor.workspace import Workspace
 
-from tests.conftest import build_tiny_cnn
+from tests.conftest import adopt_readings, build_tiny_cnn
 
 GAMMA = 0.05
 
@@ -40,7 +40,7 @@ def _captured_handler(c_in, c_out, kernel, stride, bias, seed=0):
     out_shape = conv.out_shape(x.shape)
     handler.save_input(x)
     handler.save_grad_output(rng.normal(size=out_shape) / 3)
-    handler.update_factors(decay=0.9)
+    adopt_readings(handler)
     conv.weight.grad[...] = rng.normal(size=conv.weight.shape)
     if bias:
         conv.bias.grad[...] = rng.normal(size=c_out)

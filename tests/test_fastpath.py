@@ -549,20 +549,20 @@ class TestAllocationFreeHelpers:
         assert np.array_equal(linear_factor_A(mat, True, Workspace()), want)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_ema_update_workspace_bit_identical(self, dtype):
-        ws = Workspace()
-        new = RNG.normal(size=(6, 6)).astype(dtype)
-        ema_a = RNG.normal(size=(6, 6)).astype(dtype)
-        ema_b = ema_a.copy()
-        ema_update(ema_a, new, 0.95)
-        ema_update(ema_b, new, 0.95, workspace=ws)
-        assert np.array_equal(ema_a, ema_b)
-        assert ws.pooled_buffers == 1  # scratch went back to the pool
+    def test_ema_update_over_an_arena_equals_per_factor(self, dtype):
+        """The factor sweep folds one flat arena in one call; each factor's
+        slot ends bit-identical to folding that factor alone, in place."""
+        new = RNG.normal(size=61).astype(dtype)
+        arena = RNG.normal(size=61).astype(dtype)
+        parts = [arena[:36].reshape(6, 6).copy(), arena[36:].reshape(5, 5).copy()]
+        assert ema_update(arena, new, 0.95) is arena
+        for part, lo, hi in zip(parts, (0, 36), (36, 61)):
+            ema_update(part, new[lo:hi].reshape(part.shape), 0.95)
+            assert np.array_equal(part.ravel(), arena[lo:hi])
 
     def test_ema_update_first_call_copies(self):
-        ws = Workspace()
         new = RNG.normal(size=(3, 3)).astype(np.float32)
-        ema = ema_update(None, new, 0.9, workspace=ws)
+        ema = ema_update(None, new, 0.9)
         assert ema is not new and np.array_equal(ema, new)
 
     def test_conv_factor_G_workspace_matches(self):

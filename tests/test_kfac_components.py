@@ -16,6 +16,7 @@ from repro.core.assignment import (
     worker_costs,
 )
 from repro.core.clipping import kl_clip_factor
+from repro.core.factors import linear_factor_A, linear_factor_G
 from repro.core.layers import Conv2dKFACLayer, LinearKFACLayer, make_kfac_layer
 from repro.core.preconditioner import KFAC
 from repro.core.schedule import KFACParamScheduler
@@ -213,15 +214,22 @@ class TestLayerHandlers:
     def test_update_factors_requires_captures(self, rng):
         h = make_kfac_layer("l", Linear(2, 2, rng=rng))
         with pytest.raises(RuntimeError):
-            h.update_factors(0.95)
+            h.update_factors(np.zeros((3, 3), h.dtype), np.zeros((2, 2), h.dtype))
 
     def test_update_factors_releases_captures(self, rng):
+        """The readings' upper triangles land in the given slots (the
+        caller mirrors and folds them), and the captures are released."""
         h = make_kfac_layer("l", Linear(2, 2, rng=rng))
-        h.save_input(rng.normal(size=(4, 2)).astype(np.float32))
-        h.save_grad_output(rng.normal(size=(4, 2)).astype(np.float32))
-        h.update_factors(0.95)
+        a = rng.normal(size=(4, 2)).astype(h.dtype)
+        g = rng.normal(size=(4, 2)).astype(h.dtype)
+        h.save_input(a)
+        h.save_grad_output(g)
+        out_A, out_G = np.zeros((3, 3), h.dtype), np.zeros((2, 2), h.dtype)
+        h.update_factors(out_A, out_G)
         assert h.a_input is None and h.g_output is None
-        assert h.A is not None and h.G is not None
+        assert h.A is None and h.G is None  # the caller folds the readings
+        np.testing.assert_array_equal(np.triu(out_A), np.triu(linear_factor_A(a, True)))
+        np.testing.assert_array_equal(np.triu(out_G), np.triu(linear_factor_G(g)))
 
     def test_set_grad_matrix_validates_shape(self, rng):
         h = make_kfac_layer("l", Linear(2, 2, bias=False, rng=rng))

@@ -24,6 +24,8 @@ from repro.nn.container import Sequential
 from repro.core.preconditioner import KFAC
 from repro.nn.loss import CrossEntropyLoss
 
+from tests.conftest import adopt_readings
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -150,7 +152,7 @@ def test_end_to_end_conv_preconditioning_matches_dense(seed, gamma):
     conv.backward(rng.normal(size=out.shape).astype(np.float32) / out.size)
     handler.save_input(x)
     handler.save_grad_output(rng.normal(size=out.shape).astype(np.float32))
-    handler.update_factors(0.95)
+    adopt_readings(handler)
     handler.eig_A, handler.eig_G = handler.compute_eigen()
     grad = handler.get_grad_matrix()
     fast = handler.precondition(grad, gamma, use_eigen=True)

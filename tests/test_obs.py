@@ -205,6 +205,17 @@ class TestLockstepDeterminism:
         assert tracer.ranks() == [0, 1, 2, 3]
         assert validate_chrome_trace(tracer.to_chrome()) > 0
 
+    def test_kl_clip_instant_is_lockstep(self):
+        """Each rank records one ``kl_clip`` instant per step, and the
+        replicas' instants are equal (ν comes from averaged gradients), so
+        the lockstep canonical traces above still match."""
+        tracer = _traced_spmd_run()
+        per_rank = [tracer.spans(rank=r, name="kl_clip") for r in range(4)]
+        assert [len(spans) for spans in per_rank] == [3] * 4
+        for spans in per_rank[1:]:
+            assert [s.attrs for s in spans] == [s.attrs for s in per_rank[0]]
+        assert {s.cat for s in per_rank[0]} == {"kfac"}
+
 
 # ----------------------------------------------------------------------
 # traced training: reconciliation + zero-cost-off
@@ -387,6 +398,9 @@ class TestMetricsRegistry:
                  grad_worker_frac=2 / 3)
             for r, m in enumerate(models)
         ]
+        tracer = Tracer()
+        for k in kfacs:
+            k.tracer = tracer
         controller = PhaseController(kfacs, World(p))
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8 * p, 1, 8, 8)).astype(np.float32)
@@ -412,6 +426,10 @@ class TestMetricsRegistry:
         clipped = sum(nu < 1.0 for nu in nus)
         assert 0 < clipped < len(nus), nus
         assert [k.n_clipped_steps for k in kfacs] == [clipped] * p
+        # the trace carries the same nu and clip flag on every rank, each step
+        for r in range(p):
+            attrs = [s.attrs for s in tracer.spans(rank=r, name="kl_clip")]
+            assert attrs == [{"nu": nu, "clipped": nu < 1.0} for nu in nus]
         reg = MetricsRegistry()
         reg.collect_kfacs(kfacs)
         assert reg.counter("kfac.clipped_steps").total() == clipped

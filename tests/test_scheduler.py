@@ -189,8 +189,7 @@ class TestPlanValidity:
         model.zero_grad()
         loss(model(x), y)
         model.backward(loss.backward())
-        for layer in kfac.layers:
-            layer.update_factors(kfac.hp.factor_decay)
+        kfac.update_factors()
 
     def _plan(self, world_size=4, rank=0, scheduler="graph", **kw):
         model = build_tiny_cnn(seed=1)

@@ -241,15 +241,19 @@ def _cnn_fleet(p, **kw):
     return models, kfacs
 
 
-def test_single_worker_builds_no_arena():
+def test_single_worker_factors_are_views_of_the_arena():
+    """A world of one folds its factors in the same arena a fleet
+    exchanges: every running average is a view of its slot from the
+    first step on, and the arena is never replaced."""
     models, kfacs = _cnn_fleet(1)
     x, y = _cnn_batch()
+    arena = kfacs[0]._arena
     for _ in range(2):
         loss_fn = CrossEntropyLoss()
         loss_fn(models[0](x), y)
         models[0].backward(loss_fn.backward())
         kfacs[0].step()
-    assert kfacs[0]._arena is None
+        assert kfacs[0]._arena is arena and _in_arena(kfacs[0])
 
 
 @pytest.mark.parametrize(
