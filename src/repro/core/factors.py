@@ -41,9 +41,12 @@ lossless.  Given a C-contiguous ``out`` (``KFAC``'s factor sweep hands
 each layer its slots of one fresh arena, then mirrors the whole arena at
 once), a function writes only the upper triangle into it (a diagonal
 factor: its vector, ``out``'s dtype winning); without, it returns a new
-mirrored factor.  Rows staged for a bias column or an NCHW transpose come
-from an optional :class:`repro.tensor.workspace.Workspace`'s scratch, so
-the factor stage allocates nothing at steady state.
+mirrored factor.  A channels-last conv reading (a ``Conv2d`` output
+gradient, or an input that a ``Conv2d`` / ``BatchNorm2d`` / ``ReLU``
+wrote) is read in place as its ``(N*H*W, C)`` rows; only a bias column
+or another layout stages the rows, in an optional
+:class:`repro.tensor.workspace.Workspace`'s scratch, so the factor stage
+allocates nothing at steady state.
 
 Running average (paper Eqs. 16–17): the paper writes the new reading with
 weight ``xi in [0.9, 1)``, but the reference implementation (and any sane
@@ -82,7 +85,7 @@ def _gram_scaled(
     return factor
 
 
-def _staged_gram(
+def _rows_gram(
     x: np.ndarray,
     count: int,
     multiply: bool,
@@ -90,22 +93,23 @@ def _staged_gram(
     workspace: Workspace | None,
     out: np.ndarray | None,
 ) -> np.ndarray:
-    """Gram of ``x``'s rows, staged in scratch: an ``(N, C)`` matrix, or an
-    NCHW tensor's ``(N*H*W, C)`` NHWC rows, with a ones column appended
-    when ``has_bias``; scaled as :func:`_gram_scaled` does."""
+    """Gram of ``x``'s rows — an ``(N, C)`` matrix, or a 4-D tensor's
+    ``(N*H*W, C)`` NHWC rows — with a ones column appended when
+    ``has_bias``; scaled as :func:`_gram_scaled` does.  Contiguous rows
+    without a ones column (a channels-last conv reading) are read in place;
+    the rest are staged in scratch."""
     c = x.shape[1]
+    rows = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
+    if rows.flags.c_contiguous and not has_bias:
+        return _gram_scaled(rows.reshape(-1, c), count, multiply, out)
     shape = (x.size // c, c + int(has_bias))
-    rows = np.empty(shape, x.dtype) if workspace is None else workspace.request(shape, x.dtype)
-    if x.ndim == 4:
-        n, _, h, w = x.shape
-        np.copyto(rows.reshape(n, h, w, shape[1])[..., :c], x.transpose(0, 2, 3, 1))
-    else:
-        rows[:, :c] = x
+    staged = np.empty(shape, x.dtype) if workspace is None else workspace.request(shape, x.dtype)
+    staged.reshape(rows.shape[:-1] + shape[1:])[..., :c] = rows
     if has_bias:
-        rows[:, c] = 1.0
-    factor = _gram_scaled(rows, count, multiply, out)
+        staged[:, c] = 1.0
+    factor = _gram_scaled(staged, count, multiply, out)
     if workspace is not None:
-        workspace.release(rows)
+        workspace.release(staged)
     return factor
 
 
@@ -139,7 +143,7 @@ def linear_factor_A(
     n = a.shape[0]
     if not has_bias:
         return _gram_scaled(a, n, False, out)
-    return _staged_gram(a, n, False, True, workspace, out)
+    return _rows_gram(a, n, False, True, workspace, out)
 
 
 def linear_factor_G(
@@ -201,7 +205,7 @@ def conv2d_factor_A(
     if x.ndim != 4:
         raise ValueError(f"conv activations must be (N, C, H, W), got {x.shape}")
     n, _, h, w = x.shape
-    return _staged_gram(x, n * h * w, False, has_bias, workspace, out)
+    return _rows_gram(x, n * h * w, False, has_bias, workspace, out)
 
 
 def conv2d_factor_G(
@@ -227,7 +231,7 @@ def conv2d_factor_G(
     """
     if g0.ndim != 4:
         raise ValueError(f"conv output grads must be (N, C, OH, OW), got {g0.shape}")
-    return _staged_gram(g0, g0.shape[0], batch_averaged, False, workspace, out)
+    return _rows_gram(g0, g0.shape[0], batch_averaged, False, workspace, out)
 
 
 def embedding_factor_A(

@@ -34,6 +34,7 @@ import numpy as np
 __all__ = [
     "COMPUTE_DTYPES",
     "amp_matmul",
+    "amp_operand",
     "autocast",
     "bf16_pack",
     "bf16_unpack",
@@ -179,14 +180,30 @@ def cast_compute_storage(x: np.ndarray) -> np.ndarray:
     return x.astype(dt)
 
 
+def amp_operand(x: np.ndarray) -> np.ndarray:
+    """``x`` as :func:`amp_matmul` multiplies it: on the compute grid, in
+    the accumulation dtype (fp32, or fp64 for fp64 data or policy)."""
+    dt = get_compute_dtype()
+    if dt == "float16":
+        return _round_fp16(x).astype(np.float32)
+    if dt == "bfloat16":
+        return quantize_bf16(x)
+    if dt == "float64":
+        return x.astype(np.float64, copy=False)
+    return x.astype(np.float32) if x.dtype == np.float16 else x
+
+
 def amp_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` in the active compute dtype with fp32+ accumulation.
+    """``a @ b`` in the active compute dtype with fp32+ accumulation:
+    :func:`amp_operand` of both operands, multiplied.
 
     Outside autocast (or under an explicit fp32 policy with fp32 inputs)
     this is exactly ``a @ b`` — bit-identical, zero overhead.  Under fp16
     and bf16 the *operands* are rounded to the half-precision grid and the
     product accumulates in fp32 (Tensor-Core semantics); the result is
     fp32.  Under fp64 both operands are promoted and the result is fp64.
+    fp16-stored operands (cached patches) outside fp16 autocast still
+    accumulate in fp32, never in numpy's half loops.
 
     Example
     -------
@@ -200,20 +217,9 @@ def amp_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     >>> out.dtype                                     # ...fp32 accumulator
     dtype('float32')
     """
-    dt = get_compute_dtype()
-    if dt is None or dt == "float32":
-        if a.dtype == np.float16 and b.dtype == np.float16:
-            # fp16-stored operands (cached patches) outside fp16 autocast:
-            # still accumulate in fp32, never in numpy's half loops
-            return a.astype(np.float32) @ b.astype(np.float32)
-        return a @ b
+    if get_compute_dtype() in (None, "float32"):
+        return amp_operand(a) @ amp_operand(b)
     # overflow steps under loss scaling legitimately push inf/nan through
     # these products; detection happens downstream (GradScaler), not here
     with np.errstate(invalid="ignore", over="ignore"):
-        if dt == "float16":
-            return _round_fp16(a).astype(np.float32) @ _round_fp16(b).astype(np.float32)
-        if dt == "bfloat16":
-            a32 = a.astype(np.float32) if a.dtype != np.float32 else a
-            b32 = b.astype(np.float32) if b.dtype != np.float32 else b
-            return quantize_bf16(a32) @ quantize_bf16(b32)
-        return a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)
+        return amp_operand(a) @ amp_operand(b)

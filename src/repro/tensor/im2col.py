@@ -1,16 +1,17 @@
-"""im2col / col2im transforms for NCHW tensors.
+"""im2col / col2im transforms for ``(N, C, H, W)`` tensors.
 
-``im2col`` lowers convolution to matrix multiplication and, crucially for
-this reproduction, its output *is* the expanded-activation matrix whose
-second moment is the K-FAC ``A`` factor for Conv2d layers: each row is one
-receptive-field patch of shape ``C_in * kh * kw`` at one spatial location of
-one example.
+``im2col`` lowers a convolution to one matrix multiplication: each row
+of its output is one receptive-field patch, ``C_in * kh * kw`` wide, at
+one spatial location of one example.  ``Conv2d`` uses it for the kernels
+its shape rule does not run as shifted GEMMs (1x1 and strided kernels,
+few channels, small outputs); the K-FAC factors never read it.
 
 Both transforms work through a zero-bordered NHWC buffer, so every
 kernel position moves contiguous channel runs: the forward copies ``x``
-into it once and fills the patch matrix with one strided slab copy per
-kernel position; the inverse adds the same slabs into it, in the same
-kernel-position order, and transposes the interior back to NCHW once.
+into it once (a contiguous copy when ``x`` is channels-last) and fills
+the patch matrix with one strided slab copy per kernel position; the
+inverse adds the same slabs into it, in the same kernel-position order,
+and returns its interior as a channels-last view.
 """
 
 from __future__ import annotations
@@ -96,7 +97,11 @@ def im2col(
             f"im2col out buffer must be C-contiguous {expected} {x.dtype}, "
             f"got {out.shape} {out.dtype}"
         )
-    staging = _nhwc_buffer(staging, (n, h + 2 * ph, w + 2 * pw, c), x.dtype, "staging")
+    padded = (n, h + 2 * ph, w + 2 * pw, c)
+    if staging is None:
+        staging = np.empty(padded, dtype=x.dtype)
+    elif staging.shape != padded or staging.dtype != x.dtype:
+        raise ValueError(f"staging must be {padded} {x.dtype}, got {staging.shape} {staging.dtype}")
     staging[:, :ph] = staging[:, ph + h :] = 0
     staging[:, :, :pw] = staging[:, :, pw + w :] = 0
     staging[:, ph : ph + h, pw : pw + w] = x.transpose(0, 2, 3, 1)
@@ -109,26 +114,14 @@ def im2col(
     return out
 
 
-def _nhwc_buffer(
-    buf: np.ndarray | None, shape: tuple[int, ...], dtype: np.dtype, name: str
-) -> np.ndarray:
-    """``buf`` checked against ``shape``/``dtype``, or a fresh empty array."""
-    if buf is None:
-        return np.empty(shape, dtype=dtype)
-    if buf.shape != shape or buf.dtype != dtype:
-        raise ValueError(f"{name} must be {shape} {dtype}, got {buf.shape} {buf.dtype}")
-    return buf
-
-
 def col2im(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
     kernel_size: tuple[int, int],
     stride: tuple[int, int],
     padding: tuple[int, int],
-    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col` (overlap-add scatter back to NCHW).
+    """Adjoint of :func:`im2col` (overlap-add scatter back to the input).
 
     Parameters
     ----------
@@ -136,19 +129,14 @@ def col2im(
         Patch matrix of shape ``(N * OH * OW, C * kh * kw)``.
     x_shape:
         Shape of the original (unpadded) input.
-    scratch:
-        Optional preallocated NHWC ``(N, H+2ph, W+2pw, C)`` accumulation
-        buffer (zero-filled here; contents overwritten).  The result is a
-        fresh NCHW copy of its interior unless that interior is already
-        contiguous as NCHW (e.g. ``C == 1`` without padding): then the
-        result is a *view* of this buffer, so callers recycling it through a
-        workspace must check ``np.shares_memory`` before releasing it.
 
     Returns
     -------
     numpy.ndarray
         Array of shape ``x_shape`` where every patch value has been added
-        back into its source position.
+        back into its source position: the ``transpose(0, 3, 1, 2)`` view
+        of the interior of a fresh zero-bordered NHWC accumulator, so it is
+        channels-last (C-contiguous as NHWC when there is no padding).
 
     Example
     -------
@@ -173,9 +161,8 @@ def col2im(
         )
 
     patches = cols.reshape(n, oh, ow, c, kh, kw)
-    acc = _nhwc_buffer(scratch, (n, h + 2 * ph, w + 2 * pw, c), cols.dtype, "col2im scratch")
-    acc[...] = 0
+    acc = np.zeros((n, h + 2 * ph, w + 2 * pw, c), cols.dtype)
     for i in range(kh):
         for j in range(kw):
             acc[:, i : i + sh * oh : sh, j : j + sw * ow : sw] += patches[..., i, j]
-    return np.ascontiguousarray(acc[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
+    return acc[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2)

@@ -1,13 +1,13 @@
 """Reusable scratch-buffer arena for hot-path temporaries.
 
-Steady-state K-FAC training performs the same tensor ops with the same
-shapes every iteration, yet the original implementation re-allocated its
-largest temporaries each time: the ``im2col`` patch matrix of every
-``Conv2d``, the bias-augmented activation matrix, and the EMA-update
-scratch.  A :class:`Workspace` pools those buffers: :meth:`request` hands
-out a buffer (recycled when one of matching size exists, freshly allocated
-otherwise) and :meth:`release` returns it to the pool, so after a warm-up
-iteration the factor stage allocates nothing.
+Steady-state training performs the same tensor ops with the same shapes
+every iteration.  A :class:`Workspace` pools the largest temporaries —
+each ``Conv2d``'s saved patch matrix or zero-padded NHWC input, its
+im2col staging and shifted-GEMM scratch, and the factor stage's rows
+staged for a bias column or an NCHW copy: :meth:`request` hands out a
+buffer (recycled when one of matching size exists, freshly allocated
+otherwise) and :meth:`release` returns it to the pool, so after a
+warm-up iteration those paths allocate no scratch.
 
 Buffers are keyed by ``(dtype, element count)`` — exact-size matching,
 which is the right policy for a fixed-shape training loop — and handed out
@@ -18,9 +18,6 @@ the thread that popped it.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 
@@ -84,15 +81,6 @@ class Workspace:
             return
         key = (arr.dtype.str, int(arr.size))
         self._pool.setdefault(key, []).append(arr.reshape(-1))
-
-    @contextmanager
-    def borrow(self, shape: tuple[int, ...], dtype: np.dtype | str) -> Iterator[np.ndarray]:
-        """Scoped :meth:`request`/:meth:`release` pair."""
-        buf = self.request(shape, dtype)
-        try:
-            yield buf
-        finally:
-            self.release(buf)
 
     @property
     def pooled_buffers(self) -> int:

@@ -198,6 +198,25 @@ class TestReLU:
         g = np.ones_like(x)
         np.testing.assert_array_equal(relu.backward(g), [[0.0, 1.0, 1.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_equals_where_formula_on_finite_inputs(self, dtype, rng):
+        """max(x, 0) and grad * mask equal the where() formulas they
+        replaced, value for value (== treats -0.0 as 0.0), and keep dtype."""
+        x = np.concatenate([rng.normal(size=61), [0.0, -0.0, 1e-30, -1e-30]]).astype(dtype)
+        g = np.concatenate([rng.normal(size=61), [0.0, -0.0, 2.0, -3.0]]).astype(dtype)
+        relu = ReLU()
+        y = relu.forward(x)
+        dx = relu.backward(g)
+        assert y.dtype == dx.dtype == dtype
+        assert np.all(y == np.where(x > 0, x, 0.0).astype(dtype))
+        assert np.all(dx == np.where(x > 0, g, 0.0).astype(dtype))
+
+    def test_nan_propagates(self):
+        """A NaN activation stays NaN (as torch.relu), not a silent 0."""
+        relu = ReLU()
+        y = relu.forward(np.array([np.nan, -1.0, 1.0], dtype=np.float32))
+        assert np.isnan(y[0]) and y[1:].tolist() == [0.0, 1.0]
+
 
 class TestPooling:
     def test_maxpool_forward(self):

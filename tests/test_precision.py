@@ -146,6 +146,38 @@ class TestAmpMatmul:
             np.testing.assert_array_equal(out, quantize_bf16(x))
 
 
+class TestShiftedConvAmp:
+    """The shifted-GEMM conv kernel under the fp16 compute policy: fp16
+    operands, fp32 accumulation, fp32 results — as im2col + amp_matmul."""
+
+    def test_fp16_operands_fp32_accumulation(self, rng):
+        conv = Conv2d(8, 6, 3, padding=1, rng=rng)
+        x = rng.normal(size=(8, 8, 16, 16)).astype(np.float32)
+        assert conv.shifted(x.shape)
+        with autocast("float16"):
+            y = conv.forward(x)
+            dy = rng.normal(size=y.shape).astype(np.float32)
+            dx = conv.backward(dy)
+        assert y.dtype == dx.dtype == np.float32
+        assert conv.weight.grad.dtype == conv.weight.data.dtype  # the storage dtype
+        # float64 reference on the fp16-rounded operands: only the fp32
+        # accumulation separates it from the kernel's result
+        r = lambda a: a.astype(np.float16).astype(np.float64)  # noqa: E731
+        x16, w16, dy16 = r(x), r(conv.weight.data), r(dy)
+        ref = Conv2d(8, 6, 3, padding=1)
+        ref.weight.data, ref.weight.grad = w16, np.zeros_like(w16)
+        ref.shifted = lambda x_shape: False
+        want_y = ref.forward(x16)
+        want_dx = ref.backward(dy16)
+        eps, terms = np.finfo(np.float32).eps, 8 * 18 * 18
+        for got, want in ((y, want_y), (dx, want_dx), (conv.weight.grad, ref.weight.grad)):
+            assert np.abs(got - want).max() <= terms * eps * np.abs(want).max()
+        # not a full-precision result: the fp16 rounding of the operands shows
+        full = Conv2d(8, 6, 3, padding=1)
+        full.weight.data = conv.weight.data.astype(np.float64)
+        assert np.abs(full.forward(x.astype(np.float64)) - y).max() > 1e-4
+
+
 class TestQuantizeBf16:
     def test_idempotent_and_lossless_on_grid(self, rng):
         x = rng.normal(size=257).astype(np.float32)
